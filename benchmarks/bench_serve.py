@@ -315,8 +315,7 @@ def bench_batching(corpus: dict, clients: int,
     process-global, so absolute values would mix trials).
     """
     def trial(max_batch: int) -> tuple[float, float]:
-        server = _start("forest", corpus, max_batch=max_batch,
-                        max_wait_us=2000)
+        server = _start("forest", corpus, max_batch=max_batch)
         window = _decide_window(server)
         with ServeClient(server.address) as c:
             c.decide(Mode.LOW_POWER.value, window)  # warm

@@ -228,7 +228,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                   f"ring {server.ring.capacity}")
     print(f"serving {len(server.traces)} traces with "
           f"{server.cpu.predictor.name} on {server.address} "
-          f"(batch<={server.max_batch}, wait {server.max_wait_us}us, "
+          f"(batch<={server.max_batch} on free, "
           f"queue<={server.queue_bound}, "
           f"init {server.init_s * 1e3:.1f}ms "
           f"{'warm' if warm else 'cold'}{online})", flush=True)
@@ -394,10 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="serve_batch_max",
                    help="micro-batch bound (default: "
                         "REPRO_SERVE_BATCH_MAX or 8)")
-    p.add_argument("--serve-batch-wait-us", type=int, default=None,
-                   dest="serve_batch_wait_us",
-                   help="µs to hold an under-full batch open "
-                        "(default: REPRO_SERVE_BATCH_WAIT_US or 2000)")
     p.add_argument("--serve-queue-bound", type=int, default=None,
                    dest="serve_queue_bound",
                    help="admission queue bound before shedding "

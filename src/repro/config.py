@@ -173,19 +173,11 @@ SURROGATE_PROBES_ENV_VAR = "REPRO_SURROGATE_PROBES"
 DEFAULT_SURROGATE_PROBES = 32
 
 #: Environment variable bounding the serving daemon's micro-batch size:
-#: the batcher flushes as soon as this many requests are pending.
+#: a free executor takes at most this many pending requests at once.
 SERVE_BATCH_MAX_ENV_VAR = "REPRO_SERVE_BATCH_MAX"
 
 #: Default micro-batch bound.
 DEFAULT_SERVE_BATCH_MAX = 8
-
-#: Environment variable setting how long (microseconds) the serving
-#: batcher holds an under-full batch open waiting for co-arrivals
-#: before flushing. ``0`` flushes batches as the executor frees up.
-SERVE_BATCH_WAIT_ENV_VAR = "REPRO_SERVE_BATCH_WAIT_US"
-
-#: Default batch hold time (µs).
-DEFAULT_SERVE_BATCH_WAIT_US = 2000
 
 #: Environment variable bounding the serving daemon's admission queue:
 #: requests beyond this depth are shed with a typed ``busy`` response.
@@ -517,7 +509,6 @@ EXEC_ENV_VARS = (
     SURROGATE_THRESHOLD_ENV_VAR,
     SURROGATE_PROBES_ENV_VAR,
     SERVE_BATCH_MAX_ENV_VAR,
-    SERVE_BATCH_WAIT_ENV_VAR,
     SERVE_QUEUE_BOUND_ENV_VAR,
     SERVE_BATCH_TIMEOUT_ENV_VAR,
     SERVE_BREAKER_THRESHOLD_ENV_VAR,
@@ -560,7 +551,6 @@ class ServeView:
     """
 
     batch_max: int
-    batch_wait_us: int
     queue_bound: int
     batch_timeout_s: float
     breaker_threshold: int
@@ -630,7 +620,6 @@ class ExecConfig:
     surrogate_threshold: float = DEFAULT_SURROGATE_THRESHOLD
     surrogate_probes: int = DEFAULT_SURROGATE_PROBES
     serve_batch_max: int = DEFAULT_SERVE_BATCH_MAX
-    serve_batch_wait_us: int = DEFAULT_SERVE_BATCH_WAIT_US
     serve_queue_bound: int = DEFAULT_SERVE_QUEUE_BOUND
     serve_batch_timeout_s: float = DEFAULT_SERVE_BATCH_TIMEOUT_S
     serve_breaker_threshold: int = DEFAULT_SERVE_BREAKER_THRESHOLD
@@ -692,11 +681,6 @@ class ExecConfig:
             raise ValueError(
                 f"serve_batch_max must be >= 1, got {self.serve_batch_max}"
             )
-        if self.serve_batch_wait_us < 0:
-            raise ValueError(
-                f"serve_batch_wait_us must be >= 0, "
-                f"got {self.serve_batch_wait_us}"
-            )
         if self.serve_queue_bound < 1:
             raise ValueError(
                 f"serve_queue_bound must be >= 1, "
@@ -756,7 +740,6 @@ class ExecConfig:
         """The serving-daemon knobs, as one typed view."""
         return ServeView(
             batch_max=self.serve_batch_max,
-            batch_wait_us=self.serve_batch_wait_us,
             queue_bound=self.serve_queue_bound,
             batch_timeout_s=self.serve_batch_timeout_s,
             breaker_threshold=self.serve_breaker_threshold,
@@ -828,8 +811,6 @@ class ExecConfig:
             surrogate_probes=_env_surrogate_probes(),
             serve_batch_max=_env_bounded_int(
                 SERVE_BATCH_MAX_ENV_VAR, DEFAULT_SERVE_BATCH_MAX, 1),
-            serve_batch_wait_us=_env_bounded_int(
-                SERVE_BATCH_WAIT_ENV_VAR, DEFAULT_SERVE_BATCH_WAIT_US, 0),
             serve_queue_bound=_env_bounded_int(
                 SERVE_QUEUE_BOUND_ENV_VAR, DEFAULT_SERVE_QUEUE_BOUND, 1),
             serve_batch_timeout_s=_env_positive_float(
@@ -881,7 +862,6 @@ class ExecConfig:
                             ("surrogate_threshold", "surrogate_threshold"),
                             ("surrogate_probes", "surrogate_probes"),
                             ("serve_batch_max", "serve_batch_max"),
-                            ("serve_batch_wait_us", "serve_batch_wait_us"),
                             ("serve_queue_bound", "serve_queue_bound"),
                             ("serve_batch_timeout", "serve_batch_timeout_s"),
                             ("serve_checkpoint", "serve_checkpoint"),
@@ -952,7 +932,6 @@ class ExecConfig:
             SURROGATE_THRESHOLD_ENV_VAR: repr(self.surrogate_threshold),
             SURROGATE_PROBES_ENV_VAR: str(self.surrogate_probes),
             SERVE_BATCH_MAX_ENV_VAR: str(self.serve_batch_max),
-            SERVE_BATCH_WAIT_ENV_VAR: str(self.serve_batch_wait_us),
             SERVE_QUEUE_BOUND_ENV_VAR: str(self.serve_queue_bound),
             SERVE_BATCH_TIMEOUT_ENV_VAR: repr(self.serve_batch_timeout_s),
             SERVE_BREAKER_THRESHOLD_ENV_VAR:
@@ -1114,11 +1093,6 @@ def surrogate_probes() -> int:
 def serve_batch_max() -> int:
     """Serving micro-batch bound (``REPRO_SERVE_BATCH_MAX``)."""
     return active_exec_config().serve_batch_max
-
-
-def serve_batch_wait_us() -> int:
-    """Serving batch hold time in µs (``REPRO_SERVE_BATCH_WAIT_US``)."""
-    return active_exec_config().serve_batch_wait_us
 
 
 def serve_queue_bound() -> int:

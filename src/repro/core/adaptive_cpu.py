@@ -28,7 +28,7 @@ from repro.errors import ArenaIntegrityError, DatasetError
 from repro.exec.arena import TraceArena
 from repro.exec.parallel import ParallelMap, default_parallel_map
 from repro.exec.stats import EXEC_STATS
-from repro.obs import tracer
+from repro.obs import METRICS, tracer
 from repro.telemetry.collector import TelemetryCollector, coarsen
 from repro.uarch.modes import Mode
 from repro.uarch.power import MODE_SWITCH_ENERGY_NJ, PowerModel
@@ -133,36 +133,43 @@ class AdaptiveCPU:
         self.horizon = horizon
         self._resident_arena: TraceArena | None = None
         self._resident_index: dict[int, int] = {}
+        self._resident_memo: dict[int, _PreparedRun] = {}
 
     def __getstate__(self) -> dict:
-        """Drop the resident arena from pickled copies.
+        """Drop the resident corpus state from pickled copies.
 
         The CPU itself travels inside arena segments and process-pool
         payloads; an open mmap handle is unpicklable and meaningless in
-        a worker (workers attach by handle string instead).
+        a worker (workers attach by handle string instead), and the
+        prepared-run memo is daemon-local.
         """
         state = self.__dict__.copy()
         state["_resident_arena"] = None
         state["_resident_index"] = {}
+        state["_resident_memo"] = {}
         return state
 
     # ------------------------------------------------------------------
     # Daemon-lifetime resident arena (repro.serve).
     # ------------------------------------------------------------------
-    def install_resident_arena(self,
-                               traces: list[TraceSpec]) -> TraceArena | None:
-        """Build one long-lived :class:`TraceArena` over ``traces``.
+    def install_resident_arena(self, traces: list[TraceSpec],
+                               share: bool = True) -> TraceArena | None:
+        """Make ``traces`` this CPU's daemon-lifetime resident corpus.
 
-        A batch CLI run builds and tears down an arena per
-        ``run_many`` call; a serving daemon answers thousands of small
-        batches over the *same* resident corpus, so it packs the
-        corpus (and this CPU) once and every subsequent process-backend
-        fan-out ships only arena indices. Returns ``None`` (and falls
-        back to per-call packaging) when the corpus holds unpicklable
-        collaborators. The caller owns the lifetime:
-        :meth:`close_resident_arena` on shutdown.
+        A serving daemon answers thousands of small batches over the
+        *same* corpus. ``run_many`` memoises the prepared run of each
+        resident trace (see :meth:`_prepare_many`), and with ``share``
+        the corpus (and this CPU) is packed once into a long-lived
+        :class:`TraceArena`, so process-backend fan-outs ship only
+        arena indices. Returns the arena, or ``None`` when ``share``
+        is off or the corpus holds unpicklable collaborators (fan-outs
+        then package per call; the memo works either way). The caller
+        owns the lifetime: :meth:`close_resident_arena` on shutdown.
         """
         self.close_resident_arena()
+        self._resident_index = {id(t): i for i, t in enumerate(traces)}
+        if not share:
+            return None
         try:
             arena = TraceArena.build(traces, objects={"cpu": self},
                                      machine=self.machine)
@@ -170,15 +177,17 @@ class AdaptiveCPU:
             EXEC_STATS.incr("arena.build_fallback")
             return None
         self._resident_arena = arena
-        self._resident_index = {id(t): i for i, t in enumerate(traces)}
         return arena
 
     def close_resident_arena(self) -> None:
-        """Unmap and forget the resident arena (idempotent)."""
+        """Unmap the resident arena and forget the resident corpus and
+        its prepared-run memo (idempotent)."""
         if self._resident_arena is not None:
             self._resident_arena.close()
         self._resident_arena = None
         self._resident_index = {}
+        self._resident_memo.clear()
+        METRICS.gauge_set("adaptive_prepare.resident_entries", 0)
 
     def _prepare(self, trace: TraceSpec) -> _PreparedRun:
         """Simulation, telemetry, labels and energy for one trace."""
@@ -349,6 +358,42 @@ class AdaptiveCPU:
 
     def _prepare_many(self, traces: list[TraceSpec],
                       pmap: ParallelMap) -> list[_PreparedRun]:
+        """Prepared runs for ``traces``, from the resident memo when
+        it holds them.
+
+        A prepared run depends only on the trace, the counter set and
+        the granularity, so each resident-corpus trace is prepared
+        once and then served from the memo, bit-identically: a repeat
+        adapt costs inference plus finalize. The memo fills lazily and
+        holds at most one entry per resident trace. Everything else is
+        prepared afresh by :meth:`_prepare_fresh`.
+        """
+        if not self._resident_index:
+            return self._prepare_fresh(traces, pmap)
+        memo = self._resident_memo
+        keys = [self._resident_index.get(id(t)) for t in traces]
+        # One snapshot, so a concurrent close cannot misalign hits.
+        cached = [None if k is None else memo.get(k) for k in keys]
+        resident = sum(k is not None for k in keys)
+        hits = sum(p is not None for p in cached)
+        METRICS.incr("adaptive_prepare.resident_hit", hits)
+        METRICS.incr("adaptive_prepare.resident_miss", resident - hits)
+        missing = [t for t, p in zip(traces, cached) if p is None]
+        fresh = iter(self._prepare_fresh(missing, pmap) if missing else ())
+        out = []
+        for key, prep in zip(keys, cached):
+            if prep is None:
+                prep = next(fresh)
+                if key is not None:
+                    memo[key] = prep
+            out.append(prep)
+        if hits < resident:
+            METRICS.gauge_set("adaptive_prepare.resident_entries",
+                              len(memo))
+        return out
+
+    def _prepare_fresh(self, traces: list[TraceSpec],
+                       pmap: ParallelMap) -> list[_PreparedRun]:
         """Fan preparation out, via the trace arena when it pays.
 
         The arena is built only when dispatch will actually cross a

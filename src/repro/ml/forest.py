@@ -26,7 +26,7 @@ from repro.exec.arena import TraceArena
 from repro.exec.parallel import default_parallel_map
 from repro.exec.stats import EXEC_STATS
 from repro.ml.base import Estimator, check_xy
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, cached_node_table
 
 
 def _fit_tree_task(task: tuple[np.ndarray, int], *, x: np.ndarray,
@@ -132,13 +132,26 @@ class RandomForestClassifier(Estimator):
         return self
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        """Mean tree vote, from one walk through every tree at once.
+
+        The trees' node arrays are stacked once per fitted forest
+        (:class:`~repro.ml.tree.NodeTable`); votes are summed in tree
+        order, so the result is bit-identical to summing per-tree
+        ``predict_proba`` calls.
+        """
         self._require_fitted("trees_")
         assert self.trees_ is not None
         x, _ = check_xy(x)
+        table = cached_node_table(self, self.trees_, self.trees_)
         votes = np.zeros(x.shape[0])
-        for tree in self.trees_:
-            votes += tree.predict_proba(x)
+        for tree_votes in table.leaf_values(x):
+            votes += tree_votes
         return votes / len(self.trees_)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_node_table", None)
+        return state
 
     # ------------------------------------------------------------------
     @property

@@ -8,9 +8,10 @@ feature using sorted prefix sums (vectorised in numpy), entropy
 criterion, recursive growth to a depth cap.
 
 The fitted tree is stored as flat arrays (feature, threshold, children,
-leaf probability), which both makes batched prediction fast and maps
-directly onto the firmware compiler's node layout
-(:mod:`repro.firmware.codegen`).
+leaf probability), which map directly onto the firmware compiler's
+node layout (:mod:`repro.firmware.codegen`). Inference stacks those
+arrays into a :class:`NodeTable`, which walks every row through one
+tree or a whole forest at once.
 """
 
 from __future__ import annotations
@@ -29,6 +30,72 @@ def entropy(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
     total = np.maximum(total, 1e-12)
     p = np.clip(pos / total, 1e-12, 1.0 - 1e-12)
     return -(p * np.log2(p) + (1.0 - p) * np.log2(1.0 - p))
+
+
+class NodeTable:
+    """The node arrays of one or more fitted trees, stacked for one walk.
+
+    Node ids are global across the stacked trees. A leaf points both
+    children at itself, so every row takes exactly ``depth`` steps
+    (the deepest tree's depth) and ends on its leaf in every tree at
+    once: no per-tree loop and no active-row masking. The comparison
+    at each split is the fitted one, ``x[feature] <= threshold``, so
+    the leaf reached, and its value, are those of a per-tree walk.
+    """
+
+    def __init__(self, trees: list["DecisionTreeClassifier"]) -> None:
+        sizes = [tree.n_nodes for tree in trees]
+        offsets = np.cumsum([0, *sizes[:-1]]).astype(np.int64)
+        feature = np.concatenate([tree.feature_ for tree in trees])
+        left = np.concatenate([tree.left_ + off
+                               for tree, off in zip(trees, offsets)])
+        right = np.concatenate([tree.right_ + off
+                                for tree, off in zip(trees, offsets)])
+        leaf = feature < 0
+        ids = np.arange(feature.shape[0], dtype=np.int64)
+        left[leaf] = ids[leaf]
+        right[leaf] = ids[leaf]
+        feature[leaf] = 0
+        self.feature = feature
+        self.threshold = np.concatenate([tree.threshold_
+                                         for tree in trees])
+        self.left = left
+        self.right = right
+        self.value = np.concatenate([tree.value_ for tree in trees])
+        self.roots = offsets
+        self.depth = max(tree.depth for tree in trees)
+
+    def leaf_values(self, x: np.ndarray) -> np.ndarray:
+        """``(n_trees, n_rows)`` leaf value of every row in every tree.
+
+        ``x`` must already be a validated float matrix (``check_xy``).
+        """
+        n_rows, n_cols = x.shape
+        flat = x.ravel()
+        row_base = np.arange(n_rows, dtype=np.int64) * n_cols
+        nodes = np.repeat(self.roots[:, None], n_rows, axis=1)
+        for _ in range(self.depth):
+            go_left = (flat.take(row_base + self.feature.take(nodes))
+                       <= self.threshold.take(nodes))
+            nodes = np.where(go_left, self.left.take(nodes),
+                             self.right.take(nodes))
+        return self.value.take(nodes)
+
+
+def cached_node_table(owner: object, source: object,
+                      trees: list["DecisionTreeClassifier"]) -> NodeTable:
+    """``owner``'s node table over ``trees``, stacked once.
+
+    The table is cached on ``owner`` next to the object it was built
+    from (``source``, which every fit or merge replaces), so it is
+    rebuilt exactly when the fitted trees change. Owners drop it from
+    pickles, and a copy rebuilds it on first use.
+    """
+    cached = owner.__dict__.get("_node_table")
+    if cached is None or cached[0] is not source:
+        cached = (source, NodeTable(trees))
+        owner._node_table = cached
+    return cached[1]
 
 
 @dataclasses.dataclass
@@ -169,20 +236,14 @@ class DecisionTreeClassifier(Estimator):
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         self._require_fitted("feature_")
-        assert (self.feature_ is not None and self.threshold_ is not None
-                and self.left_ is not None and self.right_ is not None
-                and self.value_ is not None)
         x, _ = check_xy(x)
-        nodes = np.zeros(x.shape[0], dtype=np.int64)
-        active = self.feature_[nodes] >= 0
-        while active.any():
-            cur = nodes[active]
-            feat = self.feature_[cur]
-            go_left = x[active, feat] <= self.threshold_[cur]
-            nodes[active] = np.where(go_left, self.left_[cur],
-                                     self.right_[cur])
-            active = self.feature_[nodes] >= 0
-        return self.value_[nodes]
+        table = cached_node_table(self, self.feature_, [self])
+        return table.leaf_values(x)[0]
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_node_table", None)
+        return state
 
     # ------------------------------------------------------------------
     @property

@@ -97,7 +97,7 @@ def render_report(metrics: Metrics | None = None) -> str:
         wait = snap["counters"].get("serve.flush_wait", 0)
         lines.append(
             f"serving: {requests} requests, {batches} batches "
-            f"(flush: {full} full / {wait} timed), {shed} shed")
+            f"(flush: {full} full / {wait} on free), {shed} shed")
         latency = snap["histograms"].get("serve.queue_latency_s")
         if latency and latency["count"]:
             lines.append(
@@ -126,6 +126,14 @@ def render_report(metrics: Metrics | None = None) -> str:
         legacy = snap["counters"].get("serve.legacy_frames")
         if legacy:
             lines.append(f"  legacy (schema-1) frames: {legacy}")
+
+    memo_hits = snap["counters"].get("adaptive_prepare.resident_hit", 0)
+    memo_misses = snap["counters"].get("adaptive_prepare.resident_miss", 0)
+    if memo_hits or memo_misses:
+        entries = snap["gauges"].get("adaptive_prepare.resident_entries", 0)
+        lines.append(
+            f"resident prepared-run memo: {memo_hits} hits / "
+            f"{memo_misses} misses, {entries:g} entries")
 
     online = []
     for counter, label in (

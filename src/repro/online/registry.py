@@ -25,8 +25,9 @@ silently desynchronize prepared telemetry from inference, so
 :class:`~repro.errors.SwapGateError` before any state changes.
 
 Swapped-in CPUs share the founder's collector (interval model + its
-warm LRU + surrogate tier + SimCache), power/machine/SLA models and
-the resident arena — a swap is pointer surgery plus one
+warm LRU + surrogate tier + SimCache), power/machine/SLA models, the
+resident arena and the resident prepared-run memo, which bakes in the
+same two properties — a swap is pointer surgery plus one
 ``AdaptiveCPU`` construction, not a rebuild of daemon state.
 """
 
@@ -116,11 +117,12 @@ class ModelRegistry:
 
         Used both for shadow evaluation (score a candidate on recent
         traces without touching the serving entry) and as the CPU a
-        promotion installs. The founder's resident arena and index are
-        borrowed by reference: preparation fans out through the shared
-        mapping, and since the arena only bakes in ``counter_ids`` +
-        ``granularity_factor`` (validated above), prepared telemetry is
-        correct for any compatible predictor.
+        promotion installs. The founder's resident arena, index and
+        prepared-run memo are borrowed by reference: preparation fans
+        out through the shared mapping and repeat traces come from the
+        shared memo, and since a prepared run only bakes in
+        ``counter_ids`` + ``granularity_factor`` (validated above),
+        prepared telemetry is correct for any compatible predictor.
         """
         self.validate(predictor)
         base = self._founder
@@ -129,6 +131,7 @@ class ModelRegistry:
                           sla=base.sla, horizon=base.horizon)
         cpu._resident_arena = base._resident_arena
         cpu._resident_index = base._resident_index
+        cpu._resident_memo = base._resident_memo
         return cpu
 
     def swap(self, predictor: DualModePredictor,
@@ -167,6 +170,7 @@ class ModelRegistry:
         if current is not self._founder:
             current._resident_arena = None
             current._resident_index = {}
+            current._resident_memo = {}
 
     def snapshot(self) -> dict:
         """Health-op projection of the registry's state."""

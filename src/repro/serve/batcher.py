@@ -1,21 +1,18 @@
-"""Adaptive request micro-batcher.
+"""Work-conserving request micro-batcher.
 
-The daemon's hot-path perf lever: concurrent requests arriving within
-a short window are coalesced into one batch and executed together, so
-the expensive per-call costs (one ``predict_proba`` per model, one
+The daemon's hot-path perf lever: requests that queue while the
+executor is busy are coalesced into one batch and executed together,
+so the expensive per-call costs (one ``predict_proba`` per model, one
 stacked ``simulate_batch``, one pass of batcher/scheduler overhead)
 amortise across requests instead of being paid per request.
 
-Flush policy — whichever comes first:
-
-* the pending queue reaches ``max_batch`` (counter
-  ``serve.flush_full``), or
-* ``max_wait_us`` has elapsed since the *oldest* pending request was
-  enqueued (``serve.flush_wait``).
-
-``max_wait_us=0`` degenerates to batch-as-available: the batcher takes
-whatever is queued the moment it becomes free, which under concurrency
-still forms multi-request batches without adding idle latency.
+Flush policy: the moment its consumer is free, the batcher takes
+whatever is queued, up to ``max_batch``. It never holds a batch open
+waiting for co-arrivals, so a lone request on an idle daemon executes
+at once, and batches still form under load from the requests that
+arrived while the previous batch executed. Each batch counts as
+``serve.flush_full`` (it took ``max_batch`` requests) or
+``serve.flush_wait`` (it took fewer, because the executor was free).
 
 Admission control: :meth:`MicroBatcher.submit` sheds with a typed
 :class:`~repro.errors.BusyError` when the queue is at ``queue_bound``
@@ -81,22 +78,17 @@ class MicroBatcher:
     """
 
     def __init__(self, execute: Callable[[Sequence], list],
-                 max_batch: int, max_wait_us: int, queue_bound: int,
+                 max_batch: int, queue_bound: int,
                  ledger: TenantLedger | None = None,
                  name: str = "batcher") -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait_us < 0:
-            raise ValueError(
-                f"max_wait_us must be >= 0, got {max_wait_us}"
-            )
         if queue_bound < 1:
             raise ValueError(
                 f"queue_bound must be >= 1, got {queue_bound}"
             )
         self._execute = execute
         self.max_batch = max_batch
-        self.max_wait_us = max_wait_us
         self.queue_bound = queue_bound
         self.ledger = ledger
         self.name = name
@@ -206,23 +198,14 @@ class MicroBatcher:
     # Consumer side (the single *current-generation* batcher thread).
     # ------------------------------------------------------------------
     def _take_batch(self, generation: int) -> list[_Pending] | None:
-        """Block until a flush condition holds; None on drained close
-        or when this thread's generation has been superseded."""
+        """Block until a request is queued, then take up to
+        ``max_batch``; None on drained close or when this thread's
+        generation has been superseded."""
         with self._cv:
             while not self._queue:
                 if self._closed or self._generation != generation:
                     return None
                 self._cv.wait()
-            if self._generation != generation:
-                return None
-            deadline = self._queue[0].enqueued + self.max_wait_us / 1e6
-            while (len(self._queue) < self.max_batch
-                    and not self._closed
-                    and self._generation == generation):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._cv.wait(timeout=remaining)
             if self._generation != generation:
                 return None
             if len(self._queue) >= self.max_batch:

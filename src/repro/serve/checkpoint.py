@@ -42,8 +42,9 @@ from repro.errors import CheckpointError
 MAGIC = b"RSCK"
 
 #: Bump whenever the payload layout (or anything pickled into it)
-#: changes incompatibly.
-CHECKPOINT_VERSION = 1
+#: changes incompatibly. 2: the pickled ``AdaptiveCPU`` carries a
+#: resident prepared-run memo slot.
+CHECKPOINT_VERSION = 2
 
 #: magic(4s) | version(>I) | crc32(>I) | payload length(>Q)
 _HEADER = struct.Struct(">4sIIQ")

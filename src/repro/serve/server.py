@@ -13,9 +13,9 @@ over a local socket for the life of the process.
 Request lifecycle::
 
     accept ──▶ recv_frame ──▶ validate ──▶ micro-batch ──▶ execute
-      │           (protocol)    (inline:       (flush on      (one
-      │                         ping/stats/    max-batch or   run_many /
-      │                         shutdown)      max-wait-µs)   predict)
+      │           (protocol)    (inline:       (taken when    (one
+      │                         ping/stats/    the executor   run_many /
+      │                         shutdown)      is free)       predict)
       └────────────────────────◀── send_frame ◀── payload ◀───┘
 
 Batching is invisible to correctness: ``adapt`` batches execute as one
@@ -225,7 +225,6 @@ class AdaptationServer:
     def __init__(self, cpu: AdaptiveCPU, traces: list[TraceSpec],
                  address: str | tuple[str, int],
                  max_batch: int | None = None,
-                 max_wait_us: int | None = None,
                  queue_bound: int | None = None,
                  batch_timeout_s: float | None = None,
                  breaker_threshold: int | None = None,
@@ -246,8 +245,6 @@ class AdaptationServer:
         self.address = address
         self.max_batch = (max_batch if max_batch is not None
                           else config.serve_batch_max)
-        self.max_wait_us = (max_wait_us if max_wait_us is not None
-                            else config.serve_batch_wait_us)
         self.queue_bound = (queue_bound if queue_bound is not None
                             else config.serve_queue_bound)
         self.batch_timeout_s = (
@@ -270,8 +267,7 @@ class AdaptationServer:
         self._executors = {"adapt": self._execute_adapt,
                            "decide": self._execute_decide}
         self._batchers = {
-            op: MicroBatcher(executor, self.max_batch,
-                             self.max_wait_us, self.queue_bound,
+            op: MicroBatcher(executor, self.max_batch, self.queue_bound,
                              ledger=self.ledger, name=op)
             for op, executor in self._executors.items()
         }
@@ -360,10 +356,12 @@ class AdaptationServer:
             listener.bind(self.address)
         listener.listen(64)
         self._listener = listener
-        # Resident corpus: fan-outs during the daemon's lifetime ship
-        # arena indices instead of re-packing the corpus per request.
-        if self._pmap.uses_processes(len(self.traces), "adaptive_prepare"):
-            self.cpu.install_resident_arena(self.traces)
+        # Resident corpus: adapts on it reuse memoised prepared runs,
+        # and process fan-outs ship arena indices instead of
+        # re-packing the corpus per request.
+        self.cpu.install_resident_arena(
+            self.traces, share=self._pmap.uses_processes(
+                len(self.traces), "adaptive_prepare"))
         self.supervisor.start()
         if self.learner is not None:
             self.learner.start()
@@ -818,6 +816,7 @@ class AdaptationServer:
     # ------------------------------------------------------------------
     def _stats(self) -> dict:
         snapshot = METRICS.snapshot()
+        counters = snapshot.get("counters", {})
         batch_hist = snapshot.get("histograms", {}).get(
             "serve.batch_size", {})
         return {
@@ -827,19 +826,21 @@ class AdaptationServer:
             "predictor": self.cpu.predictor.name,
             "n_counters": int(len(self.cpu.predictor.counter_ids)),
             "max_batch": self.max_batch,
-            "max_wait_us": self.max_wait_us,
             "queue_bound": self.queue_bound,
             "queue_depth": {op: b.depth()
                             for op, b in self._batchers.items()},
-            "batches": snapshot.get("counters", {}).get(
-                "serve.batches", 0),
-            "shed": snapshot.get("counters", {}).get("serve.shed", 0),
-            "flush_full": snapshot.get("counters", {}).get(
-                "serve.flush_full", 0),
-            "flush_wait": snapshot.get("counters", {}).get(
-                "serve.flush_wait", 0),
+            "batches": counters.get("serve.batches", 0),
+            "shed": counters.get("serve.shed", 0),
+            "flush_full": counters.get("serve.flush_full", 0),
+            "flush_wait": counters.get("serve.flush_wait", 0),
             "batch_size": batch_hist,
             "resident_arena": self.cpu._resident_arena is not None,
+            "resident_memo": {
+                "entries": len(self.cpu._resident_memo),
+                "hits": counters.get("adaptive_prepare.resident_hit", 0),
+                "misses": counters.get("adaptive_prepare.resident_miss",
+                                       0),
+            },
             "tenants": self.ledger.snapshot(),
         }
 

@@ -215,14 +215,11 @@ class TestExecConfig:
         _clear_exec_env(monkeypatch)
         config = ExecConfig.from_env()
         assert config.serve_batch_max == 8
-        assert config.serve_batch_wait_us == 2000
         assert config.serve_queue_bound == 64
         monkeypatch.setenv("REPRO_SERVE_BATCH_MAX", "16")
-        monkeypatch.setenv("REPRO_SERVE_BATCH_WAIT_US", "0")
         monkeypatch.setenv("REPRO_SERVE_QUEUE_BOUND", "128")
         config = ExecConfig.from_env()
         assert config.serve_batch_max == 16
-        assert config.serve_batch_wait_us == 0
         assert config.serve_queue_bound == 128
 
     def test_serve_knobs_invalid_rejected(self, monkeypatch):
@@ -231,10 +228,6 @@ class TestExecConfig:
         with pytest.raises(ValueError):
             ExecConfig.from_env()
         monkeypatch.delenv("REPRO_SERVE_BATCH_MAX")
-        monkeypatch.setenv("REPRO_SERVE_BATCH_WAIT_US", "-1")
-        with pytest.raises(ValueError):
-            ExecConfig.from_env()
-        monkeypatch.delenv("REPRO_SERVE_BATCH_WAIT_US")
         monkeypatch.setenv("REPRO_SERVE_QUEUE_BOUND", "soon")
         with pytest.raises(ValueError):
             ExecConfig.from_env()
@@ -248,7 +241,6 @@ class TestExecConfig:
                               cycle_kernel="reference", interval_lru=32,
                               trace="1", shmres=False, shard=3,
                               trace_sample=2, serve_batch_max=4,
-                              serve_batch_wait_us=500,
                               serve_queue_bound=32)
         for var, value in original.to_env().items():
             if value is None:
@@ -309,8 +301,8 @@ class TestExecConfig:
         {"timeout": -2.0},
         {"interval_lru": 0},
         {"serve_batch_max": 0},
-        {"serve_batch_wait_us": -1},
         {"serve_queue_bound": 0},
+        {"serve_batch_timeout_s": 0.0},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):

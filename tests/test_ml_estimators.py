@@ -210,6 +210,130 @@ class TestForest:
             RandomForestClassifier(n_trees=0)
 
 
+def _walk_one_row(tree, row):
+    """Reference: follow one row down one tree, node by node."""
+    node = 0
+    while tree.feature_[node] >= 0:
+        if row[tree.feature_[node]] <= tree.threshold_[node]:
+            node = tree.left_[node]
+        else:
+            node = tree.right_[node]
+    return tree.value_[node]
+
+
+def _per_tree_sum(forest, x):
+    """Reference forest vote: per-tree leaf values summed in tree
+    order, then divided by the tree count."""
+    votes = np.zeros(x.shape[0])
+    for tree in forest.trees_:
+        votes += np.array([_walk_one_row(tree, row) for row in x])
+    return votes / len(forest.trees_)
+
+
+class TestForestWalk:
+    """The stacked one-walk inference against a per-tree reference."""
+
+    @pytest.fixture(scope="class")
+    def mixed_forest(self, xor_data):
+        """A merged forest whose trees differ in size and depth, one
+        half of them single-leaf trees."""
+        x, y = xor_data
+        shallow = RandomForestClassifier(n_trees=3, max_depth=2,
+                                         seed=4).fit(x[:600], y[:600])
+        deep = RandomForestClassifier(n_trees=4, max_depth=9,
+                                      seed=5).fit(x[:1500], y[:1500])
+        leaves = RandomForestClassifier(n_trees=2, seed=6).fit(
+            x[:200], np.zeros(200, dtype=int))
+        return merge_forests(merge_forests(shallow, leaves), deep)
+
+    def test_unequal_trees_and_single_leaves(self, mixed_forest, xor_data):
+        x, _ = xor_data
+        assert len({t.n_nodes for t in mixed_forest.trees_}) > 2
+        assert min(t.n_nodes for t in mixed_forest.trees_) == 1
+        assert np.array_equal(mixed_forest.predict_proba(x[2000:]),
+                              _per_tree_sum(mixed_forest, x[2000:]))
+
+    def test_single_leaf_tree(self):
+        x = np.random.default_rng(0).random((40, 3))
+        tree = DecisionTreeClassifier().fit(x, np.ones(40, dtype=int))
+        assert tree.n_nodes == 1
+        assert np.array_equal(tree.predict_proba(x), np.ones(40))
+
+    def test_tree_matches_reference(self, xor_data):
+        x, y = xor_data
+        tree = DecisionTreeClassifier(max_depth=7).fit(x[:1000], y[:1000])
+        expected = np.array([_walk_one_row(tree, row) for row in x[2000:]])
+        assert np.array_equal(tree.predict_proba(x[2000:]), expected)
+
+    def test_merge_result(self, xor_data):
+        x, y = xor_data
+        a = RandomForestClassifier(n_trees=4, max_depth=3,
+                                   seed=1).fit(x[:800], y[:800])
+        b = RandomForestClassifier(n_trees=4, max_depth=8,
+                                   seed=2).fit(x[:800], y[:800])
+        a.predict_proba(x[:5])
+        b.predict_proba(x[:5])  # both halves hold a stacked table
+        merged = merge_forests(a, b)
+        assert np.array_equal(merged.predict_proba(x[2000:]),
+                              _per_tree_sum(merged, x[2000:]))
+
+    def test_pickle_round_trip(self, mixed_forest, xor_data):
+        import pickle
+        x, _ = xor_data
+        expected = mixed_forest.predict_proba(x[2000:])
+        assert "_node_table" in mixed_forest.__dict__
+        clone = pickle.loads(pickle.dumps(mixed_forest))
+        # The stacked table is derived state: it is not pickled.
+        assert "_node_table" not in clone.__dict__
+        assert np.array_equal(clone.predict_proba(x[2000:]), expected)
+        assert np.array_equal(clone.predict_proba(x[2000:]),
+                              _per_tree_sum(clone, x[2000:]))
+
+    def test_one_row(self, mixed_forest, xor_data):
+        x, _ = xor_data
+        for i in range(2000, 2020):
+            row = x[i:i + 1]
+            assert np.array_equal(mixed_forest.predict_proba(row),
+                                  _per_tree_sum(mixed_forest, row))
+
+    def test_concurrent_first_predictions_agree(self, xor_data):
+        import sys
+        import threading
+        x, y = xor_data
+        rf = RandomForestClassifier(n_trees=6, max_depth=6, seed=8)
+        rf.fit(x[:1000], y[:1000])
+        expected = _per_tree_sum(rf, x[2000:2100])
+        wrong = []
+
+        def worker():
+            for _ in range(20):
+                if not np.array_equal(rf.predict_proba(x[2000:2100]),
+                                      expected):
+                    wrong.append(1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_refit_rebuilds_the_table(self, xor_data):
+        x, y = xor_data
+        rf = RandomForestClassifier(n_trees=3, max_depth=4, seed=7)
+        rf.fit(x[:400], y[:400])
+        rf.predict_proba(x[:5])
+        rf.fit(x[400:1200], y[400:1200])
+        assert np.array_equal(rf.predict_proba(x[2000:]),
+                              _per_tree_sum(rf, x[2000:]))
+
+
 class TestSVMs:
     def test_linear_svm_separates(self, linear_data):
         x, y = linear_data

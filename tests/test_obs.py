@@ -416,6 +416,11 @@ class TestRenderReport:
         m.incr("parallel.retries", 2)
         m.observe("adaptive_infer.batch_rows", 512)
         m.incr("obs.worker_merges", 4)
+        m.incr("serve.requests", 5)
+        m.incr("serve.flush_wait", 3)
+        m.incr("adaptive_prepare.resident_hit", 7)
+        m.incr("adaptive_prepare.resident_miss", 2)
+        m.gauge_set("adaptive_prepare.resident_entries", 2)
         text = render_report(m)
         assert "per-stage profile" in text
         assert "stage_a" in text
@@ -425,6 +430,9 @@ class TestRenderReport:
         assert "parallel.retries" in text
         assert "batch shapes" in text
         assert "worker metric deltas merged: 4" in text
+        assert "(flush: 0 full / 3 on free)" in text
+        assert ("resident prepared-run memo: 7 hits / 2 misses, "
+                "2 entries") in text
 
     def test_empty_registry_reports_nothing_recorded(self):
         assert "(nothing recorded)" in render_report(Metrics())

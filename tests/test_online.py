@@ -216,6 +216,7 @@ class TestModelRegistry:
             assert shadow.power is founder.power
             assert shadow._resident_arena is founder._resident_arena
             assert shadow._resident_index is founder._resident_index
+            assert shadow._resident_memo is founder._resident_memo
         finally:
             registry.close()
         assert founder._resident_arena is None

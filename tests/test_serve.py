@@ -15,6 +15,7 @@ from repro.core.adaptive_cpu import AdaptiveCPU
 from repro.errors import BusyError, ProtocolError, ServeClosedError
 from repro.errors import ServeError
 from repro.exec.parallel import ParallelMap, close_pools
+from repro.obs import METRICS
 from repro.serve import MicroBatcher, ServeClient, TenantLedger
 from repro.serve import adapt_payload, build_server, busy_response
 from repro.serve import decide_payload, encode_frame, recv_frame
@@ -94,17 +95,14 @@ class TestProtocol:
 # ---------------------------------------------------------------------
 class TestMicroBatcher:
     def test_invalid_params(self):
-        for kwargs in ({"max_batch": 0}, {"max_wait_us": -1},
-                       {"queue_bound": 0}):
-            params = {"max_batch": 4, "max_wait_us": 0,
-                      "queue_bound": 8, **kwargs}
+        for kwargs in ({"max_batch": 0}, {"queue_bound": 0}):
+            params = {"max_batch": 4, "queue_bound": 8, **kwargs}
             with pytest.raises(ValueError):
                 MicroBatcher(lambda items: list(items), **params)
 
     def test_results_in_submission_order(self):
         batcher = MicroBatcher(lambda items: [i * 10 for i in items],
-                               max_batch=4, max_wait_us=5000,
-                               queue_bound=64)
+                               max_batch=4, queue_bound=64)
         results = [None] * 12
 
         def submit(i):
@@ -119,30 +117,61 @@ class TestMicroBatcher:
         batcher.close()
         assert results == [i * 10 for i in range(12)]
 
-    def test_coalesces_under_concurrency(self):
-        sizes = []
-        lock = threading.Lock()
-        gate = threading.Event()
+    def test_lone_request_executes_without_waiting_for_a_partner(self):
+        entered = threading.Event()
+        release = threading.Event()
+        batches = []
 
         def execute(items):
-            gate.wait(5.0)
-            with lock:
-                sizes.append(len(items))
+            batches.append(list(items))
+            entered.set()
+            release.wait(5.0)
             return list(items)
 
-        batcher = MicroBatcher(execute, max_batch=8, max_wait_us=20000,
-                               queue_bound=64)
+        batcher = MicroBatcher(execute, max_batch=8, queue_bound=64)
+        before = METRICS.count("serve.flush_wait")
+        submitter = threading.Thread(target=batcher.submit, args=("a",))
+        submitter.start()
+        # Nothing else is ever submitted: the executor must start on
+        # the lone request rather than hold the batch open.
+        assert entered.wait(5.0)
+        assert batches == [["a"]]
+        assert METRICS.count("serve.flush_wait") == before + 1
+        release.set()
+        submitter.join()
+        batcher.close()
+
+    def test_coalesces_under_concurrency(self):
+        sizes = []
+        entered = threading.Event()
+        release = threading.Event()
+
+        def execute(items):
+            sizes.append(len(items))
+            entered.set()
+            release.wait(5.0)
+            return list(items)
+
+        batcher = MicroBatcher(execute, max_batch=8, queue_bound=64)
+        first = threading.Thread(target=batcher.submit, args=(0,))
+        first.start()
+        assert entered.wait(5.0)
+        # The executor is busy: these requests queue up behind it.
         threads = [threading.Thread(target=batcher.submit, args=(i,))
-                   for i in range(8)]
+                   for i in range(1, 8)]
         for t in threads:
             t.start()
-        time.sleep(0.1)  # let every submission queue up
-        gate.set()
-        for t in threads:
+        deadline = time.monotonic() + 5.0
+        while batcher.depth() < 7 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert batcher.depth() == 7
+        release.set()
+        for t in [first, *threads]:
             t.join()
         batcher.close()
-        assert max(sizes) > 1  # concurrent arrivals shared a batch
-        assert sum(sizes) == 8
+        # The requests that arrived while the executor was busy
+        # shared one batch.
+        assert sizes == [1, 7]
 
     def test_sheds_at_queue_bound(self):
         release = threading.Event()
@@ -151,8 +180,7 @@ class TestMicroBatcher:
             release.wait(10.0)
             return list(items)
 
-        batcher = MicroBatcher(execute, max_batch=1, max_wait_us=0,
-                               queue_bound=2)
+        batcher = MicroBatcher(execute, max_batch=1, queue_bound=2)
 
         def submit_quietly(i):
             try:
@@ -180,8 +208,7 @@ class TestMicroBatcher:
         def execute(items):
             raise RuntimeError("executor blew up")
 
-        batcher = MicroBatcher(execute, max_batch=4, max_wait_us=1000,
-                               queue_bound=8)
+        batcher = MicroBatcher(execute, max_batch=4, queue_bound=8)
         errors = []
 
         def submit(i):
@@ -201,14 +228,14 @@ class TestMicroBatcher:
 
     def test_length_mismatch_is_an_error(self):
         batcher = MicroBatcher(lambda items: [], max_batch=1,
-                               max_wait_us=0, queue_bound=4)
+                               queue_bound=4)
         with pytest.raises(ServeClosedError, match="0 results"):
             batcher.submit("x")
         batcher.close()
 
     def test_closed_batcher_rejects(self):
         batcher = MicroBatcher(lambda items: list(items), max_batch=1,
-                               max_wait_us=0, queue_bound=4)
+                               queue_bound=4)
         batcher.close()
         batcher.close()  # idempotent
         with pytest.raises(ServeClosedError):
@@ -236,8 +263,8 @@ class TestMicroBatcher:
                 order.extend(items)
             return list(items)
 
-        batcher = MicroBatcher(execute, max_batch=2, max_wait_us=0,
-                               queue_bound=16, ledger=ledger)
+        batcher = MicroBatcher(execute, max_batch=2, queue_bound=16,
+                               ledger=ledger)
         blocker = threading.Thread(target=batcher.submit,
                                    args=("block", "default"))
         blocker.start()
@@ -395,8 +422,7 @@ class TestDaemon:
         path = str(tmp_path / "busy.sock")
         server = build_server(path, predictor_kind="const", n_apps=2,
                               workloads_per_app=1, intervals=64,
-                              max_batch=1, max_wait_us=0,
-                              queue_bound=1)
+                              max_batch=1, queue_bound=1)
         server.start()
         try:
             wait_until_ready(path, timeout_s=60.0)
@@ -479,3 +505,149 @@ class TestResidentArena:
         finally:
             cpu.close_resident_arena()
             close_pools()
+
+
+# ---------------------------------------------------------------------
+# Resident prepared-run memo.
+# ---------------------------------------------------------------------
+def _refuse_prepare(cpu):
+    def refuse(trace):
+        raise AssertionError(f"{trace.name} was prepared again")
+    cpu._prepare = refuse
+
+
+class TestResidentMemo:
+    def test_repeat_adapt_skips_prepare_and_matches_fresh_run(self):
+        traces = serving_corpus(2, 1, 48)
+        serial = ParallelMap("serial")
+        cpu = AdaptiveCPU(const_predictor())
+        cpu.install_resident_arena(traces, share=False)
+        assert cpu._resident_memo == {}  # fills lazily
+        hits = METRICS.count("adaptive_prepare.resident_hit")
+        misses = METRICS.count("adaptive_prepare.resident_miss")
+        first = cpu.run_many([traces[1]], pmap=serial)
+        assert list(cpu._resident_memo) == [1]
+        _refuse_prepare(cpu)
+        again = cpu.run_many([traces[1], traces[1]], pmap=serial)
+        assert METRICS.count("adaptive_prepare.resident_hit") == hits + 2
+        assert METRICS.count("adaptive_prepare.resident_miss") == misses + 1
+        fresh = adapt_payload(AdaptiveCPU(const_predictor()).run(traces[1]))
+        for result in (*first, *again):
+            assert adapt_payload(result) == fresh
+
+    def test_close_clears_the_memo(self):
+        traces = serving_corpus(2, 1, 48)
+        cpu = AdaptiveCPU(const_predictor())
+        cpu.install_resident_arena(traces, share=False)
+        cpu.run_many(traces, pmap=ParallelMap("serial"))
+        assert len(cpu._resident_memo) == 2
+        cpu.close_resident_arena()
+        assert cpu._resident_memo == {} and cpu._resident_index == {}
+        # No longer resident: the next run prepares afresh.
+        hits = METRICS.count("adaptive_prepare.resident_hit")
+        cpu.run_many(traces, pmap=ParallelMap("serial"))
+        assert METRICS.count("adaptive_prepare.resident_hit") == hits
+        assert cpu._resident_memo == {}
+
+    def test_memo_survives_an_arena_pickling_fallback(self, monkeypatch):
+        import pickle
+
+        from repro.exec.arena import TraceArena
+
+        def unpicklable(*args, **kwargs):
+            raise pickle.PicklingError("collaborator cannot travel")
+
+        monkeypatch.setattr(TraceArena, "build", unpicklable)
+        traces = serving_corpus(2, 1, 48)
+        cpu = AdaptiveCPU(const_predictor())
+        assert cpu.install_resident_arena(traces) is None
+        cpu.run_many([traces[0]], pmap=ParallelMap("serial"))
+        _refuse_prepare(cpu)
+        cpu.run_many([traces[0]], pmap=ParallelMap("serial"))
+        assert list(cpu._resident_memo) == [0]
+
+    def test_memo_is_not_pickled(self):
+        import pickle
+        traces = serving_corpus(2, 1, 48)
+        cpu = AdaptiveCPU(const_predictor())
+        cpu.install_resident_arena(traces, share=False)
+        cpu.run_many(traces, pmap=ParallelMap("serial"))
+        assert len(cpu._resident_memo) == 2
+        blob = pickle.dumps(cpu)
+        assert b"_PreparedRun" not in blob
+        assert pickle.loads(blob)._resident_memo == {}
+
+    def test_shadow_cpu_shares_the_memo(self):
+        from repro.online.registry import ModelRegistry
+        traces = serving_corpus(2, 1, 48)
+        founder = AdaptiveCPU(const_predictor())
+        founder.install_resident_arena(traces, share=False)
+        founder.run_many([traces[0]], pmap=ParallelMap("serial"))
+        registry = ModelRegistry(founder)
+        shadow = registry.shadow_cpu(const_predictor())
+        assert shadow._resident_memo is founder._resident_memo
+        _refuse_prepare(shadow)
+        served = shadow.run_many([traces[0]], pmap=ParallelMap("serial"))
+        assert adapt_payload(served[0]) == adapt_payload(
+            AdaptiveCPU(const_predictor()).run(traces[0]))
+        registry.swap(const_predictor())
+        promoted = registry.current().cpu
+        assert promoted._resident_memo is founder._resident_memo
+        registry.close()
+        assert founder._resident_memo == {}
+        assert promoted._resident_memo == {}
+
+    def test_daemon_stats_report_memo_hits(self, daemon):
+        with ServeClient(daemon.address) as client:
+            client.adapt(2)
+            before = client.stats()["resident_memo"]
+            served = client.adapt(2)
+            after = client.stats()["resident_memo"]
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"]
+        assert 1 <= after["entries"] <= len(daemon.traces)
+        assert served["result"] == adapt_payload(
+            AdaptiveCPU(const_predictor()).run(daemon.traces[2]))
+
+    def test_concurrent_runs_share_the_memo_safely(self):
+        import sys
+        from repro.online.registry import ModelRegistry
+        traces = serving_corpus(3, 1, 48)
+        expected = [adapt_payload(AdaptiveCPU(const_predictor()).run(t))
+                    for t in traces]
+        founder = AdaptiveCPU(const_predictor())
+        founder.install_resident_arena(traces, share=False)
+        shadow = ModelRegistry(founder).shadow_cpu(const_predictor())
+        hits = METRICS.count("adaptive_prepare.resident_hit")
+        misses = METRICS.count("adaptive_prepare.resident_miss")
+        wrong = []
+        runs_per_thread = 6
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            cpu = founder if seed % 2 else shadow
+            for _ in range(runs_per_thread):
+                picks = [int(i) for i in rng.integers(0, 3, size=2)]
+                results = cpu.run_many([traces[i] for i in picks],
+                                       pmap=ParallelMap("serial"))
+                wrong.extend(i for i, r in zip(picks, results)
+                             if adapt_payload(r) != expected[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,))
+                       for s in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert set(founder._resident_memo) == {0, 1, 2}
+        lookups = (METRICS.count("adaptive_prepare.resident_hit") - hits
+                   + METRICS.count("adaptive_prepare.resident_miss")
+                   - misses)
+        assert lookups == 6 * runs_per_thread * 2

@@ -259,8 +259,7 @@ class TestAbandonment:
                 release.wait(10.0)
             return [f"done:{item}" for item in items]
 
-        batcher = MicroBatcher(execute, max_batch=1, max_wait_us=0,
-                               queue_bound=8)
+        batcher = MicroBatcher(execute, max_batch=1, queue_bound=8)
         return batcher, started, release, calls
 
     def test_abandon_fails_inflight_only_and_drains_queue(self):
@@ -304,7 +303,7 @@ class TestAbandonment:
 
     def test_abandon_with_nothing_inflight_is_benign(self):
         batcher = MicroBatcher(lambda items: list(items), max_batch=1,
-                               max_wait_us=0, queue_bound=4)
+                               queue_bound=4)
         assert batcher.abandon_inflight(BatchTimeoutError("x")) == 0
         assert batcher.restarts == 0
         batcher.close()
@@ -341,7 +340,7 @@ class TestAbandonment:
 
     def test_healthy_batcher_is_left_alone(self):
         batcher = MicroBatcher(lambda items: list(items), max_batch=1,
-                               max_wait_us=0, queue_bound=4)
+                               queue_bound=4)
         supervisor = BatcherSupervisor({"adapt": batcher},
                                        timeout_s=0.05)
         assert batcher.submit(1) == 1
@@ -501,8 +500,7 @@ class TestCheckpoint:
 def bare_server(tmp_path):
     server = AdaptationServer(
         AdaptiveCPU(const_predictor()), serving_corpus(2, 1, 48),
-        str(tmp_path / "bare.sock"), max_batch=4, max_wait_us=0,
-        queue_bound=8)
+        str(tmp_path / "bare.sock"), max_batch=4, queue_bound=8)
     yield server
     server.shutdown()
 
