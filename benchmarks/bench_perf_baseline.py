@@ -50,16 +50,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.config import BATCH_SIM_ENV_VAR, DEFAULT_SLA
-from repro.config import DEFAULT_SURROGATE_PROBES
-from repro.config import DEFAULT_SURROGATE_THRESHOLD
-from repro.config import EXEC_ARENA_ENV_VAR
-from repro.config import EXEC_SHARD_ENV_VAR, EXEC_SHMRES_ENV_VAR
-from repro.config import SIMCACHE_DIR_ENV_VAR, SURROGATE_ENV_VAR
+from repro.config import DEFAULT_SLA, ExecConfig
 from repro.core.predictor import DualModePredictor
 from repro.data.builders import build_mode_dataset
 from repro.eval.runner import evaluate_predictor
-from repro.exec import EXEC_STATS, ParallelMap, SimCache, close_pools
+from repro.exec import ParallelMap, SimCache, close_pools
+from repro.obs.metrics import METRICS
 from repro.ml.base import Estimator
 from repro.telemetry.collector import TelemetryCollector
 from repro.uarch.core_model import ClusteredCoreModel
@@ -196,7 +192,7 @@ def _env(var: str, value: str):
 
 def _batch_sim(enabled: bool):
     """Temporarily force the batch-simulation layer on or off."""
-    return _env(BATCH_SIM_ENV_VAR, "1" if enabled else "0")
+    return _env("REPRO_BATCH_SIM", "1" if enabled else "0")
 
 
 def _bench_cycle_kernel(n_uops: int = 20000) -> dict:
@@ -291,8 +287,8 @@ def _bench_batched(traces, cache_dir: Path) -> dict:
 
 
 def _payload_counters(stage: str) -> tuple[int, int]:
-    return (EXEC_STATS.count(f"{stage}.payload_bytes"),
-            EXEC_STATS.count(f"{stage}.payload_tasks"))
+    return (METRICS.count(f"{stage}.payload_bytes"),
+            METRICS.count(f"{stage}.payload_tasks"))
 
 
 def _bench_arena(traces, workers: int = 2, repeats: int = 3) -> dict:
@@ -308,7 +304,7 @@ def _bench_arena(traces, workers: int = 2, repeats: int = 3) -> dict:
     stage = "adaptive_prepare"
 
     def _deploy(arena_on: bool, persistent: bool):
-        with _env(EXEC_ARENA_ENV_VAR, "1" if arena_on else "0"):
+        with _env("REPRO_EXEC_ARENA", "1" if arena_on else "0"):
             pmap = ParallelMap("process", n_workers=workers,
                                persistent=persistent)
             return _timed(lambda: evaluate_predictor(
@@ -363,7 +359,6 @@ def _bench_obs(traces, span_iters: int = 200_000) -> dict:
     nanoseconds — and a traced vs untraced warm deployment, asserted
     bit-identical before the ratio is reported.
     """
-    from repro.config import TRACE_ENV_VAR
     from repro.obs import tracer
 
     tracer.refresh()
@@ -388,7 +383,7 @@ def _bench_obs(traces, span_iters: int = 200_000) -> dict:
                                       suffix=".json")
     os.close(fd)
     try:
-        with _env(TRACE_ENV_VAR, trace_path):
+        with _env("REPRO_TRACE", trace_path):
             with tracer.trace("bench.obs"):
                 traced_s, traced_suite = _deploy()
     finally:
@@ -520,7 +515,7 @@ def run(workers: int = 4, n_apps: int = 8, workloads_per_app: int = 3,
         "cycle_kernel": kernel,
         "resilience": resilience,
         "observability": obs,
-        "exec_stats": EXEC_STATS.snapshot(),
+        "exec_stats": METRICS.snapshot(),
     }
     output = _merge_bench_doc(output, payload)
     print(f"wrote {output}")
@@ -606,8 +601,8 @@ class _RssSampler:
 
 
 def _result_counters(stage: str) -> tuple[int, int]:
-    return (EXEC_STATS.count(f"{stage}.result_bytes"),
-            EXEC_STATS.count(f"{stage}.result_tasks"))
+    return (METRICS.count(f"{stage}.result_bytes"),
+            METRICS.count(f"{stage}.result_tasks"))
 
 
 def run_scale(n_traces: int = 100_000, intervals: int = 24,
@@ -649,13 +644,13 @@ def run_scale(n_traces: int = 100_000, intervals: int = 24,
 
     close_pools()
     bytes0, tasks0 = _result_counters(stage)
-    with _env(EXEC_SHMRES_ENV_VAR, "1"), \
-            _env(EXEC_SHARD_ENV_VAR, str(shard)), \
+    with _env("REPRO_EXEC_SHMRES", "1"), \
+            _env("REPRO_EXEC_SHARD", str(shard)), \
             _RssSampler() as shm_rss:
         shm_s, ds_shm = _timed(_build)
     bytes1, tasks1 = _result_counters(stage)
     close_pools()
-    with _env(EXEC_SHMRES_ENV_VAR, "0"), _env(EXEC_SHARD_ENV_VAR, ""), \
+    with _env("REPRO_EXEC_SHMRES", "0"), _env("REPRO_EXEC_SHARD", ""), \
             _RssSampler() as pickled_rss:
         pickled_s, ds_pickled = _timed(_build)
     bytes2, tasks2 = _result_counters(stage)
@@ -749,8 +744,8 @@ def run_surrogate(n_traces: int = 10_000, intervals: int = 100,
     """
     from repro.surrogate import SurrogateTier
 
-    threshold = DEFAULT_SURROGATE_THRESHOLD
-    probes = DEFAULT_SURROGATE_PROBES
+    threshold = ExecConfig().surrogate_threshold
+    probes = ExecConfig().surrogate_probes
     n_apps = 12
     gen_s, traces = _timed(lambda: _generate_corpus(
         n_apps, -(-n_traces // n_apps), intervals))
@@ -793,14 +788,14 @@ def run_surrogate(n_traces: int = 10_000, intervals: int = 100,
     # Cache-cold builds: no disk cache, a fresh collector per trial, so
     # every trial pays full simulation (or surrogate) cost.
     def _build(surrogate_on: bool):
-        with _env(SIMCACHE_DIR_ENV_VAR, ""), \
-                _env(SURROGATE_ENV_VAR, "1" if surrogate_on else "0"):
+        with _env("REPRO_SIMCACHE_DIR", ""), \
+                _env("REPRO_SURROGATE", "1" if surrogate_on else "0"):
             return _timed(lambda: build_mode_dataset(
                 traces, Mode.HIGH_PERF, counter_ids,
                 collector=TelemetryCollector()))
 
-    accepted0 = EXEC_STATS.count("surrogate.accepted")
-    fallback0 = EXEC_STATS.count("surrogate.fallback")
+    accepted0 = METRICS.count("surrogate.accepted")
+    fallback0 = METRICS.count("surrogate.fallback")
     interval_trials: list[float] = []
     surrogate_trials: list[float] = []
     ds_off = ds_on = None
@@ -809,8 +804,8 @@ def run_surrogate(n_traces: int = 10_000, intervals: int = 100,
         on_s, ds_on = _build(True)
         interval_trials.append(off_s)
         surrogate_trials.append(on_s)
-    accepted = EXEC_STATS.count("surrogate.accepted") - accepted0
-    fallback = EXEC_STATS.count("surrogate.fallback") - fallback0
+    accepted = METRICS.count("surrogate.accepted") - accepted0
+    fallback = METRICS.count("surrogate.fallback") - fallback0
     fraction = accepted / max(1, accepted + fallback)
     labels_ok = (np.array_equal(ds_off.y, ds_on.y)
                  and np.array_equal(ds_off.traces, ds_on.traces))

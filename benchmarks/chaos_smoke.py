@@ -29,12 +29,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.config import FAULT_SPEC_ENV_VAR
 from repro.core.adaptive_cpu import AdaptiveCPU
 from repro.core.predictor import DualModePredictor
 from repro.data.builders import build_mode_dataset
 from repro.errors import ExecFaultError
-from repro.exec import EXEC_STATS, ParallelMap, SimCache, close_pools
+from repro.exec import ParallelMap, SimCache, close_pools
+from repro.obs.metrics import METRICS
 from repro.ml.base import Estimator
 from repro.telemetry.collector import TelemetryCollector
 from repro.uarch.modes import Mode
@@ -85,7 +85,7 @@ def _predictor() -> DualModePredictor:
 
 
 def main() -> int:
-    spec = os.environ.pop(FAULT_SPEC_ENV_VAR, None) or DEFAULT_SPEC
+    spec = os.environ.pop("REPRO_FAULT_SPEC", None) or DEFAULT_SPEC
     traces = _corpus()
     predictor = _predictor()
     counter_ids = list(range(8))
@@ -99,7 +99,7 @@ def main() -> int:
 
     # Chaos: pools must fork after the spec lands in the environment.
     close_pools()
-    os.environ[FAULT_SPEC_ENV_VAR] = spec
+    os.environ["REPRO_FAULT_SPEC"] = spec
     print(f"chaos plan: {spec}")
     pmap = ParallelMap(backend="process", n_workers=2, retries=2,
                        timeout=30.0)
@@ -141,7 +141,7 @@ def main() -> int:
         shutil.rmtree(cache_dir, ignore_errors=True)
     close_pools()
 
-    resilience = EXEC_STATS.resilience()
+    resilience = METRICS.resilience()
     print("resilience counters:")
     for name, value in resilience.items():
         print(f"  {name:<30s} {value}")

@@ -16,11 +16,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import experiment_seed
+from repro.config import active_exec_config
 from repro.core.pipeline import build_standard_models
 from repro.data.builders import hdtr_traces
 from repro.eval.runner import evaluate_predictor
-from repro.exec.simcache import SIMCACHE_ENV_VAR, SimCache
+from repro.exec.simcache import SimCache
 from repro.telemetry.collector import TelemetryCollector
 from repro.uarch.interval_model import IntervalModel
 from repro.workloads.spec2017 import spec2017_traces
@@ -31,7 +31,7 @@ TEST_SEED_OFFSET = 92
 
 @pytest.fixture(scope="session")
 def seed():
-    return experiment_seed()
+    return active_exec_config().seed
 
 
 @pytest.fixture(scope="session")
@@ -43,7 +43,7 @@ def simcache(tmp_path_factory):
     assembly entirely; otherwise a session-scoped temp dir still lets
     the benchmarks of one run share each other's work.
     """
-    root = os.environ.get(SIMCACHE_ENV_VAR)
+    root = os.environ.get("REPRO_SIMCACHE_DIR")
     if root:
         return SimCache(Path(root))
     return SimCache(tmp_path_factory.mktemp("simcache"))

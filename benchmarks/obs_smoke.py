@@ -30,11 +30,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.config import TRACE_ENV_VAR
 from repro.core.adaptive_cpu import AdaptiveCPU
 from repro.core.predictor import DualModePredictor
 from repro.data.builders import build_mode_dataset
-from repro.exec import EXEC_STATS, ParallelMap, close_pools
+from repro.exec import ParallelMap, close_pools
+from repro.obs.metrics import METRICS
 from repro.ml.base import Estimator
 from repro.obs import render_report, tracer, validate_trace
 from repro.telemetry.collector import TelemetryCollector
@@ -113,30 +113,30 @@ def _runs_equal(a, b) -> bool:
 def main() -> int:
     failures: list[str] = []
     traces = _corpus()
-    os.environ.pop(TRACE_ENV_VAR, None)
+    os.environ.pop("REPRO_TRACE", None)
     tracer.refresh()
 
     # Serial ground truth, and its deterministic per-pair counter.
-    pairs_before = EXEC_STATS.count("interval_batch.pairs")
+    pairs_before = METRICS.count("interval_batch.pairs")
     serial_runs, serial_ds = _deploy(
         traces, ParallelMap(backend="serial"))
-    serial_pairs = EXEC_STATS.count("interval_batch.pairs") - pairs_before
+    serial_pairs = METRICS.count("interval_batch.pairs") - pairs_before
 
     # Untraced process-pool run: worker counters must merge to the
     # exact serial totals (the pre-PR-5 bug was that they vanished).
     close_pools()
-    pairs_before = EXEC_STATS.count("interval_batch.pairs")
-    merges_before = EXEC_STATS.count("obs.worker_merges")
+    pairs_before = METRICS.count("interval_batch.pairs")
+    merges_before = METRICS.count("obs.worker_merges")
     pmap = ParallelMap(backend="process", n_workers=2)
     plain_runs, plain_ds = _deploy(traces, pmap)
-    plain_pairs = EXEC_STATS.count("interval_batch.pairs") - pairs_before
+    plain_pairs = METRICS.count("interval_batch.pairs") - pairs_before
     if not _runs_equal(serial_runs, plain_runs):
         failures.append("process run diverged from serial")
     if plain_pairs != serial_pairs:
         failures.append(
             f"worker-side interval_batch.pairs merged to {plain_pairs}, "
             f"serial recorded {serial_pairs}")
-    if EXEC_STATS.count("obs.worker_merges") <= merges_before:
+    if METRICS.count("obs.worker_merges") <= merges_before:
         failures.append("no worker sidecar was merged")
 
     # Traced process-pool run: bit-identical, schema-valid, covered.
@@ -144,7 +144,7 @@ def main() -> int:
     fd, trace_path = tempfile.mkstemp(prefix="repro-obs-smoke-",
                                       suffix=".json")
     os.close(fd)
-    os.environ[TRACE_ENV_VAR] = trace_path
+    os.environ["REPRO_TRACE"] = trace_path
     try:
         with tracer.trace("obs_smoke"):
             traced_runs, traced_ds = _deploy(
@@ -176,7 +176,7 @@ def main() -> int:
         if not worker_spans:
             failures.append("no worker-side spans were absorbed")
     finally:
-        os.environ.pop(TRACE_ENV_VAR, None)
+        os.environ.pop("REPRO_TRACE", None)
         tracer.refresh()
         os.unlink(trace_path)
 

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from repro import rng as rng_mod
-from repro.config import experiment_seed
+from repro.config import active_exec_config
 from repro.core.pipeline import build_standard_models
 from repro.core.predictor import DualModePredictor
 from repro.data.builders import dataset_from_traces, hdtr_traces
@@ -43,7 +43,7 @@ def train_half_forest(datasets, seed, tag):
 
 def main() -> None:
     bench_name = sys.argv[1] if len(sys.argv) > 1 else "602.gcc_s"
-    seed = experiment_seed()
+    seed = active_exec_config().seed
     collector = TelemetryCollector()
 
     print("Vendor side: general-purpose model from the diverse corpus.")

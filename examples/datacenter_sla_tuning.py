@@ -13,7 +13,7 @@ Run: ``python examples/datacenter_sla_tuning.py``
 import dataclasses
 
 from repro import rng as rng_mod
-from repro.config import DEFAULT_SLA, experiment_seed
+from repro.config import DEFAULT_SLA, active_exec_config
 from repro.core.pipeline import build_standard_models, train_dual_predictor
 from repro.data.builders import dataset_from_traces, hdtr_traces
 from repro.eval.runner import evaluate_predictor
@@ -25,7 +25,7 @@ from repro.workloads.spec2017 import spec2017_traces
 
 
 def main() -> None:
-    seed = experiment_seed()
+    seed = active_exec_config().seed
     collector = TelemetryCollector()
     apps = hdtr_corpus(seed)[::3]
     train = hdtr_traces(seed, apps=apps, workloads_per_app=2,

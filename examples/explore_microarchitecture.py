@@ -17,7 +17,7 @@ Run: ``python examples/explore_microarchitecture.py``
 import numpy as np
 
 from repro import rng as rng_mod
-from repro.config import experiment_seed
+from repro.config import active_exec_config
 from repro.telemetry.collector import TelemetryCollector
 from repro.telemetry.counters import default_catalog
 from repro.uarch.branch import BimodalPredictor, GsharePredictor, \
@@ -115,7 +115,7 @@ def tour_power(seed: int) -> None:
 
 
 def main() -> None:
-    seed = experiment_seed()
+    seed = active_exec_config().seed
     tour_cycle_core(seed)
     tour_memory(seed)
     tour_telemetry(seed)

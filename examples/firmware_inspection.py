@@ -17,7 +17,7 @@ import tempfile
 import numpy as np
 
 from repro import rng as rng_mod
-from repro.config import experiment_seed
+from repro.config import active_exec_config
 from repro.core.predictor import DualModePredictor
 from repro.data.builders import dataset_from_traces, hdtr_traces
 from repro.firmware import (
@@ -37,7 +37,7 @@ from repro.workloads.categories import hdtr_corpus
 
 
 def main() -> None:
-    seed = experiment_seed()
+    seed = active_exec_config().seed
     collector = TelemetryCollector()
     apps = hdtr_corpus(seed)[::6]
     traces = hdtr_traces(seed, apps=apps, workloads_per_app=1,

@@ -18,7 +18,7 @@ Run: ``python examples/quickstart.py``
 
 import time
 
-from repro.config import experiment_seed
+from repro.config import active_exec_config
 from repro.core.pipeline import build_standard_models
 from repro.data.builders import hdtr_traces
 from repro.eval.runner import evaluate_predictor
@@ -31,7 +31,7 @@ from repro.workloads.spec2017 import spec2017_traces
 
 
 def main() -> None:
-    seed = experiment_seed()
+    seed = active_exec_config().seed
     t0 = time.time()
     collector = TelemetryCollector()
     catalog = default_catalog()

@@ -24,79 +24,27 @@ import argparse
 import sys
 from collections.abc import Sequence
 
-from repro.config import experiment_seed
+from repro.config import (KNOB, ExecConfig, active_exec_config,
+                          add_knob_flags)
+from repro.errors import ConfigurationError
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+#: Knob-flag groups every subcommand carries, and ``serve``'s.
+COMMON_GROUPS = ("exec", "obs", "surrogate")
+SERVE_GROUPS = COMMON_GROUPS + ("serve", "online")
+
+
+def _add_common(parser: argparse.ArgumentParser,
+                groups: tuple[str, ...] = COMMON_GROUPS) -> None:
+    seed = KNOB["seed"]
     parser.add_argument("--seed", type=int, default=None,
-                        help="experiment seed (default: REPRO_SEED or 7)")
-    parser.add_argument("--exec-backend", default=None,
-                        choices=["serial", "thread", "process", "auto"],
-                        help="execution backend for dataset-scale fan-out; "
-                             "'auto' probes and only fans out when workers "
-                             "would win (default: REPRO_EXEC_BACKEND or "
-                             "serial)")
-    parser.add_argument("--exec-workers", type=int, default=None,
-                        help="worker count for parallel backends "
-                             "(default: REPRO_EXEC_WORKERS or CPU count)")
-    parser.add_argument("--exec-arena", type=int, default=None,
-                        choices=[0, 1],
-                        help="ship trace corpora to process workers via a "
-                             "zero-copy memory-mapped arena (default: "
-                             "REPRO_EXEC_ARENA or 1)")
-    parser.add_argument("--exec-shmres", type=int, default=None,
-                        choices=[0, 1],
-                        help="return large worker results through shared-"
-                             "memory segments instead of pickling them "
-                             "(process backend; default: REPRO_EXEC_SHMRES "
-                             "or 1)")
-    parser.add_argument("--exec-shard", type=int, default=None,
-                        metavar="N",
-                        help="stream dataset builds, evaluations and "
-                             "screens in shards of N traces/cells with "
-                             "bounded parent memory (default: "
-                             "REPRO_EXEC_SHARD or unsharded)")
-    parser.add_argument("--exec-chunk", type=int, default=None,
-                        help="fixed items per parallel task (default: "
-                             "REPRO_EXEC_CHUNK, or adaptive from per-item "
-                             "cost)")
-    parser.add_argument("--exec-retries", type=int, default=None,
-                        help="retries for a failed parallel chunk before "
-                             "degrading or raising (default: "
-                             "REPRO_EXEC_RETRIES or 2)")
-    parser.add_argument("--exec-timeout", type=float, default=None,
-                        help="per-task timeout in seconds for pool "
-                             "backends; 0 disables (default: "
-                             "REPRO_EXEC_TIMEOUT or off)")
-    parser.add_argument("--fault-spec", default=None,
-                        help="deterministic fault-injection spec, e.g. "
-                             "'seed=7,crash=0.05,corrupt_cache=0.1' "
-                             "(default: REPRO_FAULT_SPEC or off)")
-    parser.add_argument("--surrogate", type=int, default=None,
-                        choices=[0, 1],
-                        help="serve confidence-gated learned predictions "
-                             "above the interval simulator (default: "
-                             "REPRO_SURROGATE or 0)")
-    parser.add_argument("--surrogate-threshold", type=float, default=None,
-                        metavar="REL",
-                        help="accept a (trace, mode) pair when the "
-                             "ensemble's relative CPI disagreement stays "
-                             "under REL at the 95th percentile (default: "
-                             "REPRO_SURROGATE_THRESHOLD or 0.02)")
-    parser.add_argument("--surrogate-probes", type=int, default=None,
-                        metavar="N",
-                        help="probe traces simulated through the interval "
-                             "tier to train and gate the surrogate "
-                             "(default: REPRO_SURROGATE_PROBES or 32)")
+                        help=f"experiment seed (default: {seed.env} or "
+                             f"{seed.default})")
+    add_knob_flags(parser, groups)
     parser.add_argument("--exec-report", action="store_true",
                         help="print stage timings, cache hit rates, payload "
                              "bytes, worker utilisation and resilience "
                              "counters at exit")
-    parser.add_argument("--trace", nargs="?", const="1", default=None,
-                        metavar="PATH",
-                        help="emit a structured JSON trace of the run; "
-                             "with no PATH, writes repro_trace.json "
-                             "(default: REPRO_TRACE or off)")
     parser.add_argument("--obs-report", action="store_true",
                         help="print the observability report at exit: "
                              "per-stage wall time and throughput, cache "
@@ -105,7 +53,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _seed(args: argparse.Namespace) -> int:
-    return args.seed if args.seed is not None else experiment_seed()
+    return args.seed if args.seed is not None else active_exec_config().seed
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
@@ -208,12 +156,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # dies uncleanly, within the configured restart budget. The
         # already-applied env config flows to the child, so checkpoint
         # and serve knobs survive the re-exec.
-        from repro.config import serve_restarts
         from repro.serve.supervisor import run_supervised
         child = [sys.executable, "-m", "repro"] + [
             a for a in getattr(args, "_argv", sys.argv[1:])
             if a != "--supervise"]
-        return run_supervised(child, serve_restarts())
+        return run_supervised(child, active_exec_config().serve_restarts)
     from repro.serve import build_server
     server = build_server(
         args.socket, predictor_kind=args.predictor,
@@ -376,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="run the persistent adaptation-serving daemon")
-    _add_common(p)
+    _add_common(p, SERVE_GROUPS)
     p.add_argument("--socket", default="repro_serve.sock",
                    help="unix socket path to listen on "
                         "(default: repro_serve.sock)")
@@ -390,57 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="workloads per application")
     p.add_argument("--intervals", type=int, default=96,
                    help="telemetry intervals per trace")
-    p.add_argument("--serve-batch-max", type=int, default=None,
-                   dest="serve_batch_max",
-                   help="micro-batch bound (default: "
-                        "REPRO_SERVE_BATCH_MAX or 8)")
-    p.add_argument("--serve-queue-bound", type=int, default=None,
-                   dest="serve_queue_bound",
-                   help="admission queue bound before shedding "
-                        "(default: REPRO_SERVE_QUEUE_BOUND or 64)")
-    p.add_argument("--serve-batch-timeout", type=float, default=None,
-                   dest="serve_batch_timeout",
-                   help="seconds an in-flight batch may execute before "
-                        "the watchdog abandons it (default: "
-                        "REPRO_SERVE_BATCH_TIMEOUT or 30)")
-    p.add_argument("--checkpoint", default=None,
-                   dest="serve_checkpoint", metavar="PATH",
-                   help="warm-state checkpoint path: restore corpus + "
-                        "trained predictor from it when valid, write it "
-                        "after a cold build (default: "
-                        "REPRO_SERVE_CHECKPOINT or off)")
-    p.add_argument("--serve-restarts", type=int, default=None,
-                   dest="serve_restarts",
-                   help="restart budget for --supervise (default: "
-                        "REPRO_SERVE_RESTARTS or 3)")
     p.add_argument("--supervise", action="store_true",
                    help="run under a supervising parent that re-execs "
                         "the daemon on unclean death, within the "
                         "restart budget")
-    p.add_argument("--online", action="store_true", default=None,
-                   help="enable the continual-adaptation loop: sample "
-                        "served telemetry, retrain on drift, hot-swap "
-                        "promoted models (default: REPRO_ONLINE)")
-    p.add_argument("--online-ring", type=int, default=None,
-                   dest="online_ring",
-                   help="telemetry ring capacity (default: "
-                        "REPRO_ONLINE_RING or 2048)")
-    p.add_argument("--online-sample", type=int, default=None,
-                   dest="online_sample",
-                   help="sample 1 in N served requests into the ring "
-                        "(default: REPRO_ONLINE_SAMPLE or 1)")
-    p.add_argument("--online-drift-window", type=int, default=None,
-                   dest="online_drift_window",
-                   help="samples per drift-check window (default: "
-                        "REPRO_ONLINE_DRIFT_WINDOW or 64)")
-    p.add_argument("--online-drift-threshold", type=float, default=None,
-                   dest="online_drift_threshold",
-                   help="PSI threshold that trips a retrain (default: "
-                        "REPRO_ONLINE_DRIFT_THRESHOLD or 0.25)")
-    p.add_argument("--online-interval", type=float, default=None,
-                   dest="online_interval_s",
-                   help="seconds between learner drift polls (default: "
-                        "REPRO_ONLINE_INTERVAL_S or 2.0)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
@@ -501,11 +401,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     # The raw invocation, for commands that re-exec themselves
     # (serve --supervise rebuilds the child command from it).
     args._argv = list(argv) if argv is not None else sys.argv[1:]
-    from repro.config import ExecConfig
-    if args.fault_spec is not None:
-        from repro.exec.faults import FaultPlan
-        FaultPlan.parse(args.fault_spec)  # fail fast on a bad spec
+    try:
+        return _run(args)
+    except ConfigurationError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args: argparse.Namespace) -> int:
     config = ExecConfig.from_cli(args)
+    if config.fault_spec is not None:
+        from repro.exec.faults import FaultPlan
+        FaultPlan.parse(config.fault_spec)  # fail fast on a bad spec
     # Through the environment (not just install_exec_config) so
     # process-pool workers inherit every knob too.
     config.apply_env()
@@ -521,8 +428,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     with obs.tracer.trace(f"repro.{args.command}"):
         status = args.func(args)
     if args.exec_report:
-        from repro.exec import EXEC_STATS
-        print(EXEC_STATS.report())
+        print(obs.METRICS.report())
     if args.obs_report:
         print(obs.render_report())
     return status

@@ -1,9 +1,8 @@
-"""Global machine and experiment configuration.
+"""Global machine, experiment and runtime configuration.
 
 Every tunable of the reproduced system lives here: the parameters of the
 two-cluster scaled-Skylake core, the microcontroller's computation
-budget, the SLA the paper targets, and the experiment scale knobs used
-to shrink the paper's proprietary-scale datasets down to laptop scale.
+budget, the SLA the paper targets, and the runtime knobs.
 
 The values mirror the paper wherever the paper states them:
 
@@ -14,970 +13,286 @@ The values mirror the paper wherever the paper states them:
 * SLA: low-power mode must retain ``P_SLA = 90%`` of high-performance
   IPC over ``T_SLA = 1 ms`` windows, guaranteed to 99% (Section 3.1).
 * Low-power mode consumes ~35% less power on average (Section 3).
+
+Runtime knobs are one table, :data:`KNOBS`, a row per ``REPRO_*``
+variable; :class:`ExecConfig` and the CLI flags are generated from it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
 import os
+from collections.abc import Callable, Iterable
 
 from repro.errors import ConfigurationError
-
-#: Environment variable that scales dataset sizes for experiments.
-#: ``1.0`` is the scaled default documented in EXPERIMENTS.md; larger
-#: values approach the paper's original dataset sizes.
-SCALE_ENV_VAR = "REPRO_SCALE"
-
-#: Environment variable holding the global experiment seed.
-SEED_ENV_VAR = "REPRO_SEED"
-
-#: Default global seed; all experiments are deterministic given it.
-DEFAULT_SEED = 7
 
 #: Instructions per telemetry snapshot interval (Section 4.1).
 BASE_INTERVAL_INSTRUCTIONS = 10_000
 
-#: Environment variable bounding the interval model's in-process LRU
-#: memo (entries, not bytes). One entry holds one trace x mode result.
-INTERVAL_LRU_ENV_VAR = "REPRO_INTERVAL_LRU"
-
-#: Default LRU bound when the environment does not override it.
-DEFAULT_INTERVAL_LRU = 1024
-
-#: Environment variable selecting the cycle-level kernel: ``soa`` (the
-#: vectorized structure-of-arrays scoreboard, default) or ``reference``
-#: (the original per-uop Python loop). Both are bit-identical; the
-#: reference path exists as the ground truth the SoA kernel is
-#: validated against.
-CYCLE_KERNEL_ENV_VAR = "REPRO_CYCLE_KERNEL"
-
-#: Recognised cycle-kernel names.
-CYCLE_KERNELS = ("soa", "reference")
-
-#: Environment variable gating the batch-simulation layer: ``1``
-#: (default) enables stacked interval passes, chunked cache prewarming
-#: and batched closed-loop inference; ``0`` selects the scalar per-
-#: (trace, mode) paths exactly as they existed before the batch layer.
-BATCH_SIM_ENV_VAR = "REPRO_BATCH_SIM"
-
-#: Environment variable gating the zero-copy trace arena: ``1``
-#: (default) lets process-backend fan-outs pack the trace corpus into a
-#: memory-mapped segment that workers attach to by path, shrinking task
-#: payloads to index lists; ``0`` ships full objects per task exactly
-#: as before the arena existed.
-EXEC_ARENA_ENV_VAR = "REPRO_EXEC_ARENA"
-
-#: Environment variable forcing a fixed ParallelMap chunk size. Unset
-#: (the default) selects the adaptive heuristic: chunks sized from the
-#: stage's observed per-item cost, falling back to ~4 chunks/worker.
-EXEC_CHUNK_ENV_VAR = "REPRO_EXEC_CHUNK"
-
-#: Environment variable selecting worker-pool lifetime: ``persistent``
-#: (default) keeps one warm pool per (backend, n_workers) for the life
-#: of the process; ``fresh`` recreates a pool per map call (the
-#: pre-arena behaviour, useful for benchmarking pool-churn cost).
-EXEC_POOL_ENV_VAR = "REPRO_EXEC_POOL"
-
-#: Environment variable bounding how many times ``ParallelMap`` retries
-#: a failed chunk (worker crash, broken pool, task timeout) before
-#: degrading to the next backend rung or raising a typed error.
-EXEC_RETRIES_ENV_VAR = "REPRO_EXEC_RETRIES"
-
-#: Default retry budget when the environment does not override it.
-DEFAULT_EXEC_RETRIES = 2
-
-#: Environment variable setting the per-task timeout (seconds) for
-#: pool-backed dispatch. Unset or ``0`` disables timeouts (serial
-#: execution is never preemptible and always ignores this).
-EXEC_TIMEOUT_ENV_VAR = "REPRO_EXEC_TIMEOUT"
-
-#: Environment variable holding a deterministic fault-injection spec
-#: (see :class:`repro.exec.faults.FaultPlan`), e.g.
-#: ``"seed=7,crash=0.05,corrupt_cache=0.1"``. Unset disables injection.
-FAULT_SPEC_ENV_VAR = "REPRO_FAULT_SPEC"
-
-#: Environment variable gating SimCache per-entry checksum
-#: verification on read: ``1`` (default) verifies every loaded entry
-#: against its stored digest; ``0`` skips verification (perf-overhead
-#: benchmarking only — corrupt entries then surface only when the
-#: container format itself fails to parse).
-SIMCACHE_VERIFY_ENV_VAR = "REPRO_SIMCACHE_VERIFY"
-
-#: Environment variable selecting the default execution backend.
-EXEC_BACKEND_ENV_VAR = "REPRO_EXEC_BACKEND"
-
-#: Environment variable selecting the default worker count (unset:
-#: the CPU count at use time).
-EXEC_WORKERS_ENV_VAR = "REPRO_EXEC_WORKERS"
-
-#: Recognised execution backends, in increasing isolation order;
-#: ``auto`` probes and picks between ``serial`` and ``process`` per
-#: call. (:data:`repro.exec.parallel.BACKENDS` aliases this.)
-EXEC_BACKENDS = ("serial", "thread", "process", "auto")
-
-#: Environment variable pointing SimCache at its on-disk directory.
-#: Unset disables the cache.
-SIMCACHE_DIR_ENV_VAR = "REPRO_SIMCACHE_DIR"
-
-#: Environment variable gating the span tracer (:mod:`repro.obs`):
-#: unset or ``0`` disables tracing, ``1`` enables it with the default
-#: output path, any other value enables it and names the trace file.
-TRACE_ENV_VAR = "REPRO_TRACE"
-
-#: Environment variable gating shared-memory result return: ``1``
-#: (default) lets process-backend fan-outs return large result arrays
-#: through per-chunk mmap segments (descriptors instead of pickled
-#: ndarrays); ``0`` is the kill-switch restoring fully pickled returns.
-EXEC_SHMRES_ENV_VAR = "REPRO_EXEC_SHMRES"
-
-#: Environment variable setting the corpus shard size (traces/cells
-#: per shard) for the streaming dataset-scale entry points
-#: (``build_mode_dataset``, ``AdaptiveCPU.run_many``,
-#: ``screen_configs``). Unset disables sharding — the whole corpus is
-#: one pass, the historical behaviour.
-EXEC_SHARD_ENV_VAR = "REPRO_EXEC_SHARD"
-
-#: Environment variable setting the tracer's 1-in-N span sampling rate
-#: once the span buffer passes its sampling threshold (see
-#: :mod:`repro.obs.tracer`). ``1`` stores every span up to the hard
-#: cap (the pre-sampling behaviour).
-TRACE_SAMPLE_ENV_VAR = "REPRO_TRACE_SAMPLE"
-
-#: Default 1-in-N sampling rate above the tracer threshold.
-DEFAULT_TRACE_SAMPLE = 8
-
-#: Environment variable gating the tier-0 learned surrogate above
-#: ``IntervalModel.simulate_batch`` (see :mod:`repro.surrogate`):
-#: ``0`` (default) keeps every path exactly as before the surrogate
-#: existed; ``1`` lets confidently-predicted (trace, mode) pairs skip
-#: the interval-physics pass, with gated pairs falling back to the
-#: interval tier bit-identically.
-SURROGATE_ENV_VAR = "REPRO_SURROGATE"
-
-#: Environment variable setting the surrogate confidence gate: the
-#: maximum tolerated p95 relative ensemble disagreement on a pair's
-#: predicted CPI before the pair falls back to the interval tier.
-SURROGATE_THRESHOLD_ENV_VAR = "REPRO_SURROGATE_THRESHOLD"
-
-#: Default confidence-gate threshold (relative disagreement).
-DEFAULT_SURROGATE_THRESHOLD = 0.02
-
-#: Environment variable sizing the surrogate's seeded probe corpus
-#: (traces simulated through the interval tier to train the surrogate
-#: and, held out, to validate its agreement).
-SURROGATE_PROBES_ENV_VAR = "REPRO_SURROGATE_PROBES"
-
-#: Default probe-corpus size (traces; one quarter is held out).
-DEFAULT_SURROGATE_PROBES = 32
-
-#: Environment variable bounding the serving daemon's micro-batch size:
-#: a free executor takes at most this many pending requests at once.
-SERVE_BATCH_MAX_ENV_VAR = "REPRO_SERVE_BATCH_MAX"
-
-#: Default micro-batch bound.
-DEFAULT_SERVE_BATCH_MAX = 8
-
-#: Environment variable bounding the serving daemon's admission queue:
-#: requests beyond this depth are shed with a typed ``busy`` response.
-SERVE_QUEUE_BOUND_ENV_VAR = "REPRO_SERVE_QUEUE_BOUND"
-
-#: Default admission-queue bound.
-DEFAULT_SERVE_QUEUE_BOUND = 64
-
-#: Environment variable bounding how long (seconds) one serve batch may
-#: stay in flight before the supervisor fails its requests with a typed
-#: ``BatchTimeoutError`` and restarts the batcher.
-SERVE_BATCH_TIMEOUT_ENV_VAR = "REPRO_SERVE_BATCH_TIMEOUT"
-
-#: Default in-flight batch timeout (seconds).
-DEFAULT_SERVE_BATCH_TIMEOUT_S = 30.0
-
-#: Environment variable setting how many consecutive batch failures of
-#: one serve op trip the circuit breaker one degradation rung (batched
-#: -> serial per-request -> shed-with-retry-after).
-SERVE_BREAKER_THRESHOLD_ENV_VAR = "REPRO_SERVE_BREAKER_THRESHOLD"
-
-#: Default breaker failure threshold.
-DEFAULT_SERVE_BREAKER_THRESHOLD = 3
-
-#: Environment variable setting the breaker cooldown (seconds): how
-#: long a tripped breaker stays open before a half-open probe request
-#: is allowed through the less-degraded path.
-SERVE_BREAKER_COOLDOWN_ENV_VAR = "REPRO_SERVE_BREAKER_COOLDOWN"
-
-#: Default breaker cooldown (seconds).
-DEFAULT_SERVE_BREAKER_COOLDOWN_S = 1.0
-
-#: Environment variable pointing the serving daemon at its warm-state
-#: checkpoint file (trained predictor + corpus fingerprint, CRC
-#: validated). Unset disables checkpointing.
-SERVE_CHECKPOINT_ENV_VAR = "REPRO_SERVE_CHECKPOINT"
-
-#: Environment variable bounding how many times ``repro serve
-#: --supervise`` re-execs a crashed daemon before giving up.
-SERVE_RESTARTS_ENV_VAR = "REPRO_SERVE_RESTARTS"
-
-#: Default supervised-restart budget.
-DEFAULT_SERVE_RESTARTS = 3
-
-#: Environment variable gating the continual-adaptation subsystem
-#: (:mod:`repro.online`): ``0`` (default) serves the startup predictor
-#: forever, exactly as before the subsystem existed; ``1`` samples
-#: served telemetry into a ring buffer, watches it for drift, retrains
-#: candidates in the background and hot-swaps them behind the shadow
-#: gate.
-ONLINE_ENV_VAR = "REPRO_ONLINE"
-
-#: Environment variable sizing the online telemetry ring buffer
-#: (sampled entries retained; fixed-dtype, preallocated).
-ONLINE_RING_ENV_VAR = "REPRO_ONLINE_RING"
-
-#: Default ring capacity.
-DEFAULT_ONLINE_RING = 2048
-
-#: Environment variable setting the online ring's deterministic 1-in-N
-#: request sampling rate. ``1`` samples every served request.
-ONLINE_SAMPLE_ENV_VAR = "REPRO_ONLINE_SAMPLE"
-
-#: Default online sampling rate (every request).
-DEFAULT_ONLINE_SAMPLE = 1
-
-#: Environment variable sizing the drift detector's comparison window
-#: (sampled adapt entries per window).
-ONLINE_DRIFT_WINDOW_ENV_VAR = "REPRO_ONLINE_DRIFT_WINDOW"
-
-#: Default drift window (entries).
-DEFAULT_ONLINE_DRIFT_WINDOW = 64
-
-#: Environment variable setting the population-stability-index score
-#: above which the drift detector trips a ``DriftSignal``.
-ONLINE_DRIFT_THRESHOLD_ENV_VAR = "REPRO_ONLINE_DRIFT_THRESHOLD"
-
-#: Default PSI drift threshold.
-DEFAULT_ONLINE_DRIFT_THRESHOLD = 0.25
-
-#: Environment variable setting how often (seconds) the background
-#: learner polls the ring for drift.
-ONLINE_INTERVAL_ENV_VAR = "REPRO_ONLINE_INTERVAL_S"
-
-#: Default learner poll interval (seconds).
-DEFAULT_ONLINE_INTERVAL_S = 2.0
-
-
-# ---------------------------------------------------------------------
-# Raw environment parsers. Each reads exactly one knob and raises the
-# historical per-variable error message; :meth:`ExecConfig.from_env`
-# is their only caller.
-# ---------------------------------------------------------------------
-def _env_interval_lru() -> int:
-    raw = os.environ.get(INTERVAL_LRU_ENV_VAR, str(DEFAULT_INTERVAL_LRU))
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"{INTERVAL_LRU_ENV_VAR} must be an int, got {raw!r}"
-        ) from exc
-    if value < 1:
-        raise ValueError(
-            f"{INTERVAL_LRU_ENV_VAR} must be >= 1, got {value}"
-        )
-    return value
-
-
-def _env_cycle_kernel() -> str:
-    value = os.environ.get(CYCLE_KERNEL_ENV_VAR, "soa")
-    if value not in CYCLE_KERNELS:
-        raise ValueError(
-            f"{CYCLE_KERNEL_ENV_VAR} must be one of {CYCLE_KERNELS}, "
-            f"got {value!r}"
-        )
-    return value
-
-
-def _env_flag(var: str, default: str) -> bool:
-    value = os.environ.get(var, default)
-    if value not in ("0", "1"):
-        raise ValueError(f"{var} must be '0' or '1', got {value!r}")
-    return value == "1"
-
-
-def _env_backend() -> str:
-    value = os.environ.get(EXEC_BACKEND_ENV_VAR, "serial")
-    if value not in EXEC_BACKENDS:
-        raise ConfigurationError(
-            f"unknown exec backend {value!r}; expected one of "
-            f"{EXEC_BACKENDS}"
-        )
-    return value
-
-
-def _env_workers() -> int | None:
-    raw = os.environ.get(EXEC_WORKERS_ENV_VAR)
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"{EXEC_WORKERS_ENV_VAR} must be an int, got {raw!r}"
-        ) from exc
-    if value < 1:
-        raise ConfigurationError(
-            f"n_workers must be >= 1, got {value}"
-        )
-    return value
-
-
-def _env_chunk() -> int | None:
-    raw = os.environ.get(EXEC_CHUNK_ENV_VAR)
-    if raw is None or raw == "":
-        return None
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"{EXEC_CHUNK_ENV_VAR} must be an int, got {raw!r}"
-        ) from exc
-    if value < 1:
-        raise ValueError(f"{EXEC_CHUNK_ENV_VAR} must be >= 1, got {value}")
-    return value
-
-
-def _env_retries() -> int:
-    raw = os.environ.get(EXEC_RETRIES_ENV_VAR, str(DEFAULT_EXEC_RETRIES))
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"{EXEC_RETRIES_ENV_VAR} must be an int, got {raw!r}"
-        ) from exc
-    if value < 0:
-        raise ValueError(
-            f"{EXEC_RETRIES_ENV_VAR} must be >= 0, got {value}"
-        )
-    return value
-
-
-def _env_timeout() -> float | None:
-    raw = os.environ.get(EXEC_TIMEOUT_ENV_VAR)
-    if raw is None or raw == "":
-        return None
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"{EXEC_TIMEOUT_ENV_VAR} must be a float, got {raw!r}"
-        ) from exc
-    if value < 0:
-        raise ValueError(
-            f"{EXEC_TIMEOUT_ENV_VAR} must be >= 0, got {value}"
-        )
-    return value if value > 0 else None
-
-
-def _env_pool() -> str:
-    value = os.environ.get(EXEC_POOL_ENV_VAR, "persistent")
-    if value not in ("persistent", "fresh"):
-        raise ValueError(
-            f"{EXEC_POOL_ENV_VAR} must be 'persistent' or 'fresh', "
-            f"got {value!r}"
-        )
-    return value
-
-
-def _env_optional(var: str) -> str | None:
-    raw = os.environ.get(var)
-    return raw if raw else None
-
-
-def _env_trace() -> str | None:
-    raw = os.environ.get(TRACE_ENV_VAR)
-    if raw is None or raw in ("", "0"):
-        return None
-    return raw
-
-
-def _env_shard() -> int | None:
-    raw = os.environ.get(EXEC_SHARD_ENV_VAR)
-    if raw is None or raw == "":
-        return None
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"{EXEC_SHARD_ENV_VAR} must be an int, got {raw!r}"
-        ) from exc
-    if value < 0:
-        raise ValueError(f"{EXEC_SHARD_ENV_VAR} must be >= 0, got {value}")
-    return value if value > 0 else None
-
-
-def _env_trace_sample() -> int:
-    raw = os.environ.get(TRACE_SAMPLE_ENV_VAR,
-                         str(DEFAULT_TRACE_SAMPLE))
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"{TRACE_SAMPLE_ENV_VAR} must be an int, got {raw!r}"
-        ) from exc
-    if value < 1:
-        raise ValueError(
-            f"{TRACE_SAMPLE_ENV_VAR} must be >= 1, got {value}"
-        )
-    return value
-
-
-def _env_surrogate_threshold() -> float:
-    raw = os.environ.get(SURROGATE_THRESHOLD_ENV_VAR,
-                         str(DEFAULT_SURROGATE_THRESHOLD))
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"{SURROGATE_THRESHOLD_ENV_VAR} must be a float, got {raw!r}"
-        ) from exc
-    if value <= 0:
-        raise ValueError(
-            f"{SURROGATE_THRESHOLD_ENV_VAR} must be > 0, got {value}"
-        )
-    return value
-
-
-def _env_surrogate_probes() -> int:
-    raw = os.environ.get(SURROGATE_PROBES_ENV_VAR,
-                         str(DEFAULT_SURROGATE_PROBES))
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"{SURROGATE_PROBES_ENV_VAR} must be an int, got {raw!r}"
-        ) from exc
-    if value < 8:
-        raise ValueError(
-            f"{SURROGATE_PROBES_ENV_VAR} must be >= 8 (the probe "
-            f"corpus is split into train and held-out parts), got {value}"
-        )
-    return value
-
-
-def _env_bounded_int(var: str, default: int, minimum: int) -> int:
-    raw = os.environ.get(var, str(default))
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{var} must be an int, got {raw!r}") from exc
-    if value < minimum:
-        raise ValueError(f"{var} must be >= {minimum}, got {value}")
-    return value
-
-
-def _env_positive_float(var: str, default: float) -> float:
-    raw = os.environ.get(var, repr(default))
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ValueError(f"{var} must be a float, got {raw!r}") from exc
-    if value <= 0:
-        raise ValueError(f"{var} must be > 0, got {value}")
-    return value
-
-
-#: Every environment variable :meth:`ExecConfig.from_env` consumes, in
-#: the order its memo key is built.
-EXEC_ENV_VARS = (
-    EXEC_BACKEND_ENV_VAR,
-    EXEC_WORKERS_ENV_VAR,
-    EXEC_POOL_ENV_VAR,
-    EXEC_ARENA_ENV_VAR,
-    EXEC_SHMRES_ENV_VAR,
-    EXEC_SHARD_ENV_VAR,
-    EXEC_CHUNK_ENV_VAR,
-    EXEC_RETRIES_ENV_VAR,
-    EXEC_TIMEOUT_ENV_VAR,
-    SIMCACHE_DIR_ENV_VAR,
-    SIMCACHE_VERIFY_ENV_VAR,
-    FAULT_SPEC_ENV_VAR,
-    CYCLE_KERNEL_ENV_VAR,
-    BATCH_SIM_ENV_VAR,
-    INTERVAL_LRU_ENV_VAR,
-    TRACE_ENV_VAR,
-    TRACE_SAMPLE_ENV_VAR,
-    SURROGATE_ENV_VAR,
-    SURROGATE_THRESHOLD_ENV_VAR,
-    SURROGATE_PROBES_ENV_VAR,
-    SERVE_BATCH_MAX_ENV_VAR,
-    SERVE_QUEUE_BOUND_ENV_VAR,
-    SERVE_BATCH_TIMEOUT_ENV_VAR,
-    SERVE_BREAKER_THRESHOLD_ENV_VAR,
-    SERVE_BREAKER_COOLDOWN_ENV_VAR,
-    SERVE_CHECKPOINT_ENV_VAR,
-    SERVE_RESTARTS_ENV_VAR,
-    ONLINE_ENV_VAR,
-    ONLINE_RING_ENV_VAR,
-    ONLINE_SAMPLE_ENV_VAR,
-    ONLINE_DRIFT_WINDOW_ENV_VAR,
-    ONLINE_DRIFT_THRESHOLD_ENV_VAR,
-    ONLINE_INTERVAL_ENV_VAR,
+
+# Parsers turn a non-empty raw string (env value or rendered flag) into a
+# value or a ValueError; the ``*_or_off`` ones map 0 to None ("off").
+def _number(kind: type, noun: str, off: bool = False) -> Callable:
+    def parse(raw: str):
+        try:
+            value = kind(raw)
+        except ValueError:
+            raise ValueError(f"must be {noun}") from None
+        return None if off and value == 0 else value
+    return parse
+
+
+_int, _int_or_off = _number(int, "an int"), _number(int, "an int", True)
+_float = _number(float, "a float")
+_float_or_off = _number(float, "a float", True)
+
+
+def _switch(raw: str) -> bool:
+    if raw not in ("0", "1"):
+        raise ValueError("must be '0' or '1'")
+    return raw == "1"
+
+
+def _trace(raw: str) -> str | None:
+    return None if raw == "0" else raw
+
+
+#: The argparse form each parser implies for its flag.
+_FLAG_FORMS: dict[Callable, dict] = {
+    _int: {"type": int}, _int_or_off: {"type": int},
+    _float: {"type": float}, _float_or_off: {"type": float},
+    _switch: {"type": int, "choices": [0, 1]},
+    _trace: {"nargs": "?", "const": "1", "metavar": "PATH"},
+}
+
+
+# Bounds: each returns what a bad value must be, or None when it fits.
+def _at_least(low: int) -> Callable:
+    return lambda value: None if value >= low else f"must be >= {low}"
+
+
+def _above(low: float) -> Callable:
+    return lambda value: None if value > low else f"must be > {low}"
+
+
+def _one_of(*choices: str) -> Callable:
+    def check(value: object) -> str | None:
+        return None if value in choices else f"must be one of {choices}"
+    check.choices = choices  # the flag's argparse ``choices``
+    return check
+
+
+@dataclasses.dataclass(frozen=True)
+class Knob:
+    """An :class:`ExecConfig` field, its ``REPRO_*`` variable and flag.
+    ``check`` bounds non-None values; ``group`` picks the subcommands
+    with the flag; ``cli`` adds argparse arguments."""
+
+    field: str
+    env: str
+    flag: str | None
+    parse: Callable[[str], object]
+    default: object
+    check: Callable[[object], str | None] | None
+    group: str
+    help: str
+    cli: dict = dataclasses.field(default_factory=dict)
+
+    def validate(self, value: object, source: str | None = None) -> object:
+        """``value`` if in bounds, else an error naming ``source``."""
+        if value is not None and self.check is not None:
+            problem = self.check(value)
+            if problem is not None:
+                raise ConfigurationError(
+                    f"{source or self.field} {problem}, got {value!r}")
+        return value
+
+    def read(self, raw: str | None, source: str) -> object:
+        """Checked value of a raw string; unset or empty: default."""
+        if not raw:
+            return self.default
+        try:
+            value = self.parse(raw)
+        except ValueError as exc:
+            raise ConfigurationError(f"{source} {exc}, got {raw!r}") from None
+        return self.validate(value, source)
+
+    @staticmethod
+    def render(value: object) -> str | None:
+        """Environment form of a value; None means "unset"."""
+        if isinstance(value, bool):
+            return "1" if value else "0"
+        return None if value is None else str(value)
+
+
+#: Every ``REPRO_*`` knob the package reads, one row each.
+KNOBS: tuple[Knob, ...] = (
+    Knob("backend", "REPRO_EXEC_BACKEND", "--exec-backend", str,
+         "serial", _one_of("serial", "thread", "process", "auto"), "exec",
+         "fan-out backend; 'auto' probes whether workers win"),
+    Knob("workers", "REPRO_EXEC_WORKERS", "--exec-workers", _int, None,
+         _at_least(1), "exec", "parallel worker count; unset: CPU count"),
+    Knob("pool", "REPRO_EXEC_POOL", None, str, "persistent",
+         _one_of("persistent", "fresh"), "exec", "fresh: a pool per map call"),
+    Knob("arena", "REPRO_EXEC_ARENA", "--exec-arena", _switch, True, None,
+         "exec", "ship traces to process workers in a zero-copy arena"),
+    Knob("shmres", "REPRO_EXEC_SHMRES", "--exec-shmres", _switch, True,
+         None, "exec", "return large worker results via shared memory"),
+    Knob("shard", "REPRO_EXEC_SHARD", "--exec-shard", _int_or_off, None,
+         _at_least(1), "exec", "stream builds, evaluations and screens "
+         "in shards of N traces; 0 or unset: one pass", {"metavar": "N"}),
+    Knob("chunk", "REPRO_EXEC_CHUNK", "--exec-chunk", _int, None,
+         _at_least(1), "exec", "items per task; unset: adaptive"),
+    Knob("retries", "REPRO_EXEC_RETRIES", "--exec-retries", _int, 2,
+         _at_least(0), "exec", "retries of a failed parallel chunk"),
+    Knob("timeout", "REPRO_EXEC_TIMEOUT", "--exec-timeout", _float_or_off,
+         None, _above(0), "exec", "pool task timeout (s); 0 or unset: off"),
+    Knob("simcache_dir", "REPRO_SIMCACHE_DIR", None, str, None, None,
+         "sim", "simulation cache directory; unset: no cache"),
+    Knob("simcache_verify", "REPRO_SIMCACHE_VERIFY", None, _switch, True,
+         None, "sim", "verify simulation cache entries on read"),
+    Knob("fault_spec", "REPRO_FAULT_SPEC", "--fault-spec", str, None,
+         None, "exec", "fault-injection spec, e.g. 'seed=7,crash=0.1'"),
+    Knob("cycle_kernel", "REPRO_CYCLE_KERNEL", None, str, "soa",
+         _one_of("soa", "reference"), "sim", "reference: the per-uop loop"),
+    Knob("batch_sim", "REPRO_BATCH_SIM", None, _switch, True, None, "sim",
+         "batched simulation; 0: scalar per-(trace, mode) paths"),
+    Knob("interval_lru", "REPRO_INTERVAL_LRU", None, _int, 1024,
+         _at_least(1), "sim", "interval-model memo bound (entries)"),
+    Knob("trace", "REPRO_TRACE", "--trace", _trace, None, None, "obs",
+         "write a JSON trace to PATH (1 or no PATH: repro_trace.json)"),
+    Knob("trace_sample", "REPRO_TRACE_SAMPLE", None, _int, 8,
+         _at_least(1), "obs", "keep 1 in N spans past half the buffer"),
+    Knob("surrogate", "REPRO_SURROGATE", "--surrogate", _switch, False,
+         None, "surrogate", "learned surrogate above the interval tier"),
+    Knob("surrogate_threshold", "REPRO_SURROGATE_THRESHOLD",
+         "--surrogate-threshold", _float, 0.02, _above(0), "surrogate",
+         "max p95 relative CPI disagreement", {"metavar": "REL"}),
+    Knob("surrogate_probes", "REPRO_SURROGATE_PROBES", "--surrogate-probes",
+         _int, 32, _at_least(8), "surrogate",
+         "probe traces that train and gate the surrogate", {"metavar": "N"}),
+    Knob("serve_batch_max", "REPRO_SERVE_BATCH_MAX", "--serve-batch-max",
+         _int, 8, _at_least(1), "serve", "serve micro-batch bound"),
+    Knob("serve_queue_bound", "REPRO_SERVE_QUEUE_BOUND",
+         "--serve-queue-bound", _int, 64, _at_least(1), "serve",
+         "admission queue bound before shedding"),
+    Knob("serve_batch_timeout_s", "REPRO_SERVE_BATCH_TIMEOUT",
+         "--serve-batch-timeout", _float, 30.0, _above(0), "serve",
+         "seconds a batch may run before the watchdog abandons it"),
+    Knob("serve_breaker_threshold", "REPRO_SERVE_BREAKER_THRESHOLD", None,
+         _int, 3, _at_least(1), "serve", "failures that trip a breaker"),
+    Knob("serve_breaker_cooldown_s", "REPRO_SERVE_BREAKER_COOLDOWN", None,
+         _float, 1.0, _above(0), "serve", "seconds a breaker stays open"),
+    Knob("serve_checkpoint", "REPRO_SERVE_CHECKPOINT", "--checkpoint",
+         str, None, None, "serve", "warm-state checkpoint; unset: off",
+         {"metavar": "PATH"}),
+    Knob("serve_restarts", "REPRO_SERVE_RESTARTS", "--serve-restarts",
+         _int, 3, _at_least(0), "serve", "restart budget for --supervise"),
+    Knob("online_enabled", "REPRO_ONLINE", "--online", _switch, False,
+         None, "online", "continual adaptation", {"action": "store_true"}),
+    Knob("online_ring", "REPRO_ONLINE_RING", "--online-ring", _int, 2048,
+         _at_least(8), "online", "telemetry ring capacity"),
+    Knob("online_sample", "REPRO_ONLINE_SAMPLE", "--online-sample", _int, 1,
+         _at_least(1), "online", "sample 1 in N served requests"),
+    Knob("online_drift_window", "REPRO_ONLINE_DRIFT_WINDOW",
+         "--online-drift-window", _int, 64, _at_least(8), "online",
+         "samples per drift-check window"),
+    Knob("online_drift_threshold", "REPRO_ONLINE_DRIFT_THRESHOLD",
+         "--online-drift-threshold", _float, 0.25, _above(0), "online",
+         "PSI score that trips a retrain"),
+    Knob("online_interval_s", "REPRO_ONLINE_INTERVAL_S",
+         "--online-interval", _float, 2.0, _above(0), "online",
+         "seconds between learner drift polls"),
+    Knob("scale", "REPRO_SCALE", None, _float, 1.0, _above(0),
+         "experiment", "dataset scale; larger approaches the paper's"),
+    Knob("seed", "REPRO_SEED", None, _int, 7, None, "experiment",
+         "experiment seed; a command's --seed overrides it"),
+    Knob("cache_dir", "REPRO_CACHE_DIR", None, str, None, None,
+         "experiment", "dataset cache; unset: ~/.cache/repro-datasets"),
+    Knob("results_dir", "REPRO_RESULTS_DIR", None, str, None, None,
+         "experiment", "benchmark outputs; unset: benchmarks/results"),
 )
 
-# ``ExecConfig.from_env`` is memoized on the raw environment strings;
-# building that key through ``os.environ.get`` re-encodes every
-# variable name per lookup, which dominates hot paths that read the
-# active config per (trace, mode) pair. Reading the underlying data
-# mapping with pre-encoded names is ~20x cheaper and sees exactly the
-# same state (``os.environ`` mutations update ``_data`` in place).
-_ENV_DATA = getattr(os.environ, "_data", None)
-_ENV_KEYS = (tuple(os.environ.encodekey(var) for var in EXEC_ENV_VARS)
-             if _ENV_DATA is not None and hasattr(os.environ, "encodekey")
-             else None)
+#: The table by field name, and every variable it reads.
+KNOB = {knob.field: knob for knob in KNOBS}
+EXEC_ENV_VARS = tuple(knob.env for knob in KNOBS)
+
+# Hot paths read the active config per (trace, mode) pair, so the
+# ``from_env`` memo key reads ``os.environ``'s data with pre-encoded
+# names: the same state, ~20x cheaper than ``os.environ.get``.
+_ENV_DATA = os.environ._data
+_ENV_KEYS = tuple(map(os.environ.encodekey, EXEC_ENV_VARS))
 
 
 def _env_memo_key() -> tuple:
-    if _ENV_KEYS is not None:
-        return tuple(map(_ENV_DATA.get, _ENV_KEYS))
-    return tuple(os.environ.get(var) for var in EXEC_ENV_VARS)
+    return tuple(map(_ENV_DATA.get, _ENV_KEYS))
 
 
-@dataclasses.dataclass(frozen=True)
-class ServeView:
-    """Typed sub-view of the serving-daemon knobs.
-
-    Call sites read ``active_exec_config().serve.batch_max`` instead of
-    string-indexing the flat ``serve_*`` attribute zoo; the flat names
-    remain as deprecated shims.
-    """
-
-    batch_max: int
-    queue_bound: int
-    batch_timeout_s: float
-    breaker_threshold: int
-    breaker_cooldown_s: float
-    checkpoint: str | None
-    restarts: int
+def _knob_fields(cls: type) -> type:
+    """Make ``cls`` a frozen dataclass with one field per knob."""
+    cls.__annotations__ = {knob.field: "object" for knob in KNOBS}
+    for knob in KNOBS:
+        setattr(cls, knob.field, knob.default)
+    return dataclasses.dataclass(frozen=True)(cls)
 
 
-@dataclasses.dataclass(frozen=True)
-class FaultsView:
-    """Typed sub-view of the resilience / fault-injection knobs."""
-
-    spec: str | None
-    retries: int
-    timeout: float | None
-    simcache_verify: bool
-
-
-@dataclasses.dataclass(frozen=True)
-class OnlineView:
-    """Typed sub-view of the continual-adaptation knobs."""
-
-    enabled: bool
-    ring: int
-    sample: int
-    drift_window: int
-    drift_threshold: float
-    interval_s: float
-
-
-@dataclasses.dataclass(frozen=True)
+@_knob_fields
 class ExecConfig:
-    """The typed face of every runtime knob the engine reads.
-
-    One frozen value object replaces ~15 scattered ``os.environ``
-    reads: build it with :meth:`from_env` (the environment variables
-    keep working), :meth:`from_cli` (CLI flags layered over the
-    environment) or directly, and install it for a scope with
-    :meth:`override`. Internal call sites read the active config via
-    the module-level accessor functions (``cycle_kernel()``,
-    ``exec_retries()``, ...), which are now thin shims over
-    :func:`active_exec_config`.
-
-    ``None`` means "engine default decided at use time": ``workers``
-    falls back to the CPU count, ``chunk`` to adaptive sizing,
-    ``timeout``/``fault_spec``/``simcache_dir``/``trace`` to off.
-    """
-
-    backend: str = "serial"
-    workers: int | None = None
-    pool: str = "persistent"
-    arena: bool = True
-    shmres: bool = True
-    shard: int | None = None
-    chunk: int | None = None
-    retries: int = DEFAULT_EXEC_RETRIES
-    timeout: float | None = None
-    simcache_dir: str | None = None
-    simcache_verify: bool = True
-    fault_spec: str | None = None
-    cycle_kernel: str = "soa"
-    batch_sim: bool = True
-    interval_lru: int = DEFAULT_INTERVAL_LRU
-    trace: str | None = None
-    trace_sample: int = DEFAULT_TRACE_SAMPLE
-    surrogate: bool = False
-    surrogate_threshold: float = DEFAULT_SURROGATE_THRESHOLD
-    surrogate_probes: int = DEFAULT_SURROGATE_PROBES
-    serve_batch_max: int = DEFAULT_SERVE_BATCH_MAX
-    serve_queue_bound: int = DEFAULT_SERVE_QUEUE_BOUND
-    serve_batch_timeout_s: float = DEFAULT_SERVE_BATCH_TIMEOUT_S
-    serve_breaker_threshold: int = DEFAULT_SERVE_BREAKER_THRESHOLD
-    serve_breaker_cooldown_s: float = DEFAULT_SERVE_BREAKER_COOLDOWN_S
-    serve_checkpoint: str | None = None
-    serve_restarts: int = DEFAULT_SERVE_RESTARTS
-    online_enabled: bool = False
-    online_ring: int = DEFAULT_ONLINE_RING
-    online_sample: int = DEFAULT_ONLINE_SAMPLE
-    online_drift_window: int = DEFAULT_ONLINE_DRIFT_WINDOW
-    online_drift_threshold: float = DEFAULT_ONLINE_DRIFT_THRESHOLD
-    online_interval_s: float = DEFAULT_ONLINE_INTERVAL_S
+    """Every runtime knob, one frozen field per :data:`KNOBS` row;
+    ``None`` means off (``workers``: CPU count, ``chunk``: adaptive)."""
 
     def __post_init__(self) -> None:
-        if self.backend not in EXEC_BACKENDS:
-            raise ConfigurationError(
-                f"unknown exec backend {self.backend!r}; expected one "
-                f"of {EXEC_BACKENDS}"
-            )
-        if self.pool not in ("persistent", "fresh"):
-            raise ValueError(
-                f"pool must be 'persistent' or 'fresh', got {self.pool!r}"
-            )
-        if self.cycle_kernel not in CYCLE_KERNELS:
-            raise ValueError(
-                f"cycle_kernel must be one of {CYCLE_KERNELS}, "
-                f"got {self.cycle_kernel!r}"
-            )
-        if self.workers is not None and self.workers < 1:
-            raise ConfigurationError(
-                f"n_workers must be >= 1, got {self.workers}"
-            )
-        if self.chunk is not None and self.chunk < 1:
-            raise ValueError(f"chunk must be >= 1, got {self.chunk}")
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
-        if self.interval_lru < 1:
-            raise ValueError(
-                f"interval_lru must be >= 1, got {self.interval_lru}"
-            )
-        if self.shard is not None and self.shard < 1:
-            raise ValueError(f"shard must be >= 1, got {self.shard}")
-        if self.trace_sample < 1:
-            raise ValueError(
-                f"trace_sample must be >= 1, got {self.trace_sample}"
-            )
-        if self.surrogate_threshold <= 0:
-            raise ValueError(
-                f"surrogate_threshold must be > 0, "
-                f"got {self.surrogate_threshold}"
-            )
-        if self.surrogate_probes < 8:
-            raise ValueError(
-                f"surrogate_probes must be >= 8, got {self.surrogate_probes}"
-            )
-        if self.serve_batch_max < 1:
-            raise ValueError(
-                f"serve_batch_max must be >= 1, got {self.serve_batch_max}"
-            )
-        if self.serve_queue_bound < 1:
-            raise ValueError(
-                f"serve_queue_bound must be >= 1, "
-                f"got {self.serve_queue_bound}"
-            )
-        if self.serve_batch_timeout_s <= 0:
-            raise ValueError(
-                f"serve_batch_timeout_s must be > 0, "
-                f"got {self.serve_batch_timeout_s}"
-            )
-        if self.serve_breaker_threshold < 1:
-            raise ValueError(
-                f"serve_breaker_threshold must be >= 1, "
-                f"got {self.serve_breaker_threshold}"
-            )
-        if self.serve_breaker_cooldown_s <= 0:
-            raise ValueError(
-                f"serve_breaker_cooldown_s must be > 0, "
-                f"got {self.serve_breaker_cooldown_s}"
-            )
-        if self.serve_restarts < 0:
-            raise ValueError(
-                f"serve_restarts must be >= 0, got {self.serve_restarts}"
-            )
-        if self.online_ring < 8:
-            raise ValueError(
-                f"online_ring must be >= 8, got {self.online_ring}"
-            )
-        if self.online_sample < 1:
-            raise ValueError(
-                f"online_sample must be >= 1, got {self.online_sample}"
-            )
-        if self.online_drift_window < 8:
-            raise ValueError(
-                f"online_drift_window must be >= 8, "
-                f"got {self.online_drift_window}"
-            )
-        if self.online_drift_threshold <= 0:
-            raise ValueError(
-                f"online_drift_threshold must be > 0, "
-                f"got {self.online_drift_threshold}"
-            )
-        if self.online_interval_s <= 0:
-            raise ValueError(
-                f"online_interval_s must be > 0, "
-                f"got {self.online_interval_s}"
-            )
+        for knob in KNOBS:
+            knob.validate(getattr(self, knob.field))
 
-    # ------------------------------------------------------------------
-    # Typed sub-views. ``functools.cached_property`` writes straight to
-    # the instance ``__dict__``, which bypasses the frozen-dataclass
-    # ``__setattr__`` — so the views are computed once per config and
-    # the config itself stays immutable.
-    # ------------------------------------------------------------------
-    @functools.cached_property
-    def serve(self) -> ServeView:
-        """The serving-daemon knobs, as one typed view."""
-        return ServeView(
-            batch_max=self.serve_batch_max,
-            queue_bound=self.serve_queue_bound,
-            batch_timeout_s=self.serve_batch_timeout_s,
-            breaker_threshold=self.serve_breaker_threshold,
-            breaker_cooldown_s=self.serve_breaker_cooldown_s,
-            checkpoint=self.serve_checkpoint,
-            restarts=self.serve_restarts,
-        )
-
-    @functools.cached_property
-    def faults(self) -> FaultsView:
-        """The resilience / fault-injection knobs, as one typed view."""
-        return FaultsView(
-            spec=self.fault_spec,
-            retries=self.retries,
-            timeout=self.timeout,
-            simcache_verify=self.simcache_verify,
-        )
-
-    @functools.cached_property
-    def online(self) -> OnlineView:
-        """The continual-adaptation knobs, as one typed view."""
-        return OnlineView(
-            enabled=self.online_enabled,
-            ring=self.online_ring,
-            sample=self.online_sample,
-            drift_window=self.online_drift_window,
-            drift_threshold=self.online_drift_threshold,
-            interval_s=self.online_interval_s,
-        )
-
-    # ------------------------------------------------------------------
-    # Construction.
-    # ------------------------------------------------------------------
     @classmethod
-    def from_env(cls) -> "ExecConfig":
-        """Parse every ``REPRO_*`` engine knob into one config.
-
-        Memoized on the raw environment strings, so repeated calls on
-        an unchanged environment are a tuple compare — and a
-        monkeypatched environment (tests) is picked up immediately.
-        Invalid values raise the same per-variable errors the old
-        accessor functions raised.
-        """
+    def from_env(cls) -> ExecConfig:
+        """Every knob from the environment, memoized on the raw
+        strings: an unchanged environment returns the same object."""
         global _FROM_ENV_CACHE
         key = _env_memo_key()
         cached = _FROM_ENV_CACHE
         if cached is not None and cached[0] == key:
             return cached[1]
-        config = cls(
-            backend=_env_backend(),
-            workers=_env_workers(),
-            pool=_env_pool(),
-            arena=_env_flag(EXEC_ARENA_ENV_VAR, "1"),
-            shmres=_env_flag(EXEC_SHMRES_ENV_VAR, "1"),
-            shard=_env_shard(),
-            chunk=_env_chunk(),
-            retries=_env_retries(),
-            timeout=_env_timeout(),
-            simcache_dir=_env_optional(SIMCACHE_DIR_ENV_VAR),
-            simcache_verify=_env_flag(SIMCACHE_VERIFY_ENV_VAR, "1"),
-            fault_spec=_env_optional(FAULT_SPEC_ENV_VAR),
-            cycle_kernel=_env_cycle_kernel(),
-            batch_sim=_env_flag(BATCH_SIM_ENV_VAR, "1"),
-            interval_lru=_env_interval_lru(),
-            trace=_env_trace(),
-            trace_sample=_env_trace_sample(),
-            surrogate=_env_flag(SURROGATE_ENV_VAR, "0"),
-            surrogate_threshold=_env_surrogate_threshold(),
-            surrogate_probes=_env_surrogate_probes(),
-            serve_batch_max=_env_bounded_int(
-                SERVE_BATCH_MAX_ENV_VAR, DEFAULT_SERVE_BATCH_MAX, 1),
-            serve_queue_bound=_env_bounded_int(
-                SERVE_QUEUE_BOUND_ENV_VAR, DEFAULT_SERVE_QUEUE_BOUND, 1),
-            serve_batch_timeout_s=_env_positive_float(
-                SERVE_BATCH_TIMEOUT_ENV_VAR,
-                DEFAULT_SERVE_BATCH_TIMEOUT_S),
-            serve_breaker_threshold=_env_bounded_int(
-                SERVE_BREAKER_THRESHOLD_ENV_VAR,
-                DEFAULT_SERVE_BREAKER_THRESHOLD, 1),
-            serve_breaker_cooldown_s=_env_positive_float(
-                SERVE_BREAKER_COOLDOWN_ENV_VAR,
-                DEFAULT_SERVE_BREAKER_COOLDOWN_S),
-            serve_checkpoint=_env_optional(SERVE_CHECKPOINT_ENV_VAR),
-            serve_restarts=_env_bounded_int(
-                SERVE_RESTARTS_ENV_VAR, DEFAULT_SERVE_RESTARTS, 0),
-            online_enabled=_env_flag(ONLINE_ENV_VAR, "0"),
-            online_ring=_env_bounded_int(
-                ONLINE_RING_ENV_VAR, DEFAULT_ONLINE_RING, 8),
-            online_sample=_env_bounded_int(
-                ONLINE_SAMPLE_ENV_VAR, DEFAULT_ONLINE_SAMPLE, 1),
-            online_drift_window=_env_bounded_int(
-                ONLINE_DRIFT_WINDOW_ENV_VAR,
-                DEFAULT_ONLINE_DRIFT_WINDOW, 8),
-            online_drift_threshold=_env_positive_float(
-                ONLINE_DRIFT_THRESHOLD_ENV_VAR,
-                DEFAULT_ONLINE_DRIFT_THRESHOLD),
-            online_interval_s=_env_positive_float(
-                ONLINE_INTERVAL_ENV_VAR, DEFAULT_ONLINE_INTERVAL_S),
-        )
+        config = cls(**{knob.field: knob.read(os.environ.get(knob.env),
+                                              knob.env) for knob in KNOBS})
         _FROM_ENV_CACHE = (key, config)
         return config
 
     @classmethod
-    def from_cli(cls, args) -> "ExecConfig":
-        """Environment config with CLI flags layered on top.
+    def from_cli(cls, args) -> ExecConfig:
+        """:meth:`from_env` with the flags set in ``args`` on top; a
+        flag's value goes through its knob's parser and bound."""
+        given = [(knob, getattr(args, knob.flag[2:].replace("-", "_"), None))
+                 for knob in KNOBS if knob.flag]
+        updates = {knob.field: knob.read(knob.render(value), knob.flag)
+                   for knob, value in given if value is not None}
+        return dataclasses.replace(cls.from_env(), **updates)
 
-        ``args`` is an ``argparse.Namespace`` (missing attributes are
-        simply ignored, so any subcommand's namespace works). A flag
-        left at its ``None`` default keeps the environment's value.
-        """
-        config = cls.from_env()
-        updates: dict[str, object] = {}
-        for attr, field in (("exec_backend", "backend"),
-                            ("exec_workers", "workers"),
-                            ("exec_chunk", "chunk"),
-                            ("exec_retries", "retries"),
-                            ("exec_shard", "shard"),
-                            ("fault_spec", "fault_spec"),
-                            ("trace", "trace"),
-                            ("surrogate_threshold", "surrogate_threshold"),
-                            ("surrogate_probes", "surrogate_probes"),
-                            ("serve_batch_max", "serve_batch_max"),
-                            ("serve_queue_bound", "serve_queue_bound"),
-                            ("serve_batch_timeout", "serve_batch_timeout_s"),
-                            ("serve_checkpoint", "serve_checkpoint"),
-                            ("serve_restarts", "serve_restarts"),
-                            ("online_ring", "online_ring"),
-                            ("online_sample", "online_sample"),
-                            ("online_drift_window", "online_drift_window"),
-                            ("online_drift_threshold",
-                             "online_drift_threshold"),
-                            ("online_interval_s", "online_interval_s")):
-            value = getattr(args, attr, None)
-            if value is not None:
-                updates[field] = value
-        surrogate = getattr(args, "surrogate", None)
-        if surrogate is not None:
-            updates["surrogate"] = bool(surrogate)
-        online = getattr(args, "online", None)
-        if online is not None:
-            updates["online_enabled"] = bool(online)
-        arena = getattr(args, "exec_arena", None)
-        if arena is not None:
-            updates["arena"] = bool(arena)
-        shmres = getattr(args, "exec_shmres", None)
-        if shmres is not None:
-            updates["shmres"] = bool(shmres)
-        timeout = getattr(args, "exec_timeout", None)
-        if timeout is not None:
-            updates["timeout"] = timeout if timeout > 0 else None
-        return dataclasses.replace(config, **updates) if updates else config
-
-    def replace(self, **changes) -> "ExecConfig":
-        """A copy with the given fields changed."""
-        return dataclasses.replace(self, **changes)
-
-    # ------------------------------------------------------------------
-    # Round-tripping.
-    # ------------------------------------------------------------------
     def to_env(self) -> dict[str, str | None]:
-        """Environment-variable image of this config.
-
-        ``None`` values mean "unset the variable". The mapping
-        round-trips: applying it and calling :meth:`from_env` yields
-        a config equal to this one.
-        """
-        return {
-            EXEC_BACKEND_ENV_VAR: self.backend,
-            EXEC_WORKERS_ENV_VAR:
-                None if self.workers is None else str(self.workers),
-            EXEC_POOL_ENV_VAR: self.pool,
-            EXEC_ARENA_ENV_VAR: "1" if self.arena else "0",
-            EXEC_SHMRES_ENV_VAR: "1" if self.shmres else "0",
-            EXEC_SHARD_ENV_VAR:
-                None if self.shard is None else str(self.shard),
-            EXEC_CHUNK_ENV_VAR:
-                None if self.chunk is None else str(self.chunk),
-            EXEC_RETRIES_ENV_VAR: str(self.retries),
-            EXEC_TIMEOUT_ENV_VAR:
-                None if self.timeout is None else repr(self.timeout),
-            SIMCACHE_DIR_ENV_VAR: self.simcache_dir,
-            SIMCACHE_VERIFY_ENV_VAR: "1" if self.simcache_verify else "0",
-            FAULT_SPEC_ENV_VAR: self.fault_spec,
-            CYCLE_KERNEL_ENV_VAR: self.cycle_kernel,
-            BATCH_SIM_ENV_VAR: "1" if self.batch_sim else "0",
-            INTERVAL_LRU_ENV_VAR: str(self.interval_lru),
-            TRACE_ENV_VAR: self.trace,
-            TRACE_SAMPLE_ENV_VAR: str(self.trace_sample),
-            SURROGATE_ENV_VAR: "1" if self.surrogate else "0",
-            SURROGATE_THRESHOLD_ENV_VAR: repr(self.surrogate_threshold),
-            SURROGATE_PROBES_ENV_VAR: str(self.surrogate_probes),
-            SERVE_BATCH_MAX_ENV_VAR: str(self.serve_batch_max),
-            SERVE_QUEUE_BOUND_ENV_VAR: str(self.serve_queue_bound),
-            SERVE_BATCH_TIMEOUT_ENV_VAR: repr(self.serve_batch_timeout_s),
-            SERVE_BREAKER_THRESHOLD_ENV_VAR:
-                str(self.serve_breaker_threshold),
-            SERVE_BREAKER_COOLDOWN_ENV_VAR:
-                repr(self.serve_breaker_cooldown_s),
-            SERVE_CHECKPOINT_ENV_VAR: self.serve_checkpoint,
-            SERVE_RESTARTS_ENV_VAR: str(self.serve_restarts),
-            ONLINE_ENV_VAR: "1" if self.online_enabled else "0",
-            ONLINE_RING_ENV_VAR: str(self.online_ring),
-            ONLINE_SAMPLE_ENV_VAR: str(self.online_sample),
-            ONLINE_DRIFT_WINDOW_ENV_VAR: str(self.online_drift_window),
-            ONLINE_DRIFT_THRESHOLD_ENV_VAR:
-                repr(self.online_drift_threshold),
-            ONLINE_INTERVAL_ENV_VAR: repr(self.online_interval_s),
-        }
+        """Environment image (None: unset) that round-trips."""
+        return {knob.env: knob.render(getattr(self, knob.field))
+                for knob in KNOBS}
 
     def apply_env(self) -> None:
-        """Write this config into ``os.environ``.
-
-        The one sanctioned way to make a config visible to *process
-        pool workers*, which inherit the environment but not this
-        process's :func:`install_exec_config` state.
-        """
+        """Write this config into ``os.environ``, which process-pool
+        workers inherit."""
         for var, value in self.to_env().items():
             if value is None:
                 os.environ.pop(var, None)
             else:
                 os.environ[var] = value
 
-    # ------------------------------------------------------------------
-    # Scoped installation.
-    # ------------------------------------------------------------------
     @contextlib.contextmanager
     def override(self):
-        """Install this config as the process-local active config for
-        a ``with`` block (the environment is untouched — use
-        :meth:`apply_env` when process-pool workers must see it too).
-        """
-        global _ACTIVE
+        """Make this the active config for a ``with`` block."""
         previous = _ACTIVE
-        _ACTIVE = self
+        install_exec_config(self)
         try:
             yield self
         finally:
-            _ACTIVE = previous
+            install_exec_config(previous)
 
 
 _FROM_ENV_CACHE: tuple[tuple, ExecConfig] | None = None
@@ -997,229 +312,33 @@ def install_exec_config(config: ExecConfig | None) -> None:
     _ACTIVE = config
 
 
-def experiment_scale() -> float:
-    """Return the dataset scale factor from ``REPRO_SCALE`` (default 1.0)."""
-    raw = os.environ.get(SCALE_ENV_VAR, "1.0")
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"{SCALE_ENV_VAR} must be a float, got {raw!r}"
-        ) from exc
-    if value <= 0:
-        raise ValueError(f"{SCALE_ENV_VAR} must be positive, got {value}")
-    return value
-
-
-# ---------------------------------------------------------------------
-# Knob accessors. Each is a deprecated thin shim over the active
-# :class:`ExecConfig`: the environment variables keep working (through
-# ``ExecConfig.from_env``), but new code should read
-# ``active_exec_config().<field>`` directly.
-# ---------------------------------------------------------------------
-def interval_lru_size() -> int:
-    """LRU memo bound from ``REPRO_INTERVAL_LRU`` (default 1024).
-
-    .. deprecated:: read ``active_exec_config().interval_lru``.
-    """
-    return active_exec_config().interval_lru
-
-
-def cycle_kernel() -> str:
-    """Selected cycle-level kernel from ``REPRO_CYCLE_KERNEL``.
-
-    .. deprecated:: read ``active_exec_config().cycle_kernel``.
-    """
-    return active_exec_config().cycle_kernel
-
-
-def batch_sim_enabled() -> bool:
-    """Whether the batch-simulation layer is on (``REPRO_BATCH_SIM``).
-
-    .. deprecated:: read ``active_exec_config().batch_sim``.
-    """
-    return active_exec_config().batch_sim
-
-
-def exec_arena_enabled() -> bool:
-    """Whether the zero-copy trace arena is on (``REPRO_EXEC_ARENA``).
-
-    .. deprecated:: read ``active_exec_config().arena``.
-    """
-    return active_exec_config().arena
-
-
-def exec_shmres_enabled() -> bool:
-    """Whether shared-memory result return is on (``REPRO_EXEC_SHMRES``).
-
-    .. deprecated:: read ``active_exec_config().shmres``.
-    """
-    return active_exec_config().shmres
-
-
-def exec_shard_size() -> int | None:
-    """Corpus shard size from ``REPRO_EXEC_SHARD``, or None for one pass.
-
-    .. deprecated:: read ``active_exec_config().shard``.
-    """
-    return active_exec_config().shard
-
-
-def trace_sample_rate() -> int:
-    """Tracer 1-in-N sampling rate from ``REPRO_TRACE_SAMPLE``.
-
-    .. deprecated:: read ``active_exec_config().trace_sample``.
-    """
-    return active_exec_config().trace_sample
-
-
-def surrogate_enabled() -> bool:
-    """Whether the tier-0 learned surrogate is on (``REPRO_SURROGATE``)."""
-    return active_exec_config().surrogate
-
-
-def surrogate_threshold() -> float:
-    """Confidence-gate disagreement threshold
-    (``REPRO_SURROGATE_THRESHOLD``)."""
-    return active_exec_config().surrogate_threshold
-
-
-def surrogate_probes() -> int:
-    """Probe-corpus size for surrogate training
-    (``REPRO_SURROGATE_PROBES``)."""
-    return active_exec_config().surrogate_probes
-
-
-def serve_batch_max() -> int:
-    """Serving micro-batch bound (``REPRO_SERVE_BATCH_MAX``)."""
-    return active_exec_config().serve_batch_max
-
-
-def serve_queue_bound() -> int:
-    """Serving admission-queue bound (``REPRO_SERVE_QUEUE_BOUND``)."""
-    return active_exec_config().serve_queue_bound
-
-
-def serve_batch_timeout_s() -> float:
-    """In-flight serve batch timeout in s (``REPRO_SERVE_BATCH_TIMEOUT``)."""
-    return active_exec_config().serve_batch_timeout_s
-
-
-def serve_breaker_threshold() -> int:
-    """Breaker failure threshold (``REPRO_SERVE_BREAKER_THRESHOLD``)."""
-    return active_exec_config().serve_breaker_threshold
-
-
-def serve_breaker_cooldown_s() -> float:
-    """Breaker cooldown in s (``REPRO_SERVE_BREAKER_COOLDOWN``)."""
-    return active_exec_config().serve_breaker_cooldown_s
-
-
-def serve_checkpoint_path() -> str | None:
-    """Warm-state checkpoint path (``REPRO_SERVE_CHECKPOINT``), or None."""
-    return active_exec_config().serve_checkpoint
-
-
-def serve_restarts() -> int:
-    """Supervised-restart budget (``REPRO_SERVE_RESTARTS``)."""
-    return active_exec_config().serve_restarts
-
-
-def online_enabled() -> bool:
-    """Whether continual adaptation is on (``REPRO_ONLINE``).
-
-    .. deprecated:: read ``active_exec_config().online.enabled``.
-    """
-    return active_exec_config().online_enabled
-
-
-def exec_chunk_size() -> int | None:
-    """Fixed chunk size from ``REPRO_EXEC_CHUNK``, or None for adaptive.
-
-    .. deprecated:: read ``active_exec_config().chunk``.
-    """
-    return active_exec_config().chunk
-
-
-def exec_retries() -> int:
-    """Chunk retry budget from ``REPRO_EXEC_RETRIES`` (default 2).
-
-    .. deprecated:: read ``active_exec_config().retries``.
-    """
-    return active_exec_config().retries
-
-
-def exec_timeout() -> float | None:
-    """Per-task timeout (s) from ``REPRO_EXEC_TIMEOUT`` (default off).
-
-    .. deprecated:: read ``active_exec_config().timeout``.
-    """
-    return active_exec_config().timeout
-
-
-def simcache_verify_enabled() -> bool:
-    """Whether SimCache verifies checksums (``REPRO_SIMCACHE_VERIFY``).
-
-    .. deprecated:: read ``active_exec_config().simcache_verify``.
-    """
-    return active_exec_config().simcache_verify
-
-
-def exec_pool_persistent() -> bool:
-    """Whether worker pools persist across map calls (``REPRO_EXEC_POOL``).
-
-    .. deprecated:: read ``active_exec_config().pool``.
-    """
-    return active_exec_config().pool == "persistent"
-
-
-def exec_backend() -> str:
-    """Default execution backend from ``REPRO_EXEC_BACKEND``.
-
-    .. deprecated:: read ``active_exec_config().backend``.
-    """
-    return active_exec_config().backend
-
-
-def exec_workers() -> int | None:
-    """Default worker count from ``REPRO_EXEC_WORKERS`` (None: CPU count).
-
-    .. deprecated:: read ``active_exec_config().workers``.
-    """
-    return active_exec_config().workers
-
-
-def simcache_dir() -> str | None:
-    """SimCache directory from ``REPRO_SIMCACHE_DIR`` (None: disabled).
-
-    .. deprecated:: read ``active_exec_config().simcache_dir``.
-    """
-    return active_exec_config().simcache_dir
-
-
-def fault_spec() -> str | None:
-    """Fault-injection spec from ``REPRO_FAULT_SPEC`` (None: disabled).
-
-    .. deprecated:: read ``active_exec_config().fault_spec``.
-    """
-    return active_exec_config().fault_spec
-
-
-def trace_spec() -> str | None:
-    """Trace destination from ``REPRO_TRACE`` (None: tracing off).
-
-    .. deprecated:: read ``active_exec_config().trace``.
-    """
-    return active_exec_config().trace
-
-
-def experiment_seed() -> int:
-    """Return the global experiment seed from ``REPRO_SEED`` (default 7)."""
-    raw = os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{SEED_ENV_VAR} must be an int, got {raw!r}") from exc
+def add_knob_flags(parser, groups: Iterable[str]) -> None:
+    """Add the flag of every knob in ``groups`` to an argparse parser;
+    each defaults to None, "keep the environment's value"."""
+    for knob in KNOBS:
+        if knob.flag is None or knob.group not in groups:
+            continue
+        form = ({} if "action" in knob.cli
+                else dict(_FLAG_FORMS.get(knob.parse, {})))
+        if hasattr(knob.check, "choices"):
+            form["choices"] = list(knob.check.choices)
+        default = Knob.render(knob.default)
+        shown = knob.env if default is None else f"{knob.env} or {default}"
+        parser.add_argument(knob.flag, default=None, **form, **knob.cli,
+                            help=f"{knob.help} (default: {shown})")
+
+
+def render_knob_table() -> str:
+    """README's knob table: one Markdown row per knob."""
+    lines = ["| field | env var | CLI flag | default | meaning |",
+             "|---|---|---|---|---|"]
+    for knob in KNOBS:
+        flag = f"`{knob.flag}`" if knob.flag else "—"
+        default = Knob.render(knob.default)
+        shown = "unset" if default is None else f"`{default}`"
+        lines.append(f"| `{knob.field}` | `{knob.env}` | {flag} | {shown} "
+                     f"| {knob.help} |")
+    return "\n".join(lines)
 
 
 @dataclasses.dataclass(frozen=True)

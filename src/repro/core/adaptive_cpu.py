@@ -17,9 +17,8 @@ import pickle
 
 import numpy as np
 
-from repro.config import DEFAULT_SLA, MachineConfig, SLAConfig
-from repro.config import batch_sim_enabled, exec_arena_enabled
-from repro.config import exec_shard_size
+from repro.config import (DEFAULT_SLA, MachineConfig, SLAConfig,
+                          active_exec_config)
 from repro.core.gating import GatingController
 from repro.core.labels import LabelSet, gating_labels
 from repro.core.predictor import DualModePredictor
@@ -27,7 +26,6 @@ from repro.core.sla import SLAAccounting, sla_window_violations
 from repro.errors import ArenaIntegrityError, DatasetError
 from repro.exec.arena import TraceArena
 from repro.exec.parallel import ParallelMap, default_parallel_map
-from repro.exec.stats import EXEC_STATS
 from repro.obs import METRICS, tracer
 from repro.telemetry.collector import TelemetryCollector, coarsen
 from repro.uarch.modes import Mode
@@ -174,7 +172,7 @@ class AdaptiveCPU:
             arena = TraceArena.build(traces, objects={"cpu": self},
                                      machine=self.machine)
         except (pickle.PicklingError, AttributeError, TypeError):
-            EXEC_STATS.incr("arena.build_fallback")
+            METRICS.incr("arena.build_fallback")
             return None
         self._resident_arena = arena
         return arena
@@ -321,9 +319,10 @@ class AdaptiveCPU:
         runs stay bit-identical to unsharded ones.
         """
         pmap = pmap if pmap is not None else default_parallel_map()
-        if not (batch_sim_enabled() and type(self).run is AdaptiveCPU.run):
+        config = active_exec_config()
+        if not (config.batch_sim and type(self).run is AdaptiveCPU.run):
             return pmap.map(self.run, traces, stage="adaptive_run")
-        shard = exec_shard_size()
+        shard = config.shard
         if shard is not None and len(traces) > shard:
             n_shards = -(-len(traces) // shard)
             out: list[AdaptiveRunResult] = []
@@ -332,7 +331,7 @@ class AdaptiveCPU:
                 with tracer.span("deploy.shard", shard=si,
                                  shards=n_shards, traces=len(sub)):
                     out.extend(self._run_many_batch(sub, pmap))
-                EXEC_STATS.incr("adaptive_run.shards")
+                METRICS.incr("adaptive_run.shards")
             return out
         return self._run_many_batch(traces, pmap)
 
@@ -343,11 +342,11 @@ class AdaptiveCPU:
             preps = self._prepare_many(traces, pmap)
         if not preps:
             return []
-        with EXEC_STATS.stage("adaptive_infer"), \
+        with METRICS.stage("adaptive_infer"), \
                 tracer.span("deploy.infer", traces=len(preps)):
             bounds = np.cumsum([0] + [prep.t_count for prep in preps])
             probs_by_mode = self._infer_many(preps)
-        with EXEC_STATS.stage("adaptive_finalize"), \
+        with METRICS.stage("adaptive_finalize"), \
                 tracer.span("deploy.finalize", traces=len(preps)):
             out = []
             for p, prep in enumerate(preps):
@@ -413,23 +412,23 @@ class AdaptiveCPU:
                 # Serving hot path: the daemon's corpus already lives in
                 # the resident arena, so fan out bare indices — no
                 # per-request arena build or teardown.
-                EXEC_STATS.incr("arena.resident_reuse")
+                METRICS.incr("arena.resident_reuse")
                 fn = functools.partial(_arena_prepare_chunk,
                                        self._resident_arena.handle)
                 try:
                     return pmap.map_chunks(fn, indices,
                                            stage="adaptive_prepare")
                 except ArenaIntegrityError:
-                    EXEC_STATS.incr("arena.attach_fallback")
+                    METRICS.incr("arena.attach_fallback")
                     return pmap.map_chunks(self._prepare_chunk, traces,
                                            stage="adaptive_prepare")
-        if (exec_arena_enabled() and len(traces) > 1
+        if (active_exec_config().arena and len(traces) > 1
                 and pmap.uses_processes(len(traces), "adaptive_prepare")):
             try:
                 arena = TraceArena.build(
                     traces, objects={"cpu": self}, machine=self.machine)
             except (pickle.PicklingError, AttributeError, TypeError):
-                EXEC_STATS.incr("arena.build_fallback")
+                METRICS.incr("arena.build_fallback")
         if arena is None:
             return pmap.map_chunks(self._prepare_chunk, traces,
                                    stage="adaptive_prepare")
@@ -441,7 +440,7 @@ class AdaptiveCPU:
             # A worker found the segment corrupt (or an injected
             # corrupt_arena fault fired): re-run via pickled dispatch,
             # which is bit-identical, just slower.
-            EXEC_STATS.incr("arena.attach_fallback")
+            METRICS.incr("arena.attach_fallback")
             return pmap.map_chunks(self._prepare_chunk, traces,
                                    stage="adaptive_prepare")
         finally:
@@ -469,15 +468,15 @@ class AdaptiveCPU:
                                axis=0)
                 for mode in modes
             ]
-            EXEC_STATS.incr("adaptive_infer.model_calls")
+            METRICS.incr("adaptive_infer.model_calls")
             if len(modes) == 1:
-                EXEC_STATS.observe("adaptive_infer.batch_rows",
+                METRICS.observe("adaptive_infer.batch_rows",
                                    blocks[0].shape[0])
                 probs_by_mode[modes[0]] = self.predictor.predict_proba(
                     blocks[0], modes[0])
                 continue
             stacked = np.concatenate(blocks, axis=0)
-            EXEC_STATS.observe("adaptive_infer.batch_rows",
+            METRICS.observe("adaptive_infer.batch_rows",
                                stacked.shape[0])
             probs = self.predictor.predict_proba(stacked, modes[0])
             rows = blocks[0].shape[0]

@@ -30,7 +30,7 @@ from collections.abc import Callable, Iterable
 import numpy as np
 
 from repro import rng as rng_mod
-from repro.config import DEFAULT_SLA, SLAConfig, exec_arena_enabled
+from repro.config import DEFAULT_SLA, SLAConfig, active_exec_config
 from repro.core.predictor import DualModePredictor
 from repro.data.builders import dataset_from_traces
 from repro.data.dataset import GatingDataset
@@ -38,7 +38,7 @@ from repro.errors import ArenaIntegrityError, ConfigurationError
 from repro.eval.metrics import effective_sla_window, pooled_rsv
 from repro.exec.arena import TraceArena
 from repro.exec.parallel import ParallelMap, default_parallel_map
-from repro.exec.stats import EXEC_STATS
+from repro.obs.metrics import METRICS
 from repro.obs import tracer
 from repro.eval.metrics import pgos as pgos_metric
 from repro.ml.base import Estimator
@@ -265,12 +265,12 @@ def _fit_candidate_grid(factory: Callable[[Mode], Estimator],
     are bit-identical on every path.
     """
     arena = None
-    if (exec_arena_enabled() and len(grid) > 1
+    if (active_exec_config().arena and len(grid) > 1
             and pmap.uses_processes(len(grid), "train_candidates")):
         try:
             arena = _build_train_arena(factory, datasets)
         except (pickle.PicklingError, AttributeError, TypeError):
-            EXEC_STATS.incr("arena.build_fallback")
+            METRICS.incr("arena.build_fallback")
     if arena is not None:
         try:
             return pmap.map(
@@ -283,7 +283,7 @@ def _fit_candidate_grid(factory: Callable[[Mode], Estimator],
         except ArenaIntegrityError:
             # Corrupt/injected-corrupt segment: fall back to pickled
             # dispatch below — bit-identical, just slower.
-            EXEC_STATS.incr("arena.attach_fallback")
+            METRICS.incr("arena.attach_fallback")
         finally:
             arena.close()
     return pmap.map(

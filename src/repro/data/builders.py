@@ -16,10 +16,8 @@ import pickle
 import numpy as np
 
 from repro import rng as rng_mod
-from repro.config import BASE_INTERVAL_INSTRUCTIONS, DEFAULT_SLA, SLAConfig
-from repro.config import batch_sim_enabled, exec_arena_enabled
-from repro.config import exec_shard_size, experiment_scale
-from repro.config import surrogate_enabled
+from repro.config import (BASE_INTERVAL_INSTRUCTIONS, DEFAULT_SLA, SLAConfig,
+                          active_exec_config)
 from repro.core.labels import gating_labels
 from repro.data.dataset import (
     DatasetAssembler,
@@ -30,7 +28,7 @@ from repro.errors import ArenaIntegrityError, DatasetError
 from repro.exec.arena import TraceArena
 from repro.exec.parallel import ParallelMap, default_parallel_map
 from repro.exec.simcache import SimCache, default_simcache
-from repro.exec.stats import EXEC_STATS
+from repro.obs.metrics import METRICS
 from repro.obs import tracer
 from repro.telemetry.collector import TelemetryCollector, coarsen
 from repro.uarch.modes import Mode
@@ -55,7 +53,7 @@ def _sim_tier() -> str:
     the surrogate on can never shadow interval-tier truth (or vice
     versa).
     """
-    return "surrogate" if surrogate_enabled() else "interval"
+    return "surrogate" if active_exec_config().surrogate else "interval"
 
 
 def _build_trace_part(trace: TraceSpec, mode: Mode,
@@ -64,7 +62,7 @@ def _build_trace_part(trace: TraceSpec, mode: Mode,
                       granularity_factor: int,
                       horizon: int) -> GatingDataset:
     """One trace's slice of the supervised dataset (parallel unit)."""
-    if batch_sim_enabled():
+    if active_exec_config().batch_sim:
         # Snapshot and labels each consult their own disk-cache tier
         # (and the simulator's LRU, prewarmed by the chunk's stacked
         # pass, on a miss) — a fully warm build never simulates.
@@ -119,7 +117,7 @@ def _build_trace_chunk(traces: list[TraceSpec], part_fn, mode: Mode,
     def _tkey(trace):
         return (trace.name, trace.seed, trace.n_intervals)
 
-    if simcache is None or not batch_sim_enabled():
+    if simcache is None or not active_exec_config().batch_sim:
         needs_sim = {_tkey(trace) for trace in traces}
     else:
         machine = collector.model.machine
@@ -228,7 +226,7 @@ def _build_mode_dataset(traces, mode, counter_ids, sla, collector,
         if cached is not None:
             return cached
     pmap = pmap if pmap is not None else default_parallel_map()
-    shard = exec_shard_size()
+    shard = active_exec_config().shard
     if shard is not None and len(traces) > shard:
         dataset = _build_sharded(traces, mode, counter_ids, sla,
                                  collector, granularity_factor, horizon,
@@ -251,20 +249,20 @@ def _build_parts(traces, mode, counter_ids, sla, collector,
                                 collector=collector,
                                 granularity_factor=granularity_factor,
                                 horizon=horizon)
-    if not batch_sim_enabled():
+    if not active_exec_config().batch_sim:
         return pmap.map(part_fn, traces, stage="build_dataset")
     # Whole chunks reach each worker, so the interval simulations
     # of a chunk run as one stacked batch pass before the per-trace
     # assembly (which then hits the warm LRU). Process dispatch
     # ships the corpus and collector once via the trace arena.
     arena = None
-    if (exec_arena_enabled() and len(traces) > 1
+    if (active_exec_config().arena and len(traces) > 1
             and pmap.uses_processes(len(traces), "build_dataset")):
         try:
             arena = TraceArena.build(
                 traces, objects={"collector": collector})
         except (pickle.PicklingError, AttributeError, TypeError):
-            EXEC_STATS.incr("arena.build_fallback")
+            METRICS.incr("arena.build_fallback")
     if arena is not None:
         try:
             return pmap.map_chunks(
@@ -277,7 +275,7 @@ def _build_parts(traces, mode, counter_ids, sla, collector,
         except ArenaIntegrityError:
             # Corrupt/injected-corrupt segment: fall back to
             # pickled dispatch below — bit-identical, just slower.
-            EXEC_STATS.incr("arena.attach_fallback")
+            METRICS.incr("arena.attach_fallback")
         finally:
             arena.close()
     return pmap.map_chunks(
@@ -318,7 +316,7 @@ def _build_sharded(traces, mode, counter_ids, sla, collector,
                     tier=_sim_tier())
                 cached = simcache.load_dataset(shard_key)
                 if cached is not None:
-                    EXEC_STATS.incr("build_dataset.shard_cache_hits")
+                    METRICS.incr("build_dataset.shard_cache_hits")
                     assembler.append(cached)
                     continue
             parts = _build_parts(sub, mode, counter_ids, sla, collector,
@@ -330,7 +328,7 @@ def _build_sharded(traces, mode, counter_ids, sla, collector,
             else:
                 for part in parts:
                     assembler.append(part)
-        EXEC_STATS.incr("build_dataset.shards")
+        METRICS.incr("build_dataset.shards")
     return assembler.finish()
 
 
@@ -364,7 +362,7 @@ def hdtr_traces(seed: int,
     each; we default to a few workloads per app, a couple hundred
     10k-instruction intervals each, scaled by ``REPRO_SCALE``.
     """
-    scale = experiment_scale()
+    scale = active_exec_config().scale
     if apps is None:
         apps = hdtr_corpus(seed)
     if workloads_per_app is None:

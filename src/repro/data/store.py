@@ -14,17 +14,15 @@ import os
 
 import numpy as np
 
+from repro.config import active_exec_config
 from repro.data.dataset import GatingDataset
 from repro.errors import DatasetError
 from repro.uarch.modes import Mode
 
-#: Environment variable overriding the cache directory.
-CACHE_ENV_VAR = "REPRO_CACHE_DIR"
-
-
 def cache_dir() -> str:
-    """The dataset cache directory (created on demand)."""
-    path = os.environ.get(CACHE_ENV_VAR)
+    """The dataset cache directory (``REPRO_CACHE_DIR``, created on
+    demand)."""
+    path = active_exec_config().cache_dir
     if path is None:
         path = os.path.join(os.path.expanduser("~"), ".cache",
                             "repro-datasets")

@@ -7,8 +7,9 @@ class ReproError(Exception):
     """Base class for all errors raised by the repro package."""
 
 
-class ConfigurationError(ReproError):
-    """A component was configured with invalid or inconsistent values."""
+class ConfigurationError(ReproError, ValueError):
+    """A component was configured with invalid or inconsistent values
+    (a ``ValueError`` too, so callers catching bad values see it)."""
 
 
 class BudgetExceededError(ReproError):

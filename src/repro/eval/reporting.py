@@ -10,6 +10,8 @@ from __future__ import annotations
 import os
 from collections.abc import Mapping, Sequence
 
+from repro.config import active_exec_config
+
 
 def format_table(title: str, headers: Sequence[str],
                  rows: Sequence[Sequence[object]]) -> str:
@@ -51,13 +53,12 @@ def percent(value: float, digits: int = 1) -> str:
 
 
 def results_dir() -> str:
-    """The directory benchmark outputs are written to."""
-    path = os.environ.get(
-        "REPRO_RESULTS_DIR",
-        os.path.join(os.path.dirname(os.path.dirname(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))))),
-            "benchmarks", "results"),
-    )
+    """The directory benchmark outputs are written to
+    (``REPRO_RESULTS_DIR``)."""
+    path = active_exec_config().results_dir or os.path.join(
+        os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.dirname(os.path.abspath(__file__))))),
+        "benchmarks", "results")
     os.makedirs(path, exist_ok=True)
     return path
 

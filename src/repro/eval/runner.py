@@ -15,14 +15,13 @@ import functools
 
 import numpy as np
 
-from repro.config import (DEFAULT_SLA, SLAConfig, exec_shard_size,
-                          surrogate_enabled)
+from repro.config import DEFAULT_SLA, SLAConfig, active_exec_config
 from repro.core.adaptive_cpu import AdaptiveCPU, AdaptiveRunResult
 from repro.core.predictor import DualModePredictor
 from repro.errors import DatasetError
 from repro.eval.metrics import effective_sla_window, pgos, pooled_rsv
 from repro.exec.parallel import ParallelMap
-from repro.exec.stats import EXEC_STATS
+from repro.obs.metrics import METRICS
 from repro.obs import tracer
 from repro.telemetry.collector import TelemetryCollector
 from repro.uarch.power import PowerModel
@@ -143,12 +142,12 @@ def evaluate_predictor(predictor: DualModePredictor,
     """
     if not traces:
         raise DatasetError("no traces to evaluate")
-    shard = exec_shard_size()
+    shard = active_exec_config().shard
     n_shards = (1 if shard is None or len(traces) <= shard
                 else -(-len(traces) // shard))
     with tracer.span("evaluate.predictor", predictor=predictor.name,
                      traces=len(traces), shards=n_shards,
-                     surrogate=surrogate_enabled()):
+                     surrogate=active_exec_config().surrogate):
         cpu = AdaptiveCPU(predictor, collector=collector, power=power,
                           sla=sla)
         runs = cpu.run_many(traces, pmap=pmap)
@@ -158,7 +157,7 @@ def evaluate_predictor(predictor: DualModePredictor,
         by_app: dict[str, list[AdaptiveRunResult]] = {}
         for run in runs:
             by_app.setdefault(run.app_name, []).append(run)
-        with EXEC_STATS.stage("evaluate_aggregate"):
+        with METRICS.stage("evaluate_aggregate"):
             per_benchmark = tuple(
                 _aggregate_app(app, app_runs, window)
                 for app, app_runs in sorted(by_app.items())

@@ -17,7 +17,7 @@ configurations or folds:
   ndarrays (``REPRO_EXEC_SHMRES`` kill-switch);
 * :class:`~repro.exec.simcache.SimCache` — a content-addressed on-disk
   cache of simulation outputs and built feature matrices;
-* :data:`~repro.exec.stats.EXEC_STATS` — process-wide stage timings,
+* :data:`~repro.obs.metrics.METRICS` — process-wide stage timings,
   cache hit/miss counts, payload bytes, worker utilisation and
   resilience counters, printed by the CLI's ``--exec-report`` flag;
 * :mod:`~repro.exec.faults` — deterministic, seedable fault injection
@@ -40,7 +40,6 @@ from repro.exec.faults import (
     install_fault_plan,
 )
 from repro.exec.parallel import (
-    BACKENDS,
     ParallelMap,
     close_pools,
     configure,
@@ -49,12 +48,8 @@ from repro.exec.parallel import (
 )
 from repro.exec.shmres import ShmChunk
 from repro.exec.simcache import SimCache, default_simcache
-from repro.exec.stats import EXEC_STATS, ExecStats
 
 __all__ = [
-    "BACKENDS",
-    "EXEC_STATS",
-    "ExecStats",
     "FaultPlan",
     "ParallelMap",
     "ShmChunk",

@@ -64,7 +64,7 @@ import numpy as np
 
 from repro.errors import ArenaIntegrityError
 from repro.exec import faults
-from repro.exec.stats import EXEC_STATS
+from repro.obs.metrics import METRICS
 from repro.obs import tracer
 
 #: File magic identifying an arena segment.
@@ -220,9 +220,9 @@ class TraceArena:
         with _ATTACH_LOCK:
             _cache_put(path, arena)
         total = data_start + offset
-        EXEC_STATS.incr("arena.builds")
-        EXEC_STATS.incr("arena.bytes", total)
-        EXEC_STATS.add_time("arena_build", time.perf_counter() - start)
+        METRICS.incr("arena.builds")
+        METRICS.incr("arena.bytes", total)
+        METRICS.add_time("arena_build", time.perf_counter() - start)
         return arena
 
     @classmethod
@@ -297,14 +297,14 @@ class TraceArena:
             arena = _ATTACHED.get(handle)
             if arena is not None and not arena._closed:
                 _ATTACHED.move_to_end(handle)
-                EXEC_STATS.incr("arena.attach_hit")
+                METRICS.incr("arena.attach_hit")
                 return arena
         start = time.perf_counter()
         arena = cls._open(handle, owner=False)
         with _ATTACH_LOCK:
             _cache_put(handle, arena)
-        EXEC_STATS.incr("arena.attach_miss")
-        EXEC_STATS.add_time("arena_attach", time.perf_counter() - start)
+        METRICS.incr("arena.attach_miss")
+        METRICS.add_time("arena_attach", time.perf_counter() - start)
         return arena
 
     # ------------------------------------------------------------------

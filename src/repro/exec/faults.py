@@ -81,10 +81,9 @@ import os
 import threading
 import time
 
-from repro import config as config_mod
-from repro.config import FAULT_SPEC_ENV_VAR
+from repro.config import active_exec_config
 from repro.errors import ConfigurationError
-from repro.exec.stats import EXEC_STATS
+from repro.obs.metrics import METRICS
 
 #: Recognised fault kinds (each is a rate field of :class:`FaultPlan`).
 FAULT_KINDS = ("crash", "hang", "payload", "corrupt_cache",
@@ -230,16 +229,16 @@ def install_fault_plan(plan: FaultPlan | None) -> None:
 def active_plan() -> FaultPlan | None:
     """The installed plan, else the config-driven plan, else ``None``.
 
-    The spec string comes from :func:`repro.config.fault_spec` (the
-    ``REPRO_FAULT_SPEC`` knob on :class:`~repro.config.ExecConfig`),
-    so scoped ``ExecConfig.override(...)`` blocks can inject faults
-    without mutating the environment. The parse is memoised per spec.
+    The spec string is the active config's ``fault_spec`` (the
+    ``REPRO_FAULT_SPEC`` knob), so scoped ``ExecConfig.override(...)``
+    blocks can inject faults without mutating the environment. The
+    parse is memoised per spec.
     """
     global _ENV_CACHE
     with _LOCK:
         if _INSTALLED is not None:
             return _INSTALLED
-        raw = config_mod.fault_spec()
+        raw = active_exec_config().fault_spec
         if not raw:
             return None
         if _ENV_CACHE is None or _ENV_CACHE[0] != raw:
@@ -277,7 +276,7 @@ def should_inject(kind: str, key: str,
             _OCCURRENCES[(kind, key)] = occurrence + 1
     fired = plan.fires(kind, key, occurrence)
     if fired:
-        EXEC_STATS.incr(f"faults.injected.{kind}")
+        METRICS.incr(f"faults.injected.{kind}")
     return fired
 
 

@@ -13,7 +13,7 @@ Design points:
 * **Chunked dispatch** — items are grouped into contiguous chunks to
   amortise task submission and pickling overhead; chunk results are
   reassembled by index, never by completion order. Chunk size is
-  adaptive: when :data:`~repro.exec.stats.EXEC_STATS` has seen the
+  adaptive: when :data:`~repro.obs.metrics.METRICS` has seen the
   stage before, chunks are sized from the observed per-item cost to
   hit a target task duration; otherwise ~4 chunks per worker.
 * **Persistent pools** — worker pools are created lazily, keyed by
@@ -43,7 +43,7 @@ Design points:
   the retry budget is exhausted the final rung is a serial re-run —
   the same ladder (process → thread → serial) as pool-startup and
   pickling failures, every step recorded in
-  :data:`~repro.exec.stats.EXEC_STATS` (``parallel.retries``,
+  :data:`~repro.obs.metrics.METRICS` (``parallel.retries``,
   ``parallel.timeouts``, ``parallel.pool_rebuild``,
   ``parallel.degrade_thread``, ``parallel.fallback_serial``). Only
   hung tasks that time out on *every* retry surface an error — the
@@ -78,8 +78,8 @@ from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro import config as config_mod
 from repro import rng as rng_mod
+from repro.config import KNOB, active_exec_config
 from repro.errors import (
     ConfigurationError,
     ResultIntegrityError,
@@ -90,19 +90,6 @@ from repro.exec import faults
 from repro.exec import shmres
 from repro.obs import tracer
 from repro.obs.metrics import METRICS
-from repro.exec.stats import EXEC_STATS
-
-#: Environment variable selecting the default backend (read through
-#: :meth:`repro.config.ExecConfig.from_env`).
-BACKEND_ENV_VAR = config_mod.EXEC_BACKEND_ENV_VAR
-
-#: Environment variable selecting the default worker count (read
-#: through :meth:`repro.config.ExecConfig.from_env`).
-WORKERS_ENV_VAR = config_mod.EXEC_WORKERS_ENV_VAR
-
-#: Recognised backends, in increasing isolation order; ``auto`` probes
-#: and picks between ``serial`` and ``process`` per call.
-BACKENDS = config_mod.EXEC_BACKENDS
 
 #: ``auto`` only fans out when the estimated total work for a map call
 #: is at least this many seconds — below it, pool submission overhead
@@ -169,7 +156,7 @@ def _get_pool(backend: str,
     with _POOL_LOCK:
         pool = _POOLS.get(key)
         if pool is not None:
-            EXEC_STATS.incr("parallel.pool_reuse")
+            METRICS.incr("parallel.pool_reuse")
             return pool
         start = time.perf_counter()
         if backend == "thread":
@@ -179,9 +166,9 @@ def _get_pool(backend: str,
             pool = concurrent.futures.ProcessPoolExecutor(
                 max_workers=n_workers, initializer=_pool_worker_init)
         _POOLS[key] = pool
-        EXEC_STATS.incr("parallel.pool_create")
+        METRICS.incr("parallel.pool_create")
         METRICS.gauge_add("parallel.pools_open", 1)
-        EXEC_STATS.add_time("pool_create", time.perf_counter() - start)
+        METRICS.add_time("pool_create", time.perf_counter() - start)
         return pool
 
 
@@ -219,8 +206,8 @@ def close_pools() -> None:
         except Exception:
             # A pool whose manager thread already died can raise on a
             # second shutdown; nothing is left to reclaim from it.
-            EXEC_STATS.incr("parallel.pool_close_error")
-        EXEC_STATS.incr("parallel.pool_close")
+            METRICS.incr("parallel.pool_close_error")
+        METRICS.incr("parallel.pool_close")
         METRICS.gauge_add("parallel.pools_open", -1)
 
 
@@ -350,38 +337,18 @@ class ParallelMap:
                  persistent: bool | None = None,
                  retries: int | None = None,
                  timeout: float | None = None) -> None:
-        if backend is None:
-            backend = config_mod.exec_backend()
-        if backend not in BACKENDS:
-            raise ConfigurationError(
-                f"unknown exec backend {backend!r}; expected one of "
-                f"{BACKENDS}"
-            )
+        config = active_exec_config()
         if n_workers is None:
-            n_workers = config_mod.exec_workers() or (os.cpu_count() or 1)
-        if n_workers < 1:
-            raise ConfigurationError(
-                f"n_workers must be >= 1, got {n_workers}"
-            )
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1, got {chunk_size}"
-            )
-        if retries is not None and retries < 0:
-            raise ConfigurationError(
-                f"retries must be >= 0, got {retries}"
-            )
-        if timeout is not None and timeout <= 0:
-            raise ConfigurationError(
-                f"timeout must be > 0, got {timeout}"
-            )
-        self.backend = backend
-        self.n_workers = n_workers
-        self.chunk_size = chunk_size
+            n_workers = config.workers or os.cpu_count() or 1
+        # Explicit arguments pass the same bounds as their knobs.
+        self.backend = KNOB["backend"].validate(
+            config.backend if backend is None else backend)
+        self.n_workers = KNOB["workers"].validate(n_workers, "n_workers")
+        self.chunk_size = KNOB["chunk"].validate(chunk_size, "chunk_size")
         self.seed = seed
         self.persistent = persistent
-        self.retries = retries
-        self.timeout = timeout
+        self.retries = KNOB["retries"].validate(retries)
+        self.timeout = KNOB["timeout"].validate(timeout)
 
     # ------------------------------------------------------------------
     # Adaptive dispatch.
@@ -400,7 +367,7 @@ class ParallelMap:
         if (n_items <= 1 or self.n_workers <= 1
                 or (os.cpu_count() or 1) <= 1):
             return "serial"
-        cost = EXEC_STATS.per_item_cost(stage)
+        cost = METRICS.per_item_cost(stage)
         if cost is None:
             return "probe"
         return "process" if cost * n_items >= AUTO_MIN_PARALLEL_S \
@@ -421,7 +388,7 @@ class ParallelMap:
     def _persistent(self) -> bool:
         if self.persistent is not None:
             return self.persistent
-        return config_mod.exec_pool_persistent()
+        return active_exec_config().pool == "persistent"
 
     def _acquire_pool(self, backend: str) -> concurrent.futures.Executor:
         if self._persistent():
@@ -438,7 +405,7 @@ class ParallelMap:
                       broken: bool) -> None:
         if not self._persistent():
             pool.shutdown(wait=True, cancel_futures=broken)
-            EXEC_STATS.incr("parallel.pool_close")
+            METRICS.incr("parallel.pool_close")
             METRICS.gauge_add("parallel.pools_open", -1)
         elif broken:
             _discard_pool(backend, self.n_workers, pool)
@@ -459,19 +426,19 @@ class ParallelMap:
                 f"injected unpicklable payload in stage {stage!r}"
             )
         blob = pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)
-        EXEC_STATS.incr(f"{stage}.payload_bytes", len(blob))
-        EXEC_STATS.incr(f"{stage}.payload_tasks", 1)
-        EXEC_STATS.incr(f"{stage}.payload_tasks_total", n_tasks)
+        METRICS.incr(f"{stage}.payload_bytes", len(blob))
+        METRICS.incr(f"{stage}.payload_tasks", 1)
+        METRICS.incr(f"{stage}.payload_tasks_total", n_tasks)
 
     def _retries(self) -> int:
         if self.retries is not None:
             return self.retries
-        return config_mod.exec_retries()
+        return active_exec_config().retries
 
     def _timeout(self) -> float | None:
         if self.timeout is not None:
             return self.timeout
-        return config_mod.exec_timeout()
+        return active_exec_config().timeout
 
     # ------------------------------------------------------------------
     def _chunks(self, indexed: list[tuple[int, object]], stage: str,
@@ -479,9 +446,9 @@ class ParallelMap:
         """Contiguous chunks sized to keep every worker busy."""
         size = self.chunk_size
         if size is None:
-            size = config_mod.exec_chunk_size()
+            size = active_exec_config().chunk
         if size is None:
-            cost = EXEC_STATS.per_item_cost(stage)
+            cost = METRICS.per_item_cost(stage)
             if cost is not None and cost > 0.0:
                 # Target ~TARGET_CHUNK_S of work per task, but never
                 # fewer chunks than workers.
@@ -567,7 +534,7 @@ class ParallelMap:
                                         sampled = True
                                     payload = shmres.decode(payload, stage)
                             except concurrent.futures.TimeoutError as exc:
-                                EXEC_STATS.incr("parallel.timeouts")
+                                METRICS.incr("parallel.timeouts")
                                 broken = True  # hung worker poisons the pool
                                 failure = WorkerTimeoutError(
                                     f"task in stage {stage!r} exceeded "
@@ -578,7 +545,7 @@ class ParallelMap:
                             except ResultIntegrityError as exc:
                                 # Quarantine shm return for this call;
                                 # pending chunks retry pickled.
-                                EXEC_STATS.incr("shmres.quarantine")
+                                METRICS.incr("shmres.quarantine")
                                 spool = None
                                 failure = exc
                                 break
@@ -607,16 +574,16 @@ class ParallelMap:
                 if attempt >= retries:
                     raise failure
                 attempt += 1
-                EXEC_STATS.incr("parallel.retries")
+                METRICS.incr("parallel.retries")
                 time.sleep(min(BACKOFF_MAX_S,
                                BACKOFF_BASE_S * 2 ** (attempt - 1)))
                 if broken and current == "process":
                     if not rebuilt:
                         rebuilt = True
-                        EXEC_STATS.incr("parallel.pool_rebuild")
+                        METRICS.incr("parallel.pool_rebuild")
                     else:
                         current = "thread"
-                        EXEC_STATS.incr("parallel.degrade_thread")
+                        METRICS.incr("parallel.degrade_thread")
         finally:
             shmres.close_call_spool(spool_dir)
 
@@ -644,7 +611,7 @@ class ParallelMap:
         """Apply ``fn`` to every item; results are in input order.
 
         ``stage`` names the entry under which wall/busy time is
-        recorded in :data:`~repro.exec.stats.EXEC_STATS`.
+        recorded in :data:`~repro.obs.metrics.METRICS`.
         """
         indexed = list(enumerate(items))
         start = time.perf_counter()
@@ -661,7 +628,7 @@ class ParallelMap:
                 busy += probe_busy
                 indexed = indexed[1:]
                 backend = self._decide_from_probe(probe_busy, len(indexed))
-                EXEC_STATS.incr("parallel.auto_probe")
+                METRICS.incr("parallel.auto_probe")
             if (backend == "serial" or self.n_workers <= 1
                     or len(indexed) <= 1):
                 rest, rest_busy, _ = _run_chunk(fn, indexed, self.seed)
@@ -674,15 +641,15 @@ class ParallelMap:
                     results.extend(rest)
                     busy += rest_busy
                 except _FALLBACK_ERRORS:
-                    EXEC_STATS.incr("parallel.fallback_serial")
+                    METRICS.incr("parallel.fallback_serial")
                     serial_start = time.perf_counter()
                     rest, _, _ = _run_chunk(fn, indexed, self.seed)
                     results.extend(rest)
                     busy += time.perf_counter() - serial_start
             sp.set(backend=backend, workers=effective_workers)
-        EXEC_STATS.add_time(stage, time.perf_counter() - start, busy,
+        METRICS.add_time(stage, time.perf_counter() - start, busy,
                             workers=effective_workers)
-        EXEC_STATS.incr(f"{stage}.items", len(results))
+        METRICS.incr(f"{stage}.items", len(results))
         return results
 
     def map_chunks(self, fn: Callable[[list], list], items: Iterable,
@@ -717,7 +684,7 @@ class ParallelMap:
                 items = items[1:]
                 first_index = 1
                 backend = self._decide_from_probe(probe_busy, len(items))
-                EXEC_STATS.incr("parallel.auto_probe")
+                METRICS.incr("parallel.auto_probe")
             if not items:
                 pass
             elif (backend == "serial" or self.n_workers <= 1
@@ -736,7 +703,7 @@ class ParallelMap:
                     results.extend(rest)
                     busy += rest_busy
                 except _FALLBACK_ERRORS:
-                    EXEC_STATS.incr("parallel.fallback_serial")
+                    METRICS.incr("parallel.fallback_serial")
                     serial_start = time.perf_counter()
                     rest, _, _ = _run_batch(
                         fn, first_index, items, self.seed)
@@ -748,9 +715,9 @@ class ParallelMap:
                 f"map_chunks fn returned {len(results)} results for "
                 f"{n_items} items"
             )
-        EXEC_STATS.add_time(stage, time.perf_counter() - start, busy,
+        METRICS.add_time(stage, time.perf_counter() - start, busy,
                             workers=effective_workers)
-        EXEC_STATS.incr(f"{stage}.items", n_items)
+        METRICS.incr(f"{stage}.items", n_items)
         return results
 
     def _map_chunk_pool(self, fn: Callable[[list], list],

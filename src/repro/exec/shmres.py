@@ -64,10 +64,10 @@ import zlib
 
 import numpy as np
 
-from repro import config as config_mod
+from repro.config import active_exec_config
 from repro.errors import ResultIntegrityError
 from repro.exec import faults
-from repro.exec.stats import EXEC_STATS
+from repro.obs.metrics import METRICS
 
 #: File magic identifying a result segment.
 MAGIC = b"RPRSHMRS"
@@ -109,7 +109,7 @@ def enabled(backend: str) -> bool:
     Only the process backend crosses an IPC boundary; thread and
     serial execution return results by reference and never encode.
     """
-    return backend == "process" and config_mod.exec_shmres_enabled()
+    return backend == "process" and active_exec_config().shmres
 
 
 @dataclasses.dataclass(frozen=True)
@@ -233,8 +233,8 @@ def encode(results, spool: str):
     if pickler.writer is None:
         return results
     seg_bytes = pickler.writer.finish()
-    EXEC_STATS.incr("shmres.segments")
-    EXEC_STATS.incr("shmres.segment_bytes", seg_bytes)
+    METRICS.incr("shmres.segments")
+    METRICS.incr("shmres.segment_bytes", seg_bytes)
     return ShmChunk(handle=pickler.writer.path, blob=buf.getvalue(),
                     n_blocks=pickler.writer.n_blocks,
                     seg_bytes=seg_bytes)
@@ -361,7 +361,7 @@ def decode(payload, stage: str | None = None):
             ) from exc
     finally:
         _unlink(payload.handle)
-    EXEC_STATS.incr("shmres.decodes")
+    METRICS.incr("shmres.decodes")
     return results
 
 
@@ -382,8 +382,8 @@ def record_result_sample(stage: str, payload) -> None:
                                       protocol=pickle.HIGHEST_PROTOCOL))
         except Exception:
             return
-    EXEC_STATS.incr(f"{stage}.result_bytes", nbytes)
-    EXEC_STATS.incr(f"{stage}.result_tasks", 1)
+    METRICS.incr(f"{stage}.result_bytes", nbytes)
+    METRICS.incr(f"{stage}.result_tasks", 1)
 
 
 # ---------------------------------------------------------------------
@@ -417,7 +417,7 @@ def close_call_spool(spool: str | None) -> int:
     except OSError:
         return 0
     if orphans:
-        EXEC_STATS.incr("shmres.reclaimed", orphans)
+        METRICS.incr("shmres.reclaimed", orphans)
     shutil.rmtree(spool, ignore_errors=True)
     return orphans
 

@@ -46,19 +46,15 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import config as config_mod
+from repro.config import active_exec_config
 from repro.errors import CacheCorruptionError
 from repro.exec import faults
-from repro.exec.stats import EXEC_STATS
+from repro.obs.metrics import METRICS
 
 #: Bump when simulator numerics or storage layout change: old entries
 #: stop being addressable and are naturally evicted by disuse.
 #: (2: per-entry ``__digest__`` checksum became mandatory.)
 SCHEMA_VERSION = 2
-
-#: Environment variable enabling the cache at a directory (alias of
-#: :data:`repro.config.SIMCACHE_DIR_ENV_VAR`; kept for import compat).
-SIMCACHE_ENV_VAR = config_mod.SIMCACHE_DIR_ENV_VAR
 
 
 def _flip_byte(path: Path) -> None:
@@ -225,11 +221,11 @@ class SimCache:
                 np.savez(fh, __meta__=np.array(json.dumps(meta)),
                          __digest__=np.array(digest), **payload)
             os.replace(tmp, path)
-            EXEC_STATS.incr("simcache.bytes_written",
+            METRICS.incr("simcache.bytes_written",
                             path.stat().st_size)
         finally:
             tmp.unlink(missing_ok=True)
-        EXEC_STATS.incr("simcache.store")
+        METRICS.incr("simcache.store")
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt entry aside so it is recomputed, not trusted.
@@ -246,21 +242,21 @@ class SimCache:
             # A concurrent reader may have quarantined it first; as
             # long as the entry is gone from the live tree we are done.
             path.unlink(missing_ok=True)
-        EXEC_STATS.incr("simcache.quarantine")
+        METRICS.incr("simcache.quarantine")
 
     def _read(self, key: str) -> tuple[dict, dict] | None:
         path = self._path(key)
         if faults.should_inject("corrupt_cache", key) and path.exists():
             _flip_byte(path)
         if not path.exists():
-            EXEC_STATS.incr("simcache.miss")
+            METRICS.incr("simcache.miss")
             return None
         try:
             with np.load(path, allow_pickle=False) as data:
                 meta = json.loads(str(data["__meta__"]))
                 payload = {name: data[name] for name in data.files
                            if name not in ("__meta__", "__digest__")}
-                if config_mod.simcache_verify_enabled():
+                if active_exec_config().simcache_verify:
                     stored = (str(data["__digest__"])
                               if "__digest__" in data.files else None)
                     expected = self._entry_digest(payload, meta)
@@ -280,9 +276,9 @@ class SimCache:
             # else (a genuine bug) propagates.
             del exc
             self._quarantine(path)
-            EXEC_STATS.incr("simcache.miss")
+            METRICS.incr("simcache.miss")
             return None
-        EXEC_STATS.incr("simcache.hit")
+        METRICS.incr("simcache.hit")
         return payload, meta
 
     def evict(self, key: str) -> None:
@@ -470,11 +466,11 @@ class SimCache:
 def default_simcache() -> SimCache | None:
     """Config-driven cache: ``REPRO_SIMCACHE_DIR`` names the directory.
 
-    Reads through :func:`repro.config.simcache_dir`, so an installed
+    Reads the active config, so an installed
     :class:`~repro.config.ExecConfig` override wins over the raw
     environment variable.
     """
-    root = config_mod.simcache_dir()
+    root = active_exec_config().simcache_dir
     if not root:
         return None
     return SimCache(root)

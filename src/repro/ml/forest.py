@@ -16,7 +16,7 @@ import pickle
 import numpy as np
 
 from repro import rng as rng_mod
-from repro.config import exec_arena_enabled
+from repro.config import active_exec_config
 from repro.errors import (
     ArenaIntegrityError,
     ConfigurationError,
@@ -24,7 +24,7 @@ from repro.errors import (
 )
 from repro.exec.arena import TraceArena
 from repro.exec.parallel import default_parallel_map
-from repro.exec.stats import EXEC_STATS
+from repro.obs.metrics import METRICS
 from repro.ml.base import Estimator, check_xy
 from repro.ml.tree import DecisionTreeClassifier, cached_node_table
 
@@ -96,7 +96,7 @@ class RandomForestClassifier(Estimator):
                  for t in range(self.n_trees)]
         pmap = default_parallel_map()
         arena = None
-        if (exec_arena_enabled() and self.n_trees > 1
+        if (active_exec_config().arena and self.n_trees > 1
                 and pmap.uses_processes(self.n_trees, "forest_fit")):
             try:
                 arena = TraceArena.build(
@@ -109,7 +109,7 @@ class RandomForestClassifier(Estimator):
                         "max_features": self.max_features,
                     }})
             except (pickle.PicklingError, AttributeError, TypeError):
-                EXEC_STATS.incr("arena.build_fallback")
+                METRICS.incr("arena.build_fallback")
         self.trees_ = None
         if arena is not None:
             try:
@@ -119,7 +119,7 @@ class RandomForestClassifier(Estimator):
             except ArenaIntegrityError:
                 # Corrupt/injected-corrupt segment: fall back to
                 # pickled dispatch below — bit-identical, just slower.
-                EXEC_STATS.incr("arena.attach_fallback")
+                METRICS.incr("arena.attach_fallback")
             finally:
                 arena.close()
         if self.trees_ is None:

@@ -17,12 +17,11 @@ from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.config import (exec_arena_enabled, exec_shard_size,
-                          surrogate_enabled)
+from repro.config import active_exec_config
 from repro.errors import ArenaIntegrityError, DatasetError
 from repro.exec.arena import TraceArena
 from repro.exec.parallel import ParallelMap, default_parallel_map
-from repro.exec.stats import EXEC_STATS
+from repro.obs.metrics import METRICS
 from repro.obs import tracer
 from repro.ml.base import Estimator
 from repro.ml.crossval import Fold
@@ -137,7 +136,8 @@ def screen_configs(model_factory: Callable[[Mapping[str, object]], Estimator],
     pmap = pmap if pmap is not None else default_parallel_map()
     grid = [(config, fold) for config in configs for fold in folds]
     with tracer.span("screen_configs", configs=len(configs),
-                     folds=len(folds), surrogate=surrogate_enabled()):
+                     folds=len(folds),
+                     surrogate=active_exec_config().surrogate):
         return _screen_grid(model_factory, configs, x, y, folds,
                             metric_fns, threshold_tuner, pmap, grid)
 
@@ -153,7 +153,7 @@ def _screen_grid(model_factory, configs, x, y, folds, metric_fns,
     sharded screening is bit-identical to the single-pass map.
     """
     arena = None
-    if (exec_arena_enabled() and len(grid) > 1
+    if (active_exec_config().arena and len(grid) > 1
             and pmap.uses_processes(len(grid), "hyperscreen")):
         try:
             arena = TraceArena.build(
@@ -162,7 +162,7 @@ def _screen_grid(model_factory, configs, x, y, folds, metric_fns,
                          "metric_fns": dict(metric_fns),
                          "threshold_tuner": threshold_tuner})
         except (pickle.PicklingError, AttributeError, TypeError):
-            EXEC_STATS.incr("arena.build_fallback")
+            METRICS.incr("arena.build_fallback")
     use_arena = arena is not None
 
     def _map_cells(sub):
@@ -175,7 +175,7 @@ def _screen_grid(model_factory, configs, x, y, folds, metric_fns,
             except ArenaIntegrityError:
                 # Corrupt/injected-corrupt segment: fall back to
                 # pickled dispatch — bit-identical, just slower.
-                EXEC_STATS.incr("arena.attach_fallback")
+                METRICS.incr("arena.attach_fallback")
                 use_arena = False
         return pmap.map(
             functools.partial(_screen_cell, model_factory=model_factory,
@@ -184,7 +184,7 @@ def _screen_grid(model_factory, configs, x, y, folds, metric_fns,
             sub, stage="hyperscreen")
 
     try:
-        shard = exec_shard_size()
+        shard = active_exec_config().shard
         if shard is None or len(grid) <= shard:
             cells = _map_cells(grid)
         else:
@@ -195,7 +195,7 @@ def _screen_grid(model_factory, configs, x, y, folds, metric_fns,
                 with tracer.span("screen_configs.shard", shard=si,
                                  shards=n_shards, cells=len(sub)):
                     cells.extend(_map_cells(sub))
-                EXEC_STATS.incr("hyperscreen.shards")
+                METRICS.incr("hyperscreen.shards")
     finally:
         if arena is not None:
             arena.close()

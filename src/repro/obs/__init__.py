@@ -5,9 +5,8 @@ package (``repro.obs`` never imports ``repro.exec``; the execution
 engine imports *us*):
 
 * :mod:`repro.obs.metrics` — the process-wide :data:`METRICS`
-  registry (counters, gauges, histograms, stage timings). Successor
-  of the old ``repro.exec.stats.ExecStats``; worker-side observations
-  are shipped back through chunk-result sidecars and merged here.
+  registry (counters, gauges, histograms, stage timings); worker-side
+  observations ship back through chunk-result sidecars and merge here.
 * :mod:`repro.obs.tracer` — hierarchical :func:`trace`/:func:`span`
   context managers writing a structured JSON trace file per run,
   gated by ``REPRO_TRACE`` with a no-op singleton fast path when off.

@@ -1,18 +1,13 @@
 """Run-metrics registry: counters, gauges, histograms, stage timings.
 
-This is the successor of the old ``repro.exec.stats.ExecStats``
-registry, promoted out of the execution engine so every layer (uarch
-kernels, data builders, ML training, the CLI) can report into one
-process-wide sink without importing ``repro.exec``. The legacy names —
-``EXEC_STATS``, ``ExecStats`` — remain importable from
-``repro.exec.stats`` as aliases of this module's :data:`METRICS` /
-:class:`Metrics`.
+It lives outside the execution engine so every layer (uarch kernels,
+data builders, ML training, the CLI) can report into one process-wide
+sink, :data:`METRICS`, without importing ``repro.exec``.
 
 Four instrument kinds:
 
 * **stage timings** — :meth:`Metrics.add_time` / :meth:`Metrics.stage`
-  accumulate per-stage wall/busy seconds and worker capacity, exactly
-  as ``ExecStats`` always did.
+  accumulate per-stage wall/busy seconds and worker capacity.
 * **counters** — monotonically increasing event counts
   (:meth:`Metrics.incr`).
 * **gauges** — instantaneous levels that can go up *and* down

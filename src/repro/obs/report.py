@@ -1,7 +1,7 @@
 """The ``--obs-report`` renderer: one profiling story per run.
 
 Where :meth:`repro.obs.metrics.Metrics.report` dumps every raw
-instrument (the legacy ``--exec-report`` text), this module renders
+instrument (the plain ``--exec-report`` text), this module renders
 the *derived* profile an operator actually reads: per-stage wall time
 with throughput (items/s), cache effectiveness, arena payload
 economics, worker-pool health, resilience events and model-inference
@@ -123,9 +123,6 @@ def render_report(metrics: Metrics | None = None) -> str:
         if serve_resilience:
             lines.append(
                 f"  serve resilience: {', '.join(serve_resilience)}")
-        legacy = snap["counters"].get("serve.legacy_frames")
-        if legacy:
-            lines.append(f"  legacy (schema-1) frames: {legacy}")
 
     memo_hits = snap["counters"].get("adaptive_prepare.resident_hit", 0)
     memo_misses = snap["counters"].get("adaptive_prepare.resident_miss", 0)

@@ -58,15 +58,15 @@ import os
 import threading
 import time
 
+from repro.config import KNOB
+from repro.errors import ConfigurationError
 from repro.obs.metrics import METRICS
 
 #: Version stamped into (and required of) every trace document.
 OBS_SCHEMA_VERSION = 1
 
-#: Environment variable gating the tracer (kept in sync with
-#: :data:`repro.config.TRACE_ENV_VAR`; duplicated literally so the
-#: tracer has zero repro imports beyond :mod:`repro.obs.metrics`).
-TRACE_ENV_VAR = "REPRO_TRACE"
+#: The knobs gating the tracer and setting its sampling rate.
+_TRACE, _SAMPLE = KNOB["trace"], KNOB["trace_sample"]
 
 #: Where ``REPRO_TRACE=1`` writes the trace when no path is given.
 DEFAULT_TRACE_PATH = "repro_trace.json"
@@ -77,16 +77,6 @@ DEFAULT_TRACE_PATH = "repro_trace.json"
 #: (``REPRO_TRACE_SAMPLE``) so long sweeps keep a representative tail
 #: instead of a truncated head.
 MAX_SPANS = 200_000
-
-#: Environment variable selecting the 1-in-N sampling rate applied
-#: above the half-full threshold (kept in sync with
-#: :data:`repro.config.TRACE_SAMPLE_ENV_VAR`; duplicated literally so
-#: the tracer keeps zero repro imports). ``1`` disables sampling and
-#: restores the pure drop-at-cap behaviour.
-TRACE_SAMPLE_ENV_VAR = "REPRO_TRACE_SAMPLE"
-
-#: Default sampling rate (keep every 8th span above the threshold).
-DEFAULT_SAMPLE_RATE = 8
 
 #: Keys every span record must carry (schema validation).
 _SPAN_KEYS = ("name", "id", "parent", "pid", "tid", "start_s", "dur_s",
@@ -106,37 +96,32 @@ _NEXT_ID = 0
 _LAST_TRACE_PATH: str | None = None
 
 
-def _env_spec() -> str | None:
+def _spec_from_env() -> str | None:
     """Trace destination from the environment, or None when disabled."""
-    raw = os.environ.get(TRACE_ENV_VAR)
-    if raw is None or raw in ("", "0"):
-        return None
-    return DEFAULT_TRACE_PATH if raw == "1" else raw
+    spec = _TRACE.read(os.environ.get(_TRACE.env), _TRACE.env)
+    return DEFAULT_TRACE_PATH if spec == "1" else spec
 
 
-def _env_sample_rate() -> int:
-    """Sampling rate from the environment (lenient: bad values fall
-    back to the default here; :meth:`repro.config.ExecConfig.from_env`
-    is where a malformed ``REPRO_TRACE_SAMPLE`` raises)."""
-    raw = os.environ.get(TRACE_SAMPLE_ENV_VAR)
-    if raw is None or not raw.strip():
-        return DEFAULT_SAMPLE_RATE
+def _sample_rate_from_env() -> int:
+    """1-in-N sampling rate past the half-full mark (``1`` keeps every
+    span up to the cap). Lenient, so a bad value cannot break
+    ``import repro``: it falls back to the default here, and
+    :meth:`repro.config.ExecConfig.from_env` is where it raises."""
     try:
-        rate = int(raw)
-    except ValueError:
-        return DEFAULT_SAMPLE_RATE
-    return rate if rate >= 1 else DEFAULT_SAMPLE_RATE
+        return _SAMPLE.read(os.environ.get(_SAMPLE.env), _SAMPLE.env)
+    except ConfigurationError:
+        return _SAMPLE.default
 
 
 #: Cached sampling rate; refreshed alongside ``_ENABLED``.
-_SAMPLE_RATE: int = _env_sample_rate()
+_SAMPLE_RATE: int = _sample_rate_from_env()
 
 
 #: The single branch every :func:`span` call tests. Initialised from
 #: the environment at import (so spawned/forked pool workers inherit
 #: the parent's setting), refreshed by :func:`trace`, :func:`enable`
 #: and :func:`disable`.
-_ENABLED: bool = _env_spec() is not None
+_ENABLED: bool = _spec_from_env() is not None
 
 
 class _NullSpan:
@@ -281,8 +266,8 @@ def refresh() -> None:
     (monkeypatched environments, workers)."""
     global _ENABLED, _SAMPLE_RATE
     if _PATH_OVERRIDE is None:
-        _ENABLED = _env_spec() is not None
-    _SAMPLE_RATE = _env_sample_rate()
+        _ENABLED = _spec_from_env() is not None
+    _SAMPLE_RATE = _sample_rate_from_env()
 
 
 @contextlib.contextmanager
@@ -309,7 +294,7 @@ def trace(name: str, path: str | None = None):
         with root:
             yield root
     finally:
-        out = path or _PATH_OVERRIDE or _env_spec() or DEFAULT_TRACE_PATH
+        out = path or _PATH_OVERRIDE or _spec_from_env() or DEFAULT_TRACE_PATH
         _write(out, name, started_unix, time.perf_counter() - t0, first)
 
 

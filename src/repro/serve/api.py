@@ -10,18 +10,13 @@ and consume frozen dataclasses — the server parses every incoming
 the micro-batcher, the executors, dedup) handles typed values, not raw
 dicts.
 
-Versioning: every typed frame carries ``schema_version``.
+Versioning: every typed frame carries ``schema_version``, and the
+daemon speaks exactly :data:`SCHEMA_VERSION`. A frame without the field
+or with any other version is rejected with a typed ``bad_request``, so
+a client on another dialect fails loudly instead of having fields
+silently dropped or defaulted.
 
-* Frames *without* the field are **legacy** (schema 1): pre-typed
-  clients. They are accepted unchanged — the parser fills defaults and
-  counts them under the ``serve.legacy_frames`` metric so operators
-  can see when the old dialect finally drains from the fleet.
-* Frames with a ``schema_version`` above :data:`SCHEMA_VERSION` are
-  rejected with a typed ``bad_request`` — a newer client talking to an
-  older daemon fails loudly instead of having new fields silently
-  ignored.
-
-Schema 2 additions over legacy: responses carry ``model_generation``
+Schema 2 (the first typed schema): responses carry ``model_generation``
 (the registry generation that computed them — the observable face of
 the hot-swap fence), and requests may carry generation constraints:
 ``min_generation`` (serve only if the daemon has promoted at least
@@ -37,11 +32,9 @@ import dataclasses
 from typing import Any
 
 from repro.errors import ProtocolError
-from repro.obs.metrics import METRICS
 
-#: Current schema generation. 1 = the pre-typed raw-dict dialect
-#: (implied by the field's absence); 2 = typed frames with model
-#: generations.
+#: The one schema generation this daemon speaks: typed frames with
+#: model generations.
 SCHEMA_VERSION = 2
 
 
@@ -60,8 +53,8 @@ class AdaptRequest:
 
     Field values are carried as received — semantic validation
     (``trace_index`` in corpus range, generation constraints being
-    ints) stays server-side so legacy and typed frames share one
-    validation path and one set of error messages.
+    ints) stays server-side, with one validation path and one set of
+    error messages.
     """
 
     trace_index: int
@@ -89,7 +82,7 @@ class AdaptRequest:
                    key=frame.get("key"),
                    min_generation=frame.get("min_generation"),
                    pin_generation=frame.get("pin_generation"),
-                   schema_version=int(frame.get("schema_version", 1)))
+                   schema_version=int(frame["schema_version"]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -128,7 +121,7 @@ class DecideRequest:
                    key=frame.get("key"),
                    min_generation=frame.get("min_generation"),
                    pin_generation=frame.get("pin_generation"),
-                   schema_version=int(frame.get("schema_version", 1)))
+                   schema_version=int(frame["schema_version"]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -155,18 +148,16 @@ class AdaptResponse:
     @classmethod
     def from_wire(cls, payload: dict) -> "AdaptResponse":
         return cls(result=payload["result"], tier=payload["tier"],
-                   model_generation=int(
-                       payload.get("model_generation", 0)),
-                   schema_version=int(
-                       payload.get("schema_version", 1)))
+                   model_generation=int(payload["model_generation"]),
+                   schema_version=int(payload["schema_version"]))
 
 
 @dataclasses.dataclass(frozen=True)
 class DecideResponse:
     """Answer to :class:`DecideRequest`.
 
-    ``probs``/``decisions``/``digest`` keep the exact legacy payload
-    keys and values (:func:`repro.serve.protocol.decide_payload`);
+    ``probs``/``decisions``/``digest`` keep the exact payload keys and
+    values (:func:`repro.serve.protocol.decide_payload`);
     ``model_generation`` stamps the predictor generation that
     inferred them.
     """
@@ -189,10 +180,8 @@ class DecideResponse:
         return cls(mode=payload["mode"], probs=payload["probs"],
                    decisions=payload["decisions"],
                    digest=payload["digest"],
-                   model_generation=int(
-                       payload.get("model_generation", 0)),
-                   schema_version=int(
-                       payload.get("schema_version", 1)))
+                   model_generation=int(payload["model_generation"]),
+                   schema_version=int(payload["schema_version"]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -227,34 +216,28 @@ class HealthStatus:
     @classmethod
     def from_wire(cls, payload: dict) -> "HealthStatus":
         fields = {f.name for f in dataclasses.fields(cls)}
-        known = {k: v for k, v in payload.items() if k in fields}
-        known.setdefault("schema_version", 1)
-        return cls(**known)
+        return cls(**{k: v for k, v in payload.items() if k in fields})
 
 
 def parse_request(frame: dict) -> AdaptRequest | DecideRequest:
     """Typed request for an incoming batched-op frame.
 
-    Legacy frames (no ``schema_version``) parse with defaults and
-    count under ``serve.legacy_frames``; frames claiming a schema the
-    daemon does not speak raise :class:`ProtocolError` so the client
+    A frame whose ``schema_version`` is missing or not
+    :data:`SCHEMA_VERSION` raises :class:`ProtocolError`, so the client
     gets a loud ``bad_request`` instead of silent field drops.
     """
+    op = frame.get("op")
+    if op not in ("adapt", "decide"):
+        raise ProtocolError(f"op {op!r} has no typed request form")
     version = frame.get("schema_version")
-    if version is None:
-        METRICS.incr("serve.legacy_frames")
-    elif (not isinstance(version, int) or isinstance(version, bool)
-            or not 1 <= version <= SCHEMA_VERSION):
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ProtocolError(
             f"unsupported schema_version {version!r}; this daemon "
-            f"speaks versions 1..{SCHEMA_VERSION}"
+            f"speaks version {SCHEMA_VERSION}"
         )
-    op = frame.get("op")
     if op == "adapt":
         return AdaptRequest.from_wire(frame)
-    if op == "decide":
-        return DecideRequest.from_wire(frame)
-    raise ProtocolError(f"op {op!r} has no typed request form")
+    return DecideRequest.from_wire(frame)
 
 
 __all__ = [

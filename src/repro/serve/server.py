@@ -287,23 +287,22 @@ class AdaptationServer:
         self._dedup_lock = threading.Lock()
         # Continual-adaptation loop (REPRO_ONLINE / --online): sampled
         # telemetry ring, drift detector and the background learner.
-        online_cfg = config.online
         self.online_enabled = (online if online is not None
-                               else online_cfg.enabled)
+                               else config.online_enabled)
         self._checkpoint_path = checkpoint_path
         self._fingerprint = fingerprint
         self.ring: TelemetryRing | None = None
         self.detector: DriftDetector | None = None
         self.learner: OnlineLearner | None = None
         if self.online_enabled:
-            self.ring = TelemetryRing(online_cfg.ring,
-                                      sample=online_cfg.sample)
+            self.ring = TelemetryRing(config.online_ring,
+                                      sample=config.online_sample)
             self.detector = DriftDetector(
-                online_cfg.drift_window, online_cfg.drift_threshold,
+                config.online_drift_window, config.online_drift_threshold,
                 n_traces=len(self.traces))
             self.learner = OnlineLearner(
                 self.registry, self.ring, self.detector, self.traces,
-                pmap=self._pmap, interval_s=online_cfg.interval_s,
+                pmap=self._pmap, interval_s=config.online_interval_s,
                 on_promote=self.persist_generation)
 
     @property

@@ -31,6 +31,7 @@ import sys
 import threading
 import time
 
+from repro.config import KNOB
 from repro.errors import BatchTimeoutError
 from repro.obs.metrics import METRICS
 from repro.serve.batcher import MicroBatcher
@@ -199,7 +200,7 @@ class BatcherSupervisor:
                 continue
             error = BatchTimeoutError(
                 f"batch on {name!r} exceeded "
-                f"REPRO_SERVE_BATCH_TIMEOUT ({self.timeout_s}s); "
+                f"{KNOB['serve_batch_timeout_s'].env} ({self.timeout_s}s); "
                 f"in flight {age:.3f}s — in-flight requests failed, "
                 f"queued requests re-served by the restarted batcher"
             )

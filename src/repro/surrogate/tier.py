@@ -40,7 +40,7 @@ import numpy as np
 
 from repro import rng as rng_mod
 from repro.eval.metrics import mean_relative_error, spearman
-from repro.exec.stats import EXEC_STATS
+from repro.obs.metrics import METRICS
 from repro.obs import tracer
 from repro.surrogate.features import FEATURE_VERSION, feature_matrix
 from repro.surrogate.model import N_MEMBERS, RIDGE_LAMBDA, RidgeEnsemble
@@ -129,10 +129,10 @@ class SurrogateTier:
                     self._store()
             finally:
                 self.model._training = False
-        EXEC_STATS.observe("surrogate.train_s",
+        METRICS.observe("surrogate.train_s",
                            time.perf_counter() - start)
         if not self.active:
-            EXEC_STATS.incr("surrogate.refused")
+            METRICS.incr("surrogate.refused")
 
     def _probe_rows(self, probes: list[TraceSpec],
                     ) -> dict[Mode, dict[str, np.ndarray]]:
@@ -250,7 +250,7 @@ class SurrogateTier:
             self._ensembles.clear()
             self._ranges.clear()
             return False
-        EXEC_STATS.incr("surrogate.cache_hit")
+        METRICS.incr("surrogate.cache_hit")
         return True
 
     # ------------------------------------------------------------------
@@ -267,12 +267,12 @@ class SurrogateTier:
         pass.
         """
         if not self.active:
-            EXEC_STATS.incr("surrogate.fallback", len(misses))
+            METRICS.incr("surrogate.fallback", len(misses))
             return {}, list(misses)
         with tracer.span("surrogate.predict", pairs=len(misses)):
             accepted, fallback = self._score_items(misses)
-        EXEC_STATS.incr("surrogate.accepted", len(accepted))
-        EXEC_STATS.incr("surrogate.fallback", len(fallback))
+        METRICS.incr("surrogate.accepted", len(accepted))
+        METRICS.incr("surrogate.fallback", len(fallback))
         return accepted, fallback
 
     def score_one(self, trace: TraceSpec, mode: Mode):
@@ -284,12 +284,12 @@ class SurrogateTier:
         fallback.
         """
         if not self.active:
-            EXEC_STATS.incr("surrogate.fallback")
+            METRICS.incr("surrogate.fallback")
             return None
         key = (trace.name, trace.seed, trace.n_intervals, mode)
         accepted, _ = self._score_items([(key, trace, mode, None)])
         result = accepted.get(key)
-        EXEC_STATS.incr("surrogate.accepted" if result is not None
+        METRICS.incr("surrogate.accepted" if result is not None
                         else "surrogate.fallback")
         return result
 

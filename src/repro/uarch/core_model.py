@@ -29,7 +29,7 @@ import heapq
 import numpy as np
 
 from repro import rng as rng_mod
-from repro.config import MachineConfig, cycle_kernel
+from repro.config import MachineConfig, active_exec_config
 from repro.errors import SimulationError
 from repro.obs import tracer
 from repro.uarch.isa import (
@@ -150,7 +150,8 @@ class ClusteredCoreModel:
                  kernel: str | None = None) -> None:
         self.machine = machine or MachineConfig()
         self.mode = mode
-        self.kernel = kernel if kernel is not None else cycle_kernel()
+        self.kernel = (kernel if kernel is not None
+                       else active_exec_config().cycle_kernel)
         if self.kernel not in ("soa", "reference"):
             raise ValueError(
                 f"kernel must be 'soa' or 'reference', got {self.kernel!r}")
@@ -656,7 +657,7 @@ def simulate_phase_cycle_level(phase: PhaseInstance, n_uops: int,
     """Synthesize a uop stream for a phase and run the cycle model."""
     with tracer.span("cycle.simulate_phase", phase=phase.name,
                      mode=mode.value, uops=n_uops,
-                     kernel=cycle_kernel()):
+                     kernel=active_exec_config().cycle_kernel):
         stream = synthesize_uops(phase, n_uops,
                                  rng_mod.derive_seed(seed, "cyclesim",
                                                      phase.name,

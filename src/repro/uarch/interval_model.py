@@ -32,11 +32,10 @@ from collections import OrderedDict
 import numpy as np
 
 from repro import rng as rng_mod
-from repro.config import (MachineConfig, active_exec_config,
-                          batch_sim_enabled, interval_lru_size)
+from repro.config import MachineConfig, active_exec_config
 from repro.errors import SimulationError
 from repro.exec.simcache import SimCache, default_simcache
-from repro.exec.stats import EXEC_STATS
+from repro.obs.metrics import METRICS
 from repro.obs import tracer
 from repro.uarch.modes import Mode
 from repro.uarch.signals import N_SIGNALS, signal_index
@@ -123,9 +122,9 @@ class IntervalModel:
     Results are memoised in a bounded LRU cache keyed by (trace, mode),
     because dataset builders revisit the same traces at several gating
     granularities and in both modes. The bound defaults to the
-    ``REPRO_INTERVAL_LRU`` environment variable (see
-    :func:`repro.config.interval_lru_size`); hit/miss counts surface in
-    the :data:`~repro.exec.stats.EXEC_STATS` report.
+    ``REPRO_INTERVAL_LRU`` knob (the active config's
+    ``interval_lru``); hit/miss counts surface in
+    the :data:`~repro.obs.metrics.METRICS` report.
 
     When a :class:`~repro.exec.simcache.SimCache` is attached (or
     ``REPRO_SIMCACHE_DIR`` is set), results additionally persist to a
@@ -137,8 +136,8 @@ class IntervalModel:
                  simcache: SimCache | None = None) -> None:
         self.machine = machine or MachineConfig()
         self._cache: "OrderedDict[tuple, IntervalResult]" = OrderedDict()
-        self._cache_size = (interval_lru_size() if cache_size is None
-                            else cache_size)
+        self._cache_size = (active_exec_config().interval_lru
+                            if cache_size is None else cache_size)
         self.simcache = simcache if simcache is not None else (
             default_simcache())
         # Tier-0 learned surrogate (repro.surrogate), built lazily on
@@ -366,9 +365,9 @@ class IntervalModel:
         cached = self._cache.get(key)
         if cached is not None and self._lru_usable(cached, config.surrogate):
             self._cache.move_to_end(key)
-            EXEC_STATS.incr("interval_lru.hit")
+            METRICS.incr("interval_lru.hit")
             return cached
-        EXEC_STATS.incr("interval_lru.miss")
+        METRICS.incr("interval_lru.miss")
         # Tier-0 fast path: the surrogate decides *before* the disk
         # result tier, so a pair's tier outcome is a pure function of
         # (trace, mode, trained surrogate) — never of LRU or disk
@@ -387,7 +386,7 @@ class IntervalModel:
             if result is not None:
                 self._remember(key, result)
                 return result
-        with EXEC_STATS.stage("interval_simulate"):
+        with METRICS.stage("interval_simulate"):
             result = self._simulate_uncached(trace, mode)
         self._remember(key, result)
         if disk_key is not None:
@@ -429,7 +428,7 @@ class IntervalModel:
     def simulate_both(self, trace: TraceSpec,
                       ) -> dict[Mode, IntervalResult]:
         """Simulate a trace in both modes (the paper's data recipe)."""
-        if batch_sim_enabled():
+        if active_exec_config().batch_sim:
             batch = self.simulate_batch([trace])
             return {mode: batch[(trace.name, trace.seed,
                                  trace.n_intervals, mode)]
@@ -475,10 +474,10 @@ class IntervalModel:
             if cached is not None and self._lru_usable(cached,
                                                        config.surrogate):
                 self._cache.move_to_end(key)
-                EXEC_STATS.incr("interval_lru.hit")
+                METRICS.incr("interval_lru.hit")
                 results[key] = cached
                 continue
-            EXEC_STATS.incr("interval_lru.miss")
+            METRICS.incr("interval_lru.miss")
             lru_misses.append((key, trace, mode, None))
         if not lru_misses:
             return results
@@ -517,9 +516,9 @@ class IntervalModel:
         groups: dict[int, list] = {}
         for item in misses:
             groups.setdefault(item[1].n_intervals, []).append(item)
-        EXEC_STATS.incr("interval_batch.pairs", len(misses))
-        EXEC_STATS.observe("interval_batch.miss_rows", len(misses))
-        with EXEC_STATS.stage("interval_simulate_batch"), \
+        METRICS.incr("interval_batch.pairs", len(misses))
+        METRICS.observe("interval_batch.miss_rows", len(misses))
+        with METRICS.stage("interval_simulate_batch"), \
                 tracer.span("interval.simulate_batch",
                             pairs=len(pairs), misses=len(misses)):
             for _, group in sorted(groups.items()):

@@ -20,7 +20,7 @@ import dataclasses
 from collections.abc import Mapping
 
 from repro import rng as rng_mod
-from repro.config import experiment_scale
+from repro.config import active_exec_config
 from repro.workloads.generator import ApplicationSpec, generate_application
 
 #: Table 1 application counts per category.
@@ -152,7 +152,7 @@ def scaled_category_counts(scale: float | None = None,
     keeps at least ``min_per_category`` applications so the corpus
     remains diverse at small scales.
     """
-    scale = experiment_scale() if scale is None else scale
+    scale = active_exec_config().scale if scale is None else scale
     # The default scale targets ~130 applications, enough for the
     # diversity experiment's trend while staying laptop-fast.
     base_fraction = 0.22 * scale

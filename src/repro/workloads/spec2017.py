@@ -28,7 +28,7 @@ import dataclasses
 from collections.abc import Mapping
 
 from repro import rng as rng_mod
-from repro.config import experiment_scale
+from repro.config import active_exec_config
 from repro.workloads.generator import (
     ApplicationSpec,
     TraceSpec,
@@ -139,7 +139,7 @@ def spec2017_traces(seed: int,
     traces per workload, a few hundred 10k-instruction intervals each —
     governed by ``REPRO_SCALE``.
     """
-    scale = experiment_scale()
+    scale = active_exec_config().scale
     if intervals_per_trace is None:
         intervals_per_trace = max(60, int(round(240 * scale)))
     if traces_per_workload is None:

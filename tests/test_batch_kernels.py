@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import rng as rng_mod
-from repro.config import batch_sim_enabled, cycle_kernel
+from repro.config import active_exec_config
 from repro.core.adaptive_cpu import AdaptiveCPU
 from repro.core.pipeline import train_dual_predictor
 from repro.data.builders import build_mode_dataset, dataset_from_traces
@@ -149,8 +149,9 @@ class TestCycleKernelIdentity:
             ClusteredCoreModel(kernel="simd")
 
     def test_env_default(self):
-        assert cycle_kernel() in ("soa", "reference")
-        assert ClusteredCoreModel().kernel == cycle_kernel()
+        assert active_exec_config().cycle_kernel in ("soa", "reference")
+        assert (ClusteredCoreModel().kernel
+                == active_exec_config().cycle_kernel)
 
     def test_subclass_hooks_fall_back_to_reference(self):
         class Hooked(ClusteredCoreModel):
@@ -289,12 +290,12 @@ class TestBatchDisableSwitch:
 
     def test_env_disable(self, monkeypatch):
         monkeypatch.setenv("REPRO_BATCH_SIM", "0")
-        assert not batch_sim_enabled()
+        assert not active_exec_config().batch_sim
         traces = _traces(2, 500, intervals=60)
         ds_off = build_mode_dataset(traces, Mode.HIGH_PERF,
                                     list(range(8)))
         monkeypatch.setenv("REPRO_BATCH_SIM", "1")
-        assert batch_sim_enabled()
+        assert active_exec_config().batch_sim
         ds_on = build_mode_dataset(traces, Mode.HIGH_PERF,
                                    list(range(8)))
         assert np.array_equal(ds_off.x, ds_on.x)
@@ -303,4 +304,4 @@ class TestBatchDisableSwitch:
     def test_invalid_value_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_BATCH_SIM", "maybe")
         with pytest.raises(ValueError):
-            batch_sim_enabled()
+            active_exec_config().batch_sim

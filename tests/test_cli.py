@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -49,3 +53,28 @@ class TestCommands:
         assert main(["demo", "--seed", "5"]) == 0
         out = capsys.readouterr().out
         assert "ppw_gain" in out
+
+
+class TestConfigurationErrors:
+    """A bad knob value is a one-line ``repro: error`` and exit 2."""
+
+    @pytest.mark.parametrize("env,argv,names", [
+        ({"REPRO_EXEC_RETRIES": "abc"}, ["evaluate"], "REPRO_EXEC_RETRIES"),
+        ({}, ["evaluate", "--exec-workers", "0"], "--exec-workers"),
+        ({}, ["serve", "--serve-batch-max", "0"], "--serve-batch-max"),
+        ({"REPRO_SCALE": "lots"}, ["evaluate"], "REPRO_SCALE"),
+    ])
+    def test_bad_value_exits_2_with_one_line(self, env, argv, names):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        child_env = {k: v for k, v in os.environ.items()
+                     if not k.startswith("REPRO_")}
+        child_env.update(env, PYTHONPATH=os.path.join(root, "src"))
+        proc = subprocess.run([sys.executable, "-m", "repro", *argv],
+                              env=child_env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("repro: error: ")
+        assert names in lines[0]
+        assert "Traceback" not in proc.stderr

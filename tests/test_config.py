@@ -2,30 +2,24 @@
 :class:`~repro.config.ExecConfig` runtime-knob API."""
 
 import argparse
+import pathlib
+import re
 
 import pytest
 
+from repro.cli import COMMON_GROUPS, SERVE_GROUPS, build_parser
 from repro.config import (
     DEFAULT_SLA,
     EXEC_ENV_VARS,
+    KNOB,
+    KNOBS,
     ExecConfig,
     MachineConfig,
     MicrocontrollerConfig,
     SLAConfig,
     SUPPORTED_GRANULARITIES,
     active_exec_config,
-    cycle_kernel,
-    exec_backend,
-    exec_retries,
-    exec_shard_size,
-    exec_shmres_enabled,
-    experiment_scale,
-    experiment_seed,
-    fault_spec,
-    interval_lru_size,
-    simcache_dir,
-    trace_sample_rate,
-    trace_spec,
+    render_knob_table,
 )
 from repro.errors import ConfigurationError
 
@@ -88,30 +82,81 @@ class TestSLAConfig:
 class TestEnvironmentKnobs:
     def test_default_scale_is_one(self, monkeypatch):
         monkeypatch.delenv("REPRO_SCALE", raising=False)
-        assert experiment_scale() == pytest.approx(1.0)
+        assert active_exec_config().scale == pytest.approx(1.0)
 
     def test_scale_env_parsed(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "2.5")
-        assert experiment_scale() == pytest.approx(2.5)
+        assert active_exec_config().scale == pytest.approx(2.5)
 
     def test_negative_scale_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "-1")
         with pytest.raises(ValueError):
-            experiment_scale()
+            active_exec_config().scale
 
     def test_garbage_scale_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "lots")
         with pytest.raises(ValueError):
-            experiment_scale()
+            active_exec_config().scale
 
     def test_seed_env_parsed(self, monkeypatch):
         monkeypatch.setenv("REPRO_SEED", "123")
-        assert experiment_seed() == 123
+        assert active_exec_config().seed == 123
 
 
 def _clear_exec_env(monkeypatch):
     for var in EXEC_ENV_VARS:
         monkeypatch.delenv(var, raising=False)
+
+
+#: One non-default raw value per knob row and the value it parses to,
+#: from the environment and (for rows with a flag) from the flag.
+KNOB_SAMPLES = {
+    "backend": ("auto", "auto"),
+    "workers": ("3", 3),
+    "pool": ("fresh", "fresh"),
+    "arena": ("0", False),
+    "shmres": ("0", False),
+    "shard": ("5000", 5000),
+    "chunk": ("16", 16),
+    "retries": ("5", 5),
+    "timeout": ("2.5", 2.5),
+    "simcache_dir": ("/tmp/sc", "/tmp/sc"),
+    "simcache_verify": ("0", False),
+    "fault_spec": ("seed=1,crash=0.1", "seed=1,crash=0.1"),
+    "cycle_kernel": ("reference", "reference"),
+    "batch_sim": ("0", False),
+    "interval_lru": ("64", 64),
+    "trace": ("out.json", "out.json"),
+    "trace_sample": ("4", 4),
+    "surrogate": ("1", True),
+    "surrogate_threshold": ("0.05", 0.05),
+    "surrogate_probes": ("16", 16),
+    "serve_batch_max": ("16", 16),
+    "serve_queue_bound": ("128", 128),
+    "serve_batch_timeout_s": ("2.5", 2.5),
+    "serve_breaker_threshold": ("5", 5),
+    "serve_breaker_cooldown_s": ("0.5", 0.5),
+    "serve_checkpoint": ("/tmp/ck", "/tmp/ck"),
+    "serve_restarts": ("0", 0),
+    "online_enabled": ("1", True),
+    "online_ring": ("512", 512),
+    "online_sample": ("4", 4),
+    "online_drift_window": ("32", 32),
+    "online_drift_threshold": ("0.5", 0.5),
+    "online_interval_s": ("0.25", 0.25),
+    "scale": ("2.5", 2.5),
+    "seed": ("123", 123),
+    "cache_dir": ("/tmp/cache", "/tmp/cache"),
+    "results_dir": ("/tmp/results", "/tmp/results"),
+}
+
+
+def _flag_argv(knob, raw):
+    """Command line setting ``knob``'s flag to ``raw``."""
+    command = "serve" if knob.group in ("serve", "online") else "evaluate"
+    if knob.cli.get("action") == "store_true":
+        return [command, knob.flag]
+    return [command, knob.flag, raw]
 
 
 class TestExecConfig:
@@ -160,6 +205,13 @@ class TestExecConfig:
             simcache_verify=False, fault_spec="seed=1,crash=0.1",
             cycle_kernel="reference", batch_sim=False, interval_lru=64,
             trace="out.json", shmres=False, shard=5000, trace_sample=4)
+        # Every row of the table, one at a time.
+        assert set(KNOB_SAMPLES) == set(KNOB)
+        for knob in KNOBS:
+            raw, expected = KNOB_SAMPLES[knob.field]
+            _clear_exec_env(monkeypatch)
+            monkeypatch.setenv(knob.env, raw)
+            assert getattr(ExecConfig.from_env(), knob.field) == expected
 
     def test_timeout_zero_means_off(self, monkeypatch):
         _clear_exec_env(monkeypatch)
@@ -173,13 +225,13 @@ class TestExecConfig:
 
     def test_shard_empty_or_zero_means_unsharded(self, monkeypatch):
         _clear_exec_env(monkeypatch)
-        assert exec_shard_size() is None
+        assert active_exec_config().shard is None
         monkeypatch.setenv("REPRO_EXEC_SHARD", "")
         assert ExecConfig.from_env().shard is None
         monkeypatch.setenv("REPRO_EXEC_SHARD", "0")
         assert ExecConfig.from_env().shard is None
         monkeypatch.setenv("REPRO_EXEC_SHARD", "250")
-        assert exec_shard_size() == 250
+        assert active_exec_config().shard == 250
 
     def test_shard_invalid_rejected(self, monkeypatch):
         _clear_exec_env(monkeypatch)
@@ -192,15 +244,15 @@ class TestExecConfig:
 
     def test_shmres_env_parsed(self, monkeypatch):
         _clear_exec_env(monkeypatch)
-        assert exec_shmres_enabled() is True
+        assert active_exec_config().shmres is True
         monkeypatch.setenv("REPRO_EXEC_SHMRES", "0")
-        assert exec_shmres_enabled() is False
+        assert active_exec_config().shmres is False
 
     def test_trace_sample_env_parsed(self, monkeypatch):
         _clear_exec_env(monkeypatch)
-        assert trace_sample_rate() == 8
+        assert active_exec_config().trace_sample == 8
         monkeypatch.setenv("REPRO_TRACE_SAMPLE", "16")
-        assert trace_sample_rate() == 16
+        assert active_exec_config().trace_sample == 16
 
     def test_trace_sample_invalid_rejected(self, monkeypatch):
         _clear_exec_env(monkeypatch)
@@ -248,6 +300,28 @@ class TestExecConfig:
             else:
                 monkeypatch.setenv(var, value)
         assert ExecConfig.from_env() == original
+        # Every row: env -> from_env -> to_env keeps the parsed value,
+        # and the row's flag parses to the same value.
+        for knob in KNOBS:
+            raw, expected = KNOB_SAMPLES[knob.field]
+            _clear_exec_env(monkeypatch)
+            monkeypatch.setenv(knob.env, raw)
+            image = ExecConfig.from_env().to_env()
+            assert knob.read(image[knob.env], knob.env) == expected
+            if knob.flag is not None:
+                _clear_exec_env(monkeypatch)
+                args = build_parser().parse_args(_flag_argv(knob, raw))
+                assert getattr(ExecConfig.from_cli(args),
+                               knob.field) == expected
+
+    def test_from_env_memo_returns_identical_object(self, monkeypatch):
+        _clear_exec_env(monkeypatch)
+        first = ExecConfig.from_env()
+        assert ExecConfig.from_env() is first
+        monkeypatch.setenv("REPRO_EXEC_RETRIES", "4")
+        changed = ExecConfig.from_env()
+        assert changed is not first and changed.retries == 4
+        assert ExecConfig.from_env() is changed
 
     def test_memo_tracks_monkeypatched_env(self, monkeypatch):
         _clear_exec_env(monkeypatch)
@@ -260,30 +334,30 @@ class TestExecConfig:
         import os
         with ExecConfig(backend="thread", retries=7).override():
             assert active_exec_config().backend == "thread"
-            assert exec_backend() == "thread"
-            assert exec_retries() == 7
+            assert active_exec_config().backend == "thread"
+            assert active_exec_config().retries == 7
             assert "REPRO_EXEC_BACKEND" not in os.environ
-        assert exec_backend() == "serial"
+        assert active_exec_config().backend == "serial"
 
     def test_overrides_nest(self, monkeypatch):
         _clear_exec_env(monkeypatch)
         with ExecConfig(retries=5).override():
             with ExecConfig(retries=9).override():
-                assert exec_retries() == 9
-            assert exec_retries() == 5
+                assert active_exec_config().retries == 9
+            assert active_exec_config().retries == 5
 
-    def test_accessor_shims_read_active_config(self, monkeypatch):
+    def test_fields_read_active_config(self, monkeypatch):
         _clear_exec_env(monkeypatch)
         cfg = ExecConfig(simcache_dir="/tmp/x",
                          fault_spec="seed=2,crash=0.5",
                          cycle_kernel="reference", interval_lru=17,
                          trace="t.json")
         with cfg.override():
-            assert simcache_dir() == "/tmp/x"
-            assert fault_spec() == "seed=2,crash=0.5"
-            assert cycle_kernel() == "reference"
-            assert interval_lru_size() == 17
-            assert trace_spec() == "t.json"
+            assert active_exec_config().simcache_dir == "/tmp/x"
+            assert active_exec_config().fault_spec == "seed=2,crash=0.5"
+            assert active_exec_config().cycle_kernel == "reference"
+            assert active_exec_config().interval_lru == 17
+            assert active_exec_config().trace == "t.json"
 
     def test_invalid_backend_is_configuration_error(self, monkeypatch):
         with pytest.raises(ConfigurationError):
@@ -311,6 +385,18 @@ class TestExecConfig:
     def test_invalid_workers_is_configuration_error(self):
         with pytest.raises(ConfigurationError):
             ExecConfig(workers=0)
+
+    def test_bad_values_name_their_variable_or_flag(self, monkeypatch):
+        _clear_exec_env(monkeypatch)
+        monkeypatch.setenv("REPRO_EXEC_RETRIES", "abc")
+        with pytest.raises(ConfigurationError,
+                           match="REPRO_EXEC_RETRIES must be an int"):
+            ExecConfig.from_env()
+        _clear_exec_env(monkeypatch)
+        args = build_parser().parse_args(["evaluate", "--exec-workers", "0"])
+        with pytest.raises(ConfigurationError,
+                           match="--exec-workers must be >= 1"):
+            ExecConfig.from_cli(args)
 
     def test_config_is_frozen(self):
         with pytest.raises(Exception):
@@ -344,3 +430,29 @@ class TestExecConfig:
         assert ExecConfig.from_env() == config
         import os
         assert "REPRO_EXEC_WORKERS" not in os.environ
+
+
+def _option_flags(parser):
+    return {flag for action in parser._actions
+            for flag in action.option_strings if flag.startswith("--")}
+
+
+class TestKnobTable:
+    @pytest.mark.parametrize("command,groups", [
+        ("evaluate", COMMON_GROUPS), ("serve", SERVE_GROUPS)])
+    def test_parsers_expose_exactly_their_groups_flags(self, command,
+                                                       groups):
+        sub = build_parser()._subparsers._group_actions[0].choices[command]
+        table_flags = {knob.flag for knob in KNOBS if knob.flag}
+        expected = {knob.flag for knob in KNOBS
+                    if knob.flag and knob.group in groups}
+        assert _option_flags(sub) & table_flags == expected
+
+    def test_readme_knob_table_is_generated(self):
+        readme = (pathlib.Path(__file__).resolve().parents[1]
+                  / "README.md").read_text(encoding="utf-8")
+        match = re.search(r"<!-- knob-table:start -->\n(.*?)\n"
+                          r"<!-- knob-table:end -->", readme, re.S)
+        assert match is not None
+        assert match.group(1) == render_knob_table()
+        assert len(KNOBS) == 37

@@ -17,10 +17,11 @@ from repro.core.adaptive_cpu import AdaptiveCPU
 from repro.core.predictor import DualModePredictor
 from repro.data.builders import build_mode_dataset
 from repro.errors import ArenaIntegrityError
-from repro.exec import EXEC_STATS, ParallelMap, TraceArena, reset_default
+from repro.exec import ParallelMap, TraceArena, reset_default
+from repro.obs.metrics import METRICS
 from repro.exec import arena as arena_mod
 from repro.exec.parallel import AUTO_MIN_PARALLEL_S
-from repro.exec.stats import ExecStats
+from repro.obs.metrics import Metrics
 from repro.ml.base import Estimator
 from repro.ml.forest import RandomForestClassifier
 from repro.telemetry.collector import TelemetryCollector
@@ -150,9 +151,9 @@ class TestArenaRoundTrip:
     def test_attach_is_memoised(self, traces):
         arena = TraceArena.build(traces[:1])
         try:
-            hits = EXEC_STATS.count("arena.attach_hit")
+            hits = METRICS.count("arena.attach_hit")
             assert TraceArena.attach(arena.handle) is arena
-            assert EXEC_STATS.count("arena.attach_hit") == hits + 1
+            assert METRICS.count("arena.attach_hit") == hits + 1
         finally:
             arena.close()
 
@@ -179,9 +180,9 @@ class TestArenaDispatch:
         monkeypatch.setenv("REPRO_EXEC_ARENA", "0")
         plain = cpu.run_many(traces, pmap=pmap)
         monkeypatch.setenv("REPRO_EXEC_ARENA", "1")
-        builds = EXEC_STATS.count("arena.builds")
+        builds = METRICS.count("arena.builds")
         packed = cpu.run_many(traces, pmap=pmap)
-        assert EXEC_STATS.count("arena.builds") == builds + 1
+        assert METRICS.count("arena.builds") == builds + 1
         for a, b, c in zip(serial, plain, packed):
             _results_equal(a, b)
             _results_equal(a, c)
@@ -192,9 +193,9 @@ class TestArenaDispatch:
         pmap = ParallelMap(backend="process", n_workers=2,
                            persistent=True)
         first = cpu.run_many(traces, pmap=pmap)
-        reuse = EXEC_STATS.count("parallel.pool_reuse")
+        reuse = METRICS.count("parallel.pool_reuse")
         second = cpu.run_many(traces, pmap=pmap)
-        assert EXEC_STATS.count("parallel.pool_reuse") > reuse
+        assert METRICS.count("parallel.pool_reuse") > reuse
         for a, b in zip(first, second):
             _results_equal(a, b)
 
@@ -245,9 +246,9 @@ class TestArenaDispatch:
             granularity_factor=1,
         )
         cpu = AdaptiveCPU(predictor, collector=TelemetryCollector())
-        calls = EXEC_STATS.count("adaptive_infer.model_calls")
+        calls = METRICS.count("adaptive_infer.model_calls")
         batched = cpu.run_many(traces, pmap=ParallelMap(backend="serial"))
-        assert EXEC_STATS.count("adaptive_infer.model_calls") == calls + 1
+        assert METRICS.count("adaptive_infer.model_calls") == calls + 1
         singles = [cpu.run(trace) for trace in traces]
         for a, b in zip(singles, batched):
             _results_equal(a, b)
@@ -267,22 +268,22 @@ class TestAdaptiveDispatch:
     def test_auto_single_item_stays_serial(self):
         pmap = ParallelMap(backend="auto", n_workers=2)
         assert pmap._resolve_backend(1, "auto_stage") == "serial"
-        creates = EXEC_STATS.count("parallel.pool_create")
+        creates = METRICS.count("parallel.pool_create")
         assert pmap.map(lambda v: v + 1, [41],
                         stage="auto_single") == [42]
-        assert EXEC_STATS.count("parallel.pool_create") == creates
+        assert METRICS.count("parallel.pool_create") == creates
 
     def test_auto_probe_keeps_cheap_work_serial(self):
         pmap = ParallelMap(backend="auto", n_workers=2)
-        creates = EXEC_STATS.count("parallel.pool_create")
+        creates = METRICS.count("parallel.pool_create")
         result = pmap.map(lambda v: v * 2, range(8),
                           stage="auto_cheap_stage")
         assert result == [v * 2 for v in range(8)]
         # Microsecond items never amortise a pool.
-        assert EXEC_STATS.count("parallel.pool_create") == creates
+        assert METRICS.count("parallel.pool_create") == creates
 
     def test_auto_uses_cost_history(self):
-        stats = EXEC_STATS
+        stats = METRICS
         stage = "auto_history_stage"
         stats.add_time(stage, 1.0, busy_s=1.0)
         stats.incr(f"{stage}.items", 10)  # 0.1 s/item
@@ -300,8 +301,8 @@ class TestAdaptiveDispatch:
 
     def test_adaptive_chunk_size_from_cost(self):
         stage = "chunk_cost_stage"
-        EXEC_STATS.add_time(stage, 1.0, busy_s=1.0)
-        EXEC_STATS.incr(f"{stage}.items", 100)  # 0.01 s/item
+        METRICS.add_time(stage, 1.0, busy_s=1.0)
+        METRICS.incr(f"{stage}.items", 100)  # 0.01 s/item
         pmap = ParallelMap(backend="process", n_workers=2)
         indexed = list(enumerate(range(40)))
         chunks = pmap._chunks(indexed, stage)
@@ -318,16 +319,16 @@ class TestAdaptiveDispatch:
     def test_payload_bytes_counted_for_process_maps(self, traces,
                                                     predictor):
         stage = "payload_probe_stage"
-        before = EXEC_STATS.count(f"{stage}.payload_tasks")
+        before = METRICS.count(f"{stage}.payload_tasks")
         pmap = ParallelMap(backend="process", n_workers=2)
         pmap.map(abs, range(16), stage=stage)
-        assert EXEC_STATS.count(f"{stage}.payload_tasks") == before + 1
-        assert EXEC_STATS.count(f"{stage}.payload_bytes") > 0
+        assert METRICS.count(f"{stage}.payload_tasks") == before + 1
+        assert METRICS.count(f"{stage}.payload_bytes") > 0
 
 
 class TestUtilizationAccounting:
     def test_capacity_tracks_per_call_workers(self):
-        stats = ExecStats()
+        stats = Metrics()
         # A 4-worker parallel call at full tilt...
         stats.add_time("mixed", 1.0, busy_s=4.0, workers=4)
         # ...then a serial-fallback call of the same stage.
@@ -339,13 +340,13 @@ class TestUtilizationAccounting:
         assert stage["utilization"] == pytest.approx(1.0)
 
     def test_serial_only_stage_reports_full_utilization(self):
-        stats = ExecStats()
+        stats = Metrics()
         stats.add_time("serial_stage", 2.0, busy_s=2.0, workers=1)
         snap = stats.snapshot()["stages"]["serial_stage"]
         assert snap["utilization"] == pytest.approx(1.0)
 
     def test_per_item_cost(self):
-        stats = ExecStats()
+        stats = Metrics()
         assert stats.per_item_cost("nope") is None
         stats.add_time("costed", 2.0, busy_s=1.0)
         assert stats.per_item_cost("costed") is None  # no items yet

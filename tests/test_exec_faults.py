@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.config import FAULT_SPEC_ENV_VAR
 from repro.core.adaptive_cpu import AdaptiveCPU
 from repro.core.predictor import DualModePredictor
 from repro.data.builders import build_mode_dataset
@@ -26,7 +25,6 @@ from repro.errors import (
     WorkerTimeoutError,
 )
 from repro.exec import (
-    EXEC_STATS,
     FaultPlan,
     ParallelMap,
     SimCache,
@@ -37,6 +35,7 @@ from repro.exec import (
     reset_default,
 )
 from repro.exec import parallel as parallel_mod
+from repro.obs.metrics import METRICS
 from repro.exec.arena import MAGIC, _PREFIX_LEN
 from repro.exec.faults import active_plan
 from repro.exec.simcache import _flip_byte
@@ -75,7 +74,7 @@ def _fault_hygiene(monkeypatch):
     """No plan leaks in or out of a test; pools never outlive one."""
     reset_default()
     install_fault_plan(None)
-    monkeypatch.delenv(FAULT_SPEC_ENV_VAR, raising=False)
+    monkeypatch.delenv("REPRO_FAULT_SPEC", raising=False)
     yield
     install_fault_plan(None)
     close_pools()
@@ -155,7 +154,7 @@ class TestFaultPlan:
 
     def test_install_overrides_env(self, monkeypatch):
         assert active_plan() is None
-        monkeypatch.setenv(FAULT_SPEC_ENV_VAR, "seed=1,crash=0.2")
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "seed=1,crash=0.2")
         assert active_plan() == FaultPlan(seed=1, crash=0.2)
         installed = FaultPlan(seed=9, hang=0.4)
         install_fault_plan(installed)
@@ -170,39 +169,39 @@ class TestCrashRecovery:
         with inject(FaultPlan(seed=0, crash=1.0)):
             pmap = ParallelMap(backend="thread", n_workers=2,
                                chunk_size=3, retries=1)
-            retries_before = EXEC_STATS.count("parallel.retries")
-            serial_before = EXEC_STATS.count("parallel.fallback_serial")
+            retries_before = METRICS.count("parallel.retries")
+            serial_before = METRICS.count("parallel.fallback_serial")
             assert pmap.map(_square, range(9),
                             stage="unit_tcrash") == expected
-        assert EXEC_STATS.count("parallel.retries") >= retries_before + 1
-        assert (EXEC_STATS.count("parallel.fallback_serial")
+        assert METRICS.count("parallel.retries") >= retries_before + 1
+        assert (METRICS.count("parallel.fallback_serial")
                 == serial_before + 1)
-        assert EXEC_STATS.count("faults.injected.crash") >= 2
+        assert METRICS.count("faults.injected.crash") >= 2
 
     def test_process_crash_walks_the_full_ladder(self, monkeypatch):
         close_pools()  # new pools must fork with the spec in their env
-        monkeypatch.setenv(FAULT_SPEC_ENV_VAR, "seed=0,crash=1.0")
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "seed=0,crash=1.0")
         pmap = ParallelMap(backend="process", n_workers=2,
                            chunk_size=3, retries=2)
-        rebuilds = EXEC_STATS.count("parallel.pool_rebuild")
-        degrades = EXEC_STATS.count("parallel.degrade_thread")
-        fallbacks = EXEC_STATS.count("parallel.fallback_serial")
+        rebuilds = METRICS.count("parallel.pool_rebuild")
+        degrades = METRICS.count("parallel.degrade_thread")
+        fallbacks = METRICS.count("parallel.fallback_serial")
         expected = [_square(i) for i in range(10)]
         assert pmap.map(_square, range(10),
                         stage="unit_pcrash") == expected
-        assert EXEC_STATS.count("parallel.pool_rebuild") == rebuilds + 1
-        assert (EXEC_STATS.count("parallel.degrade_thread")
+        assert METRICS.count("parallel.pool_rebuild") == rebuilds + 1
+        assert (METRICS.count("parallel.degrade_thread")
                 == degrades + 1)
-        assert (EXEC_STATS.count("parallel.fallback_serial")
+        assert (METRICS.count("parallel.fallback_serial")
                 == fallbacks + 1)
 
     def test_genuine_task_error_is_never_retried(self):
         with inject(FaultPlan(seed=0)):
             pmap = ParallelMap(backend="thread", n_workers=2, retries=3)
-            retries_before = EXEC_STATS.count("parallel.retries")
+            retries_before = METRICS.count("parallel.retries")
             with pytest.raises(ZeroDivisionError):
                 pmap.map(_inverse, [1, 0, 2], stage="unit_generr")
-            assert EXEC_STATS.count("parallel.retries") == retries_before
+            assert METRICS.count("parallel.retries") == retries_before
 
 
 class TestTimeouts:
@@ -219,10 +218,10 @@ class TestTimeouts:
         with inject(FaultPlan(seed=seed, hang=0.6, hang_s=0.4)):
             pmap = ParallelMap(backend="thread", n_workers=2,
                                chunk_size=10, retries=2, timeout=0.05)
-            timeouts_before = EXEC_STATS.count("parallel.timeouts")
+            timeouts_before = METRICS.count("parallel.timeouts")
             assert pmap.map(_square, range(6),
                             stage="unit_hrec") == expected
-        assert (EXEC_STATS.count("parallel.timeouts")
+        assert (METRICS.count("parallel.timeouts")
                 == timeouts_before + 1)
 
     def test_timeout_exhaustion_raises_typed_error(self):
@@ -231,7 +230,7 @@ class TestTimeouts:
                                chunk_size=20, retries=1, timeout=0.05)
             with pytest.raises(WorkerTimeoutError):
                 pmap.map(_square, range(4), stage="unit_hfatal")
-        assert EXEC_STATS.count("parallel.timeouts") >= 2
+        assert METRICS.count("parallel.timeouts") >= 2
 
     def test_retries_and_timeout_validated(self):
         with pytest.raises(ConfigurationError):
@@ -254,13 +253,13 @@ class TestPayloadFaults:
     def test_payload_fault_falls_back_serial(self):
         expected = [_square(i) for i in range(8)]
         with inject(FaultPlan(seed=0, payload=1.0)):
-            serial_before = EXEC_STATS.count("parallel.fallback_serial")
+            serial_before = METRICS.count("parallel.fallback_serial")
             pmap = ParallelMap(backend="process", n_workers=2)
             assert pmap.map(_square, range(8),
                             stage="unit_payload") == expected
-            assert (EXEC_STATS.count("parallel.fallback_serial")
+            assert (METRICS.count("parallel.fallback_serial")
                     == serial_before + 1)
-        assert EXEC_STATS.count("faults.injected.payload") >= 1
+        assert METRICS.count("faults.injected.payload") >= 1
 
 
 class TestSimCacheIntegrity:
@@ -275,9 +274,9 @@ class TestSimCacheIntegrity:
     def test_digest_mismatch_quarantined(self, tmp_path):
         cache = SimCache(tmp_path / "c")
         key, path = self._stale_digest_entry(cache)
-        quarantined = EXEC_STATS.count("simcache.quarantine")
+        quarantined = METRICS.count("simcache.quarantine")
         assert cache._read(key) is None
-        assert EXEC_STATS.count("simcache.quarantine") == quarantined + 1
+        assert METRICS.count("simcache.quarantine") == quarantined + 1
         assert not path.exists()
         assert (cache.root / "quarantine" / path.name).exists()
 
@@ -300,10 +299,10 @@ class TestSimCacheIntegrity:
         model.simulate(trace, Mode.LOW_POWER)
         key = cache.sim_key(trace, Mode.LOW_POWER, model.machine)
         _flip_byte(cache._path(key))
-        quarantined = EXEC_STATS.count("simcache.quarantine")
+        quarantined = METRICS.count("simcache.quarantine")
         reloaded = IntervalModel(simcache=cache).simulate(
             trace, Mode.LOW_POWER)
-        assert EXEC_STATS.count("simcache.quarantine") == quarantined + 1
+        assert METRICS.count("simcache.quarantine") == quarantined + 1
         assert np.array_equal(plain.ipc, reloaded.ipc)
         assert np.array_equal(plain.cycles, reloaded.cycles)
         assert np.array_equal(plain.signals, reloaded.signals)
@@ -315,12 +314,12 @@ class TestSimCacheIntegrity:
                                                       Mode.LOW_POWER)
         cache = SimCache(tmp_path / "c")
         IntervalModel(simcache=cache).simulate(trace, Mode.LOW_POWER)
-        quarantined = EXEC_STATS.count("simcache.quarantine")
+        quarantined = METRICS.count("simcache.quarantine")
         with inject(FaultPlan(seed=0, corrupt_cache=1.0)):
             loaded = IntervalModel(simcache=cache).simulate(
                 trace, Mode.LOW_POWER)
-        assert EXEC_STATS.count("simcache.quarantine") == quarantined + 1
-        assert EXEC_STATS.count("faults.injected.corrupt_cache") >= 1
+        assert METRICS.count("simcache.quarantine") == quarantined + 1
+        assert METRICS.count("faults.injected.corrupt_cache") >= 1
         assert np.array_equal(plain.ipc, loaded.ipc)
         assert np.array_equal(plain.signals, loaded.signals)
 
@@ -372,12 +371,12 @@ class TestArenaIntegrity:
         serial = cpu.run_many(traces,
                               pmap=ParallelMap(backend="serial"))
         close_pools()
-        monkeypatch.setenv(FAULT_SPEC_ENV_VAR, "seed=1,corrupt_arena=1.0")
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "seed=1,corrupt_arena=1.0")
         monkeypatch.setenv("REPRO_EXEC_ARENA", "1")
-        fallbacks = EXEC_STATS.count("arena.attach_fallback")
+        fallbacks = METRICS.count("arena.attach_fallback")
         chaotic = cpu.run_many(
             traces, pmap=ParallelMap(backend="process", n_workers=2))
-        assert (EXEC_STATS.count("arena.attach_fallback")
+        assert (METRICS.count("arena.attach_fallback")
                 == fallbacks + 1)
         for rs, rc in zip(serial, chaotic):
             _results_equal(rs, rc, "corrupt_arena")
@@ -402,7 +401,7 @@ class TestChaosEquivalence:
         serial = cpu.run_many(traces,
                               pmap=ParallelMap(backend="serial"))
         close_pools()  # pools must fork after the spec lands in env
-        monkeypatch.setenv(FAULT_SPEC_ENV_VAR, spec)
+        monkeypatch.setenv("REPRO_FAULT_SPEC", spec)
         pmap = ParallelMap(backend=backend, n_workers=2, retries=2,
                            timeout=30.0)
         try:
@@ -438,12 +437,12 @@ class TestPoolHygiene:
 
 class TestResilienceReport:
     def test_report_has_resilience_section(self):
-        EXEC_STATS.incr("parallel.retries")
-        EXEC_STATS.incr("faults.injected.crash")
-        text = EXEC_STATS.report()
+        METRICS.incr("parallel.retries")
+        METRICS.incr("faults.injected.crash")
+        text = METRICS.report()
         assert "resilience:" in text
         assert "parallel.retries" in text
         assert "faults.injected.crash" in text
-        resilience = EXEC_STATS.resilience()
+        resilience = METRICS.resilience()
         assert resilience["parallel.retries"] >= 1
         assert resilience["faults.injected.crash"] >= 1

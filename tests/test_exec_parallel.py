@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.config import MachineConfig, interval_lru_size
+from repro.config import MachineConfig, active_exec_config
 from repro.core.adaptive_cpu import AdaptiveCPU
 from repro.core.predictor import DualModePredictor
 from repro.data.builders import build_mode_dataset
@@ -21,7 +21,6 @@ from repro.errors import (
 )
 from repro.eval.runner import evaluate_predictor
 from repro.exec import (
-    EXEC_STATS,
     FaultPlan,
     ParallelMap,
     SimCache,
@@ -31,6 +30,7 @@ from repro.exec import (
 )
 from repro.exec import shmres
 from repro.exec.simcache import default_simcache
+from repro.obs.metrics import METRICS
 from repro.ml.base import Estimator
 from repro.ml.crossval import Fold
 from repro.ml.hyperscreen import screen_configs
@@ -124,11 +124,11 @@ class TestParallelMap:
         assert pmap.n_workers == 3
 
     def test_unpicklable_fn_falls_back_to_serial(self):
-        before = EXEC_STATS.count("parallel.fallback_serial")
+        before = METRICS.count("parallel.fallback_serial")
         pmap = ParallelMap(backend="process", n_workers=2)
         result = pmap.map(lambda i: i + 1, range(6))
         assert result == [1, 2, 3, 4, 5, 6]
-        assert EXEC_STATS.count("parallel.fallback_serial") == before + 1
+        assert METRICS.count("parallel.fallback_serial") == before + 1
 
     def test_task_errors_propagate(self):
         pmap = ParallelMap(backend="serial")
@@ -138,7 +138,7 @@ class TestParallelMap:
     def test_stage_recorded(self):
         pmap = ParallelMap(backend="serial")
         pmap.map(_square, range(4), stage="unit_stage")
-        snap = EXEC_STATS.snapshot()
+        snap = METRICS.snapshot()
         assert "unit_stage" in snap["stages"]
         assert snap["counters"]["unit_stage.items"] >= 4
 
@@ -164,9 +164,9 @@ class TestParallelEquivalence:
         arena_pmap = ParallelMap(backend="process", n_workers=2,
                                  persistent=True)
         results["arena"] = cpu.run_many(traces, pmap=arena_pmap)
-        reuse_before = EXEC_STATS.count("parallel.pool_reuse")
+        reuse_before = METRICS.count("parallel.pool_reuse")
         results["arena_warm"] = cpu.run_many(traces, pmap=arena_pmap)
-        assert EXEC_STATS.count("parallel.pool_reuse") > reuse_before
+        assert METRICS.count("parallel.pool_reuse") > reuse_before
         serial = results["serial"]
         for variant in ("thread", "process", "arena", "arena_warm"):
             for rs, rp in zip(serial, results[variant]):
@@ -238,19 +238,19 @@ class TestShmResults:
 
     def test_map_roundtrip_and_spool_clean(self):
         serial = ParallelMap("serial").map(_block, range(12))
-        decodes = EXEC_STATS.count("shmres.decodes")
+        decodes = METRICS.count("shmres.decodes")
         pmap = ParallelMap("process", n_workers=2)
         out = pmap.map(_block, range(12))
-        assert EXEC_STATS.count("shmres.decodes") > decodes
+        assert METRICS.count("shmres.decodes") > decodes
         for a, b in zip(serial, out):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert _spool_entries() == 0
 
     def test_kill_switch_restores_pickled_returns(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXEC_SHMRES", "0")
-        segments = EXEC_STATS.count("shmres.segments")
+        segments = METRICS.count("shmres.segments")
         out = ParallelMap("process", n_workers=2).map(_block, range(8))
-        assert EXEC_STATS.count("shmres.segments") == segments
+        assert METRICS.count("shmres.segments") == segments
         for a, b in zip(ParallelMap("serial").map(_block, range(8)), out):
             assert np.array_equal(a, b)
 
@@ -269,11 +269,11 @@ class TestShmResults:
 
     def test_corrupt_segment_quarantines_to_pickled(self):
         expected = ParallelMap("serial").map(_block, range(10))
-        quarantined = EXEC_STATS.count("shmres.quarantine")
+        quarantined = METRICS.count("shmres.quarantine")
         with inject(FaultPlan(seed=5, corrupt_result=1.0)):
             out = ParallelMap("process", n_workers=2).map(
                 _block, range(10))
-        assert EXEC_STATS.count("shmres.quarantine") > quarantined
+        assert METRICS.count("shmres.quarantine") > quarantined
         for a, b in zip(expected, out):
             assert np.array_equal(a, b)
         assert _spool_entries() == 0
@@ -282,11 +282,11 @@ class TestShmResults:
         expected = ParallelMap("serial").map(_block, range(10))
         close_pools()  # new pools must fork with the spec in their env
         monkeypatch.setenv("REPRO_FAULT_SPEC", "seed=5,crash=1.0")
-        fallbacks = EXEC_STATS.count("parallel.fallback_serial")
+        fallbacks = METRICS.count("parallel.fallback_serial")
         out = ParallelMap("process", n_workers=2, chunk_size=3,
                           retries=2).map(_block, range(10),
                                          stage="unit_shmcrash")
-        assert (EXEC_STATS.count("parallel.fallback_serial")
+        assert (METRICS.count("parallel.fallback_serial")
                 == fallbacks + 1)
         for a, b in zip(expected, out):
             assert np.array_equal(a, b)
@@ -308,17 +308,17 @@ class TestShmResults:
         (tmp_path / "probe").write_bytes(b"x")  # unrelated file
         with open(os.path.join(spool, "seg-orphan.shm"), "wb") as fh:
             fh.write(b"leftover")
-        reclaimed = EXEC_STATS.count("shmres.reclaimed")
+        reclaimed = METRICS.count("shmres.reclaimed")
         assert shmres.close_call_spool(spool) == 1
-        assert EXEC_STATS.count("shmres.reclaimed") == reclaimed + 1
+        assert METRICS.count("shmres.reclaimed") == reclaimed + 1
         assert not os.path.isdir(spool)
 
     def test_small_results_skip_segments(self):
         """Chunks with no array >= MIN_BLOCK_BYTES never touch disk."""
-        segments = EXEC_STATS.count("shmres.segments")
+        segments = METRICS.count("shmres.segments")
         out = ParallelMap("process", n_workers=2).map(_square, range(8))
         assert out == [_square(i) for i in range(8)]
-        assert EXEC_STATS.count("shmres.segments") == segments
+        assert METRICS.count("shmres.segments") == segments
 
 
 class TestSharding:
@@ -329,10 +329,10 @@ class TestSharding:
         plain = build_mode_dataset(traces, Mode.LOW_POWER, ids,
                                    collector=TelemetryCollector())
         monkeypatch.setenv("REPRO_EXEC_SHARD", "2")
-        shards = EXEC_STATS.count("build_dataset.shards")
+        shards = METRICS.count("build_dataset.shards")
         sharded = build_mode_dataset(traces, Mode.LOW_POWER, ids,
                                      collector=TelemetryCollector())
-        assert EXEC_STATS.count("build_dataset.shards") > shards
+        assert METRICS.count("build_dataset.shards") > shards
         for field in ("x", "y", "groups", "workloads", "traces"):
             a = getattr(plain, field)
             b = getattr(sharded, field)
@@ -357,10 +357,10 @@ class TestSharding:
         plain = evaluate_predictor(predictor, traces,
                                    collector=TelemetryCollector())
         monkeypatch.setenv("REPRO_EXEC_SHARD", "2")
-        shards = EXEC_STATS.count("adaptive_run.shards")
+        shards = METRICS.count("adaptive_run.shards")
         sharded = evaluate_predictor(predictor, traces,
                                      collector=TelemetryCollector())
-        assert EXEC_STATS.count("adaptive_run.shards") > shards
+        assert METRICS.count("adaptive_run.shards") > shards
         assert plain.mean_ppw_gain == sharded.mean_ppw_gain
         assert plain.mean_rsv == sharded.mean_rsv
         assert plain.mean_pgos == sharded.mean_pgos
@@ -377,10 +377,10 @@ class TestSharding:
         plain = screen_configs(_const_factory, configs, x, y, folds,
                                {"acc": _accuracy})
         monkeypatch.setenv("REPRO_EXEC_SHARD", "3")
-        shards = EXEC_STATS.count("hyperscreen.shards")
+        shards = METRICS.count("hyperscreen.shards")
         sharded = screen_configs(_const_factory, configs, x, y, folds,
                                  {"acc": _accuracy})
-        assert EXEC_STATS.count("hyperscreen.shards") > shards
+        assert METRICS.count("hyperscreen.shards") > shards
         assert [r.per_fold for r in plain] == [r.per_fold
                                                for r in sharded]
 
@@ -392,10 +392,10 @@ class TestSimCache:
         cache = SimCache(tmp_path / "c")
         writer = IntervalModel(simcache=cache)
         written = writer.simulate(trace, Mode.LOW_POWER)
-        hits_before = EXEC_STATS.count("simcache.hit")
+        hits_before = METRICS.count("simcache.hit")
         reader = IntervalModel(simcache=cache)  # fresh LRU
         loaded = reader.simulate(trace, Mode.LOW_POWER)
-        assert EXEC_STATS.count("simcache.hit") == hits_before + 1
+        assert METRICS.count("simcache.hit") == hits_before + 1
         for result in (written, loaded):
             assert np.array_equal(plain.ipc, result.ipc)
             assert np.array_equal(plain.cycles, result.cycles)
@@ -411,10 +411,10 @@ class TestSimCache:
         assert (cache.sim_key(trace, Mode.LOW_POWER, default)
                 != cache.sim_key(trace, Mode.LOW_POWER, slower))
         IntervalModel(simcache=cache).simulate(trace, Mode.LOW_POWER)
-        misses_before = EXEC_STATS.count("simcache.miss")
+        misses_before = METRICS.count("simcache.miss")
         IntervalModel(machine=slower,
                       simcache=cache).simulate(trace, Mode.LOW_POWER)
-        assert EXEC_STATS.count("simcache.miss") == misses_before + 1
+        assert METRICS.count("simcache.miss") == misses_before + 1
 
     def test_mode_and_trace_distinguish_keys(self, traces, tmp_path):
         cache = SimCache(tmp_path / "c")
@@ -468,29 +468,29 @@ class TestSimCache:
 class TestIntervalLRU:
     def test_env_configures_bound(self, monkeypatch):
         monkeypatch.setenv("REPRO_INTERVAL_LRU", "2")
-        assert interval_lru_size() == 2
+        assert active_exec_config().interval_lru == 2
         model = IntervalModel(simcache=None)
         assert model._cache_size == 2
 
     def test_invalid_env_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_INTERVAL_LRU", "zero")
         with pytest.raises(ValueError):
-            interval_lru_size()
+            active_exec_config().interval_lru
         monkeypatch.setenv("REPRO_INTERVAL_LRU", "0")
         with pytest.raises(ValueError):
-            interval_lru_size()
+            active_exec_config().interval_lru
 
     def test_bound_enforced_and_counters_reported(self, traces):
         model = IntervalModel(cache_size=1, simcache=None)
-        misses_before = EXEC_STATS.count("interval_lru.miss")
-        hits_before = EXEC_STATS.count("interval_lru.hit")
+        misses_before = METRICS.count("interval_lru.miss")
+        hits_before = METRICS.count("interval_lru.hit")
         model.simulate(traces[0], Mode.LOW_POWER)
         model.simulate(traces[0], Mode.LOW_POWER)  # hit
         model.simulate(traces[1], Mode.LOW_POWER)  # evicts traces[0]
         model.simulate(traces[0], Mode.LOW_POWER)  # miss again
         assert len(model._cache) == 1
-        assert EXEC_STATS.count("interval_lru.hit") == hits_before + 1
-        assert EXEC_STATS.count("interval_lru.miss") == misses_before + 3
+        assert METRICS.count("interval_lru.hit") == hits_before + 1
+        assert METRICS.count("interval_lru.miss") == misses_before + 3
 
 
 class TestSuiteEvalLookup:
@@ -509,16 +509,16 @@ class TestSuiteEvalLookup:
 
 class TestStatsReport:
     def test_report_contains_stages_and_rates(self):
-        with EXEC_STATS.stage("report_stage"):
+        with METRICS.stage("report_stage"):
             pass
-        EXEC_STATS.incr("simcache.hit")
-        text = EXEC_STATS.report()
+        METRICS.incr("simcache.hit")
+        text = METRICS.report()
         assert "report_stage" in text
         assert "simcache hit rate" in text
 
     def test_snapshot_roundtrip(self):
-        EXEC_STATS.add_time("snap_stage", 2.0, busy_s=3.0, workers=2)
-        snap = EXEC_STATS.snapshot()
+        METRICS.add_time("snap_stage", 2.0, busy_s=3.0, workers=2)
+        snap = METRICS.snapshot()
         stage = snap["stages"]["snap_stage"]
         assert stage["workers"] == 2
         assert stage["utilization"] == pytest.approx(0.75)

@@ -14,9 +14,9 @@ import time
 
 import pytest
 
-from repro.config import FAULT_SPEC_ENV_VAR, TRACE_ENV_VAR
+from repro.config import ExecConfig
 from repro.errors import DatasetError
-from repro.exec import EXEC_STATS, ParallelMap, close_pools
+from repro.exec import ParallelMap, close_pools
 from repro.exec import parallel as parallel_mod
 from repro.obs import (METRICS, Metrics, from_chrome_trace, render_report,
                        to_chrome_trace, tracer)
@@ -29,7 +29,7 @@ def _double(i):
 
 
 def _bump_and_double(i):
-    EXEC_STATS.incr("obs_test.work")
+    METRICS.incr("obs_test.work")
     return i * 2
 
 
@@ -115,21 +115,21 @@ class TestMetrics:
         have recorded them."""
         close_pools()
         items = list(range(12))
-        serial_before = EXEC_STATS.count("obs_test.work")
+        serial_before = METRICS.count("obs_test.work")
         serial = ParallelMap(backend="serial").map(
             _bump_and_double, items, stage="obs_serial")
-        serial_delta = EXEC_STATS.count("obs_test.work") - serial_before
+        serial_delta = METRICS.count("obs_test.work") - serial_before
 
-        par_before = EXEC_STATS.count("obs_test.work")
-        merges_before = EXEC_STATS.count("obs.worker_merges")
+        par_before = METRICS.count("obs_test.work")
+        merges_before = METRICS.count("obs.worker_merges")
         par = ParallelMap(backend="process", n_workers=2,
                           chunk_size=3).map(
             _bump_and_double, items, stage="obs_process")
-        par_delta = EXEC_STATS.count("obs_test.work") - par_before
+        par_delta = METRICS.count("obs_test.work") - par_before
 
         assert par == serial
         assert par_delta == serial_delta == len(items)
-        assert EXEC_STATS.count("obs.worker_merges") > merges_before
+        assert METRICS.count("obs.worker_merges") > merges_before
         close_pools()
 
     def test_report_mentions_gauges_and_histograms(self):
@@ -157,7 +157,7 @@ class TestTracerDisabled:
         assert tracer.spans_snapshot() == []
 
     def test_disabled_trace_writes_no_file(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(TRACE_ENV_VAR, raising=False)
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
         out = tmp_path / "t.json"
         with tracer.trace("run", path=str(out)):
             pass
@@ -197,7 +197,7 @@ class TestTracerEnabled:
 
     def test_trace_writes_valid_document(self, tmp_path, monkeypatch):
         out = tmp_path / "trace.json"
-        monkeypatch.setenv(TRACE_ENV_VAR, str(out))
+        monkeypatch.setenv("REPRO_TRACE", str(out))
         with tracer.trace("unit.run"):
             with tracer.span("step", k=1):
                 pass
@@ -226,7 +226,7 @@ class TestTracerEnabled:
         import os
         close_pools()  # fresh pools must fork with REPRO_TRACE set
         out = tmp_path / "t.json"
-        monkeypatch.setenv(TRACE_ENV_VAR, str(out))
+        monkeypatch.setenv("REPRO_TRACE", str(out))
         tracer.refresh()
         pmap = ParallelMap(backend="process", n_workers=2, chunk_size=2)
         result = pmap.map(_spanned_double, range(8), stage="obs_pspan")
@@ -284,25 +284,25 @@ class TestSpanSampling:
     def test_trace_doc_records_sampling_fields(self, tmp_path,
                                                monkeypatch):
         out = tmp_path / "t.json"
-        monkeypatch.setenv(TRACE_ENV_VAR, str(out))
+        monkeypatch.setenv("REPRO_TRACE", str(out))
         with tracer.trace("unit.sample"):
             pass
         doc = json.loads(out.read_text())
         assert validate_trace(doc) == []
         assert doc["sampled_spans"] == 0
-        assert doc["sample_rate"] == tracer.DEFAULT_SAMPLE_RATE
+        assert doc["sample_rate"] == ExecConfig().trace_sample
 
 
 class TestTracedRunsAreBitIdentical:
     def test_traced_equals_untraced(self, tmp_path, monkeypatch):
         close_pools()
-        monkeypatch.delenv(TRACE_ENV_VAR, raising=False)
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
         tracer.refresh()
         plain = ParallelMap(backend="process", n_workers=2,
                             chunk_size=3).map(
             _double, range(10), stage="obs_plain")
         close_pools()
-        monkeypatch.setenv(TRACE_ENV_VAR, str(tmp_path / "t.json"))
+        monkeypatch.setenv("REPRO_TRACE", str(tmp_path / "t.json"))
         tracer.refresh()
         with tracer.trace("bit.identity"):
             traced = ParallelMap(backend="process", n_workers=2,
@@ -322,14 +322,14 @@ class TestPoolGauge:
         returns to zero and no child processes survive."""
         close_pools()
         assert METRICS.gauge("parallel.pools_open") == 0
-        monkeypatch.setenv(FAULT_SPEC_ENV_VAR, "seed=0,crash=1.0")
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "seed=0,crash=1.0")
         pmap = ParallelMap(backend="process", n_workers=2,
                            chunk_size=3, retries=2)
-        degrades = EXEC_STATS.count("parallel.degrade_thread")
+        degrades = METRICS.count("parallel.degrade_thread")
         assert pmap.map(_double, range(10),
                         stage="obs_ladder") == [i * 2 for i in range(10)]
-        assert EXEC_STATS.count("parallel.degrade_thread") == degrades + 1
-        monkeypatch.delenv(FAULT_SPEC_ENV_VAR)
+        assert METRICS.count("parallel.degrade_thread") == degrades + 1
+        monkeypatch.delenv("REPRO_FAULT_SPEC")
         close_pools()
         assert METRICS.gauge("parallel.pools_open") == 0
         assert not parallel_mod._POOLS
@@ -357,7 +357,7 @@ class TestPoolGauge:
 class TestChromeExport:
     def _doc(self, tmp_path, monkeypatch):
         out = tmp_path / "trace.json"
-        monkeypatch.setenv(TRACE_ENV_VAR, str(out))
+        monkeypatch.setenv("REPRO_TRACE", str(out))
         with tracer.trace("export.run"):
             with tracer.span("outer", k=1):
                 with tracer.span("inner", label="x"):

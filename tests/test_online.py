@@ -12,7 +12,6 @@ from repro.core.adaptive_cpu import AdaptiveCPU
 from repro.core.predictor import DualModePredictor
 from repro.errors import (CheckpointError, ProtocolError,
                           StaleGenerationError, SwapGateError)
-from repro.obs.metrics import METRICS
 from repro.online import (DriftDetector, ModelRegistry, OnlineLearner,
                           OP_ADAPT, OP_DECIDE, TelemetryRing,
                           population_stability_index)
@@ -352,12 +351,9 @@ class TestTypedApi:
                        "pin_generation"):
             assert absent not in wire
 
-    def test_legacy_frames_parse_and_are_counted(self):
-        before = METRICS.count("serve.legacy_frames")
-        request = parse_request({"op": "adapt", "trace_index": 2})
-        assert request.trace_index == 2
-        assert request.schema_version == 1
-        assert METRICS.count("serve.legacy_frames") == before + 1
+    def test_unversioned_frame_is_rejected(self):
+        with pytest.raises(ProtocolError, match="schema_version None"):
+            parse_request({"op": "adapt", "trace_index": 2})
 
     def test_future_schema_version_is_rejected(self):
         with pytest.raises(ProtocolError, match="schema_version"):
@@ -376,7 +372,6 @@ class TestTypedApi:
             "checkpoint": None, "dedup_entries": 0,
             "model_generation": 4, "novel_future_key": "x"})
         assert health.model_generation == 4
-        assert health.schema_version == 1  # absent -> legacy
 
 
 # ---------------------------------------------------------------------

@@ -171,7 +171,8 @@ class TestArenaTrainFanOut:
             arena.close()
 
     def test_process_backend_matches_serial_via_arena(self, monkeypatch):
-        from repro.exec import EXEC_STATS, ParallelMap, close_pools
+        from repro.exec import ParallelMap, close_pools
+        from repro.obs.metrics import METRICS
         monkeypatch.setenv("REPRO_EXEC_ARENA", "1")
         datasets = {m: dataclasses.replace(_dataset(rows_per_app=20),
                                            mode=m)
@@ -180,14 +181,14 @@ class TestArenaTrainFanOut:
             "t", _rf_factory, datasets, 1, n_candidates=3, seed=5,
             pmap=ParallelMap(backend="serial"))
         close_pools()
-        builds = EXEC_STATS.count("arena.builds")
-        tasks = EXEC_STATS.count("train_candidates.payload_tasks")
+        builds = METRICS.count("arena.builds")
+        tasks = METRICS.count("train_candidates.payload_tasks")
         parallel = train_dual_predictor(
             "t", _rf_factory, datasets, 1, n_candidates=3, seed=5,
             pmap=ParallelMap(backend="process", n_workers=2))
         # The shared matrices rode the arena, not the task pickles.
-        assert EXEC_STATS.count("arena.builds") == builds + 1
-        assert (EXEC_STATS.count("train_candidates.payload_tasks")
+        assert METRICS.count("arena.builds") == builds + 1
+        assert (METRICS.count("train_candidates.payload_tasks")
                 > tasks)
         x_test = np.random.default_rng(1).random((30, 3))
         for mode in Mode:

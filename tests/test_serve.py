@@ -405,15 +405,21 @@ class TestDaemon:
         with ServeClient(daemon.address) as client:
             with pytest.raises(ServeError, match="unknown op"):
                 client.request({"op": "fry"})
+            with pytest.raises(ServeError,
+                               match="bad_request.*schema_version"):
+                client.request({"op": "adapt", "trace_index": 0})
             with pytest.raises(ServeError, match="trace_index"):
-                client.request({"op": "adapt", "trace_index": 99})
+                client.request({"op": "adapt", "schema_version": 2,
+                                "trace_index": 99})
             with pytest.raises(ServeError, match="trace_index"):
-                client.request({"op": "adapt", "trace_index": True})
+                client.request({"op": "adapt", "schema_version": 2,
+                                "trace_index": True})
             with pytest.raises(ServeError, match="window"):
-                client.request({"op": "decide", "mode": "low_power",
-                                "window": []})
+                client.request({"op": "decide", "schema_version": 2,
+                                "mode": "low_power", "window": []})
             with pytest.raises(ServeError, match="mode"):
-                client.request({"op": "decide", "mode": "warp",
+                client.request({"op": "decide", "schema_version": 2,
+                                "mode": "warp",
                                 "window": [[0.0, 0.0, 0.0, 0.0]]})
             # The connection survives bad requests.
             assert client.ping()
@@ -489,17 +495,16 @@ class TestResidentArena:
         cpu.close_resident_arena()
 
     def test_resident_reuse_bit_identical_to_serial(self):
-        from repro.exec.stats import EXEC_STATS
         traces = serving_corpus(4, 1, 48)
         cpu = AdaptiveCPU(const_predictor())
         serial = cpu.run_many(traces, pmap=ParallelMap("serial"))
         pmap = ParallelMap("process", n_workers=2)
         try:
             cpu.install_resident_arena(traces)
-            before = EXEC_STATS.count("arena.resident_reuse")
+            before = METRICS.count("arena.resident_reuse")
             resident = cpu.run_many(traces, pmap=pmap)
             if pmap.uses_processes(len(traces), "adaptive_prepare"):
-                assert EXEC_STATS.count("arena.resident_reuse") > before
+                assert METRICS.count("arena.resident_reuse") > before
             assert [adapt_payload(r) for r in resident] == \
                 [adapt_payload(r) for r in serial]
         finally:

@@ -50,7 +50,8 @@ class TestProtocolEdges:
         # A slow peer dribbling one byte at a time must still deliver
         # one intact frame: _recv_exact loops until the length is met.
         a, b = self._pair()
-        payload = {"op": "adapt", "trace_index": 3, "tenant": "t0"}
+        payload = {"op": "adapt", "schema_version": 2, "trace_index": 3,
+                   "tenant": "t0"}
         frame = encode_frame(payload)
 
         def dribble():
@@ -509,9 +510,11 @@ class TestDedup:
     def test_keyed_retry_returns_original_payload(self, bare_server):
         before = METRICS.count("serve.dedup_hits")
         first = bare_server._dispatch(
-            {"id": 1, "op": "adapt", "trace_index": 0, "key": "K1"})
+            {"id": 1, "op": "adapt", "schema_version": 2,
+             "trace_index": 0, "key": "K1"})
         retry = bare_server._dispatch(
-            {"id": 2, "op": "adapt", "trace_index": 0, "key": "K1"})
+            {"id": 2, "op": "adapt", "schema_version": 2,
+             "trace_index": 0, "key": "K1"})
         assert first["ok"] and retry["ok"]
         assert retry["result"] == first["result"]
         assert METRICS.count("serve.dedup_hits") == before + 1
@@ -527,7 +530,8 @@ class TestDedup:
             return {"value": 42}
 
         monkeypatch.setattr(bare_server, "_execute_routed", routed)
-        request = {"id": 1, "op": "adapt", "trace_index": 0, "key": "R"}
+        request = {"id": 1, "op": "adapt", "schema_version": 2,
+                   "trace_index": 0, "key": "R"}
         failed = bare_server._dispatch(request)
         assert not failed["ok"] and failed["error"] == "internal"
         # The failure dropped the entry: the retry re-executes...
@@ -547,7 +551,8 @@ class TestDedup:
             bare_server, "_execute_routed",
             lambda op, request, tenant, level:
                 (calls.append(op) or {"value": 1}))
-        request = {"id": 1, "op": "adapt", "trace_index": 0, "key": 99}
+        request = {"id": 1, "op": "adapt", "schema_version": 2,
+                   "trace_index": 0, "key": 99}
         bare_server._dispatch(request)
         bare_server._dispatch(request)
         assert len(calls) == 2

@@ -13,7 +13,8 @@ import pytest
 
 import repro.surrogate.tier as tier_mod
 from repro.data.builders import build_mode_dataset
-from repro.exec import EXEC_STATS, ParallelMap, SimCache, reset_default
+from repro.exec import ParallelMap, SimCache, reset_default
+from repro.obs.metrics import METRICS
 from repro.surrogate import SurrogateTier
 from repro.telemetry.collector import TelemetryCollector
 from repro.uarch.interval_model import IntervalModel
@@ -69,13 +70,13 @@ class TestBitIdentity:
         # reproduce the flag-off build bit for bit.
         monkeypatch.setenv("REPRO_SURROGATE", "1")
         monkeypatch.setenv("REPRO_SURROGATE_THRESHOLD", "1e-12")
-        accepted = EXEC_STATS.count("surrogate.accepted")
-        fallback = EXEC_STATS.count("surrogate.fallback")
+        accepted = METRICS.count("surrogate.accepted")
+        fallback = METRICS.count("surrogate.fallback")
         on = _build(traces)
-        assert EXEC_STATS.count("surrogate.accepted") == accepted
+        assert METRICS.count("surrogate.accepted") == accepted
         # One miss per (trace, mode) pair; both modes simulate (labels
         # come from the cross-mode gating comparison).
-        assert (EXEC_STATS.count("surrogate.fallback")
+        assert (METRICS.count("surrogate.fallback")
                 == fallback + 2 * len(traces))
         _assert_identical(off, on)
 
@@ -84,9 +85,9 @@ class TestBitIdentity:
         monkeypatch.setenv("REPRO_SURROGATE", "0")
         off = _build(traces)
         monkeypatch.setenv("REPRO_SURROGATE", "1")
-        accepted = EXEC_STATS.count("surrogate.accepted")
+        accepted = METRICS.count("surrogate.accepted")
         on = _build(traces)
-        assert EXEC_STATS.count("surrogate.accepted") > accepted
+        assert METRICS.count("surrogate.accepted") > accepted
         # The supervised signal survives the fast path: identical rows
         # and identical labels even where the surrogate served physics.
         assert np.array_equal(off.traces, on.traces)
@@ -97,11 +98,11 @@ class TestCrossBackend:
     def test_partition_and_bits_backend_invariant(self, traces,
                                                   monkeypatch):
         monkeypatch.setenv("REPRO_SURROGATE", "1")
-        base_acc = EXEC_STATS.count("surrogate.accepted")
-        base_fb = EXEC_STATS.count("surrogate.fallback")
+        base_acc = METRICS.count("surrogate.accepted")
+        base_fb = METRICS.count("surrogate.fallback")
         serial = _build(traces)
-        acc = EXEC_STATS.count("surrogate.accepted") - base_acc
-        fb = EXEC_STATS.count("surrogate.fallback") - base_fb
+        acc = METRICS.count("surrogate.accepted") - base_acc
+        fb = METRICS.count("surrogate.fallback") - base_fb
         # The corpus must split both ways, or invariance is vacuous.
         assert acc > 0 and fb > 0
         for backend in ("thread", "process"):
@@ -118,11 +119,11 @@ class TestAgreementGate:
         # An unreachable agreement bar: training completes but the
         # gate refuses activation, so every pair falls back.
         monkeypatch.setattr(tier_mod, "MIN_SPEARMAN", 2.0)
-        refused = EXEC_STATS.count("surrogate.refused")
-        accepted = EXEC_STATS.count("surrogate.accepted")
+        refused = METRICS.count("surrogate.refused")
+        accepted = METRICS.count("surrogate.accepted")
         on = _build(traces)
-        assert EXEC_STATS.count("surrogate.refused") > refused
-        assert EXEC_STATS.count("surrogate.accepted") == accepted
+        assert METRICS.count("surrogate.refused") > refused
+        assert METRICS.count("surrogate.accepted") == accepted
         _assert_identical(off, on)
 
 
@@ -135,11 +136,11 @@ class TestPersistence:
         assert tier.active
         key = tier._cache_key()
         assert key and cache.has(key)
-        hits = EXEC_STATS.count("surrogate.cache_hit")
+        hits = METRICS.count("surrogate.cache_hit")
         warm = SurrogateTier(IntervalModel(simcache=SimCache(tmp_path)),
                              threshold=0.02, n_probes=8)
         warm.train()
-        assert EXEC_STATS.count("surrogate.cache_hit") == hits + 1
+        assert METRICS.count("surrogate.cache_hit") == hits + 1
         assert warm.active
         assert warm.agreement == tier.agreement
         for mode in Mode:
@@ -157,15 +158,15 @@ class TestPersistence:
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         path.write_bytes(bytes(blob))
-        quarantined = EXEC_STATS.count("simcache.quarantine")
-        hits = EXEC_STATS.count("surrogate.cache_hit")
+        quarantined = METRICS.count("simcache.quarantine")
+        hits = METRICS.count("surrogate.cache_hit")
         fresh = SurrogateTier(IntervalModel(simcache=SimCache(tmp_path)),
                               threshold=0.02, n_probes=8)
         fresh.train()
         # The damaged entry was moved aside, read as a miss, and the
         # tier retrained to the same bits — never trusted.
-        assert EXEC_STATS.count("simcache.quarantine") == quarantined + 1
-        assert EXEC_STATS.count("surrogate.cache_hit") == hits
+        assert METRICS.count("simcache.quarantine") == quarantined + 1
+        assert METRICS.count("surrogate.cache_hit") == hits
         assert fresh.active
         assert (tmp_path / "quarantine").is_dir()
         assert cache.has(key)
