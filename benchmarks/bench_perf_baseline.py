@@ -1,27 +1,22 @@
 """Performance baseline for the execution engine.
 
 Times the dataset-scale hot paths — trace generation, serial vs
-parallel ``evaluate_predictor``, cold- vs warm-cache runs, and the
-batched kernels (SoA cycle scoreboard, stacked interval passes,
-batched closed-loop inference) against the scalar reference paths —
-and writes a machine-readable ``BENCH_perf.json`` at the repo root so
-future PRs have a perf trajectory to compare against.
+parallel ``evaluate_predictor``, cold- vs warm-cache runs, trace-arena
+dispatch, the SoA cycle scoreboard against its reference loop,
+simcache verification and tracing overhead — and writes a
+machine-readable ``BENCH_perf.json`` at the repo root so future PRs
+have a perf trajectory to compare against.
 
 Run standalone (no pytest session fixtures needed)::
 
     PYTHONPATH=src python benchmarks/bench_perf_baseline.py
 
-``--quick`` runs only the batched-vs-reference warm comparison on a
-small corpus and exits non-zero if the batched path is slower — the
-CI perf smoke. It also fails when any recorded ``BENCH_perf.json``
-section's keys diverge from what the current benchmarks emit (a stale
-file that was never regenerated).
-
-``--surrogate`` runs the tier-0 learned-surrogate tier: cold train and
-warm load cost, accept rate, and the cache-cold dataset-build speedup
-over the interval tier (alternating best-of-N trials), merged into the
-``surrogate`` section (``--surrogate-smoke`` shrinks the corpus and
-relaxes the speedup bar for CI).
+``--quick`` is the CI perf smoke: on a small corpus it guards arena
+payload bytes, the SoA cycle kernel, simcache verification overhead
+and tracing overhead, and exits non-zero on a regression. It also
+fails when any recorded ``BENCH_perf.json`` section's keys diverge
+from what the current benchmarks emit (a stale file that was never
+regenerated).
 
 ``--scale`` runs the large-corpus tier: a ≥10^5-trace dataset build,
 sharded with shared-memory result return under a hard peak-RSS budget,
@@ -50,7 +45,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.config import DEFAULT_SLA, ExecConfig
 from repro.core.predictor import DualModePredictor
 from repro.data.builders import build_mode_dataset
 from repro.eval.runner import evaluate_predictor
@@ -83,10 +77,6 @@ SECTION_KEYS: dict[str, frozenset] = {
     "simcache": frozenset({
         "evaluate_cold_s", "evaluate_warm_s", "evaluate_speedup",
         "dataset_cold_s", "dataset_warm_s", "dataset_speedup"}),
-    "batched": frozenset({
-        "evaluate_scalar_warm_s", "evaluate_batched_warm_s",
-        "evaluate_speedup", "dataset_scalar_warm_s",
-        "dataset_batched_warm_s", "dataset_speedup"}),
     "arena": frozenset({
         "workers", "payload_pickled_bytes_per_task",
         "payload_arena_bytes_per_task", "payload_reduction",
@@ -107,20 +97,13 @@ SECTION_KEYS: dict[str, frozenset] = {
         "unsharded_peak_rss_mb", "rss_budget_mb",
         "result_bytes_per_task_shm", "result_bytes_per_task_pickled",
         "result_reduction", "bit_identical"}),
-    "surrogate": frozenset({
-        "n_traces", "intervals_per_trace", "trials", "threshold",
-        "probes", "train_cold_s", "train_warm_load_s", "active",
-        "agreement", "accepted_pairs", "fallback_pairs",
-        "accepted_fraction", "interval_build_trials_s",
-        "surrogate_build_trials_s", "interval_build_s",
-        "surrogate_build_s", "speedup", "labels_identical"}),
 }
 
 
 def _merge_bench_doc(output: Path | None, sections: dict) -> Path:
     """Fold ``sections`` into the perf JSON, preserving other tiers.
 
-    Every writer (full run, ``--scale``, ``--surrogate``) merges into
+    Every writer (full run, ``--scale``) merges into
     the same document instead of overwriting it, so the slow tiers'
     numbers survive a re-run of the cheap ones.
     """
@@ -190,20 +173,14 @@ def _env(var: str, value: str):
             os.environ[var] = saved
 
 
-def _batch_sim(enabled: bool):
-    """Temporarily force the batch-simulation layer on or off."""
-    return _env("REPRO_BATCH_SIM", "1" if enabled else "0")
-
-
 def _bench_cycle_kernel(n_uops: int = 20000) -> dict:
     """SoA scoreboard vs reference loop on one synthetic stream."""
     rng = np.random.default_rng(23)
     phase = sample_phase_instance("balanced_mixed", rng)
     stream = synthesize_uops(phase, n_uops, seed=23)
-    soa_s, soa = _timed(
-        lambda: ClusteredCoreModel(kernel="soa").execute(stream))
-    ref_s, ref = _timed(
-        lambda: ClusteredCoreModel(kernel="reference").execute(stream))
+    core = ClusteredCoreModel()
+    soa_s, soa = _timed(lambda: core._execute_soa(stream))
+    ref_s, ref = _timed(lambda: core._execute_reference(stream))
     assert soa == ref, "SoA cycle kernel diverged from reference"
     speedup = ref_s / soa_s if soa_s > 0 else float("inf")
     print(f"cycle kernel ({n_uops} uops): soa {soa_s:.3f}s, "
@@ -213,76 +190,6 @@ def _bench_cycle_kernel(n_uops: int = 20000) -> dict:
         "soa_s": round(soa_s, 4),
         "reference_s": round(ref_s, 4),
         "speedup": round(speedup, 3),
-    }
-
-
-def _bench_batched(traces, cache_dir: Path) -> dict:
-    """Warm batched vs warm scalar: the acceptance measurement.
-
-    Both measurements run against the same warm on-disk simulation
-    cache; only the batch layer differs. The dataset-level cache entry
-    is evicted before each build so the comparison exercises the build
-    itself, not the whole-matrix cache hit (which predates batching).
-    """
-    predictor = _predictor()
-    counter_ids = list(range(12))
-
-    def _collector():
-        return TelemetryCollector(
-            model=IntervalModel(simcache=SimCache(cache_dir)))
-
-    # Warm every cache tier with the batch layer on: sim results and
-    # the deployed counter set's snapshots via evaluation, the build's
-    # counter set's snapshots and the label sets via one build.
-    with _batch_sim(True):
-        evaluate_predictor(predictor, traces, collector=_collector(),
-                           pmap=ParallelMap("serial"))
-        build_mode_dataset(traces, Mode.LOW_POWER, counter_ids,
-                           collector=_collector(),
-                           simcache=SimCache(cache_dir))
-
-    def _eval(enabled: bool):
-        with _batch_sim(enabled):
-            return _timed(lambda: evaluate_predictor(
-                predictor, traces, collector=_collector(),
-                pmap=ParallelMap("serial")))
-
-    def _build(enabled: bool):
-        with _batch_sim(enabled):
-            cache = SimCache(cache_dir)
-            collector = _collector()
-            key = cache.dataset_key(
-                traces, Mode.LOW_POWER, np.asarray(counter_ids),
-                DEFAULT_SLA, 1, 2, collector.model.machine,
-                catalog_token=collector.catalog_token())
-            cache.evict(key)
-            return _timed(lambda: build_mode_dataset(
-                traces, Mode.LOW_POWER, counter_ids,
-                collector=collector, simcache=cache))
-
-    eval_scalar_s, scalar_suite = _eval(False)
-    eval_batched_s, batched_suite = _eval(True)
-    assert scalar_suite.mean_ppw_gain == batched_suite.mean_ppw_gain, \
-        "batched evaluation diverged from scalar"
-    ds_scalar_s, ds_scalar = _build(False)
-    ds_batched_s, ds_batched = _build(True)
-    assert np.array_equal(ds_scalar.x, ds_batched.x), \
-        "batched dataset build diverged from scalar"
-    eval_speedup = (eval_scalar_s / eval_batched_s
-                    if eval_batched_s > 0 else float("inf"))
-    ds_speedup = (ds_scalar_s / ds_batched_s
-                  if ds_batched_s > 0 else float("inf"))
-    print(f"evaluate_predictor warm: scalar {eval_scalar_s:.3f}s, "
-          f"batched {eval_batched_s:.3f}s ({eval_speedup:.2f}x)")
-    print(f"build_mode_dataset warm: scalar {ds_scalar_s:.3f}s, "
-          f"batched {ds_batched_s:.3f}s ({ds_speedup:.2f}x)")
-    return {
-        "evaluate_scalar_warm_s": round(eval_scalar_s, 4),
-        "evaluate_batched_warm_s": round(eval_batched_s, 4),
-        "evaluate_speedup": round(eval_speedup, 3),
-        "dataset_scalar_warm_s": round(ds_scalar_s, 4),
-        "dataset_batched_warm_s": round(ds_batched_s, 4),
-        "dataset_speedup": round(ds_speedup, 3),
     }
 
 
@@ -471,8 +378,6 @@ def run(workers: int = 4, n_apps: int = 8, workloads_per_app: int = 3,
         ds_speedup = ds_cold_s / ds_warm_s if ds_warm_s > 0 else float("inf")
         print(f"build_mode_dataset cache: cold {ds_cold_s:.3f}s, "
               f"warm {ds_warm_s:.3f}s ({ds_speedup:.2f}x)")
-
-        batched = _bench_batched(traces, cache_dir)
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
 
@@ -510,7 +415,6 @@ def run(workers: int = 4, n_apps: int = 8, workloads_per_app: int = 3,
             "dataset_warm_s": round(ds_warm_s, 4),
             "dataset_speedup": round(ds_speedup, 3),
         },
-        "batched": batched,
         "arena": arena,
         "cycle_kernel": kernel,
         "resilience": resilience,
@@ -716,146 +620,6 @@ def run_scale(n_traces: int = 100_000, intervals: int = 24,
     return section, failures
 
 
-def run_surrogate(n_traces: int = 10_000, intervals: int = 100,
-                  trials: int = 2, output: Path | None = None,
-                  full_guards: bool = True) -> tuple[dict, list[str]]:
-    """The ``--surrogate`` tier: learned tier-0 fast path vs interval.
-
-    Three measurements on one corpus:
-
-    * **Train cost.** Cold train of the tier against a fresh SimCache,
-      then the warm load of the persisted tier — the price every fresh
-      process pays, and the price after the first one.
-    * **Accept rate.** The accepted/fallback split over a cache-cold
-      dataset build with the surrogate on.
-    * **End-to-end speedup.** Cache-cold ``build_mode_dataset`` with
-      the surrogate off vs on. Trials alternate off/on and the ratio
-      is best-of-N each way, so a scheduling hiccup on a shared VM
-      lands on one trial, not one side of the ratio. Labels are
-      asserted identical between the paths before any number is
-      reported.
-
-    ``full_guards`` additionally enforces the acceptance bars: the
-    agreement gate must pass (Spearman >= 0.95, MRE <= 5% per mode)
-    and the best-of-N speedup must reach 3x. The CI smoke
-    (``--surrogate-smoke``) runs a corpus too small to amortise
-    training, so it only guards gate passage and a non-empty accept
-    set.
-    """
-    from repro.surrogate import SurrogateTier
-
-    threshold = ExecConfig().surrogate_threshold
-    probes = ExecConfig().surrogate_probes
-    n_apps = 12
-    gen_s, traces = _timed(lambda: _generate_corpus(
-        n_apps, -(-n_traces // n_apps), intervals))
-    traces = traces[:n_traces]
-    counter_ids = [0, 1, 2, 3]
-    print(f"surrogate corpus: {len(traces)} traces x {intervals} "
-          f"intervals generated in {gen_s:.3f}s")
-
-    failures: list[str] = []
-    cache_dir = Path(tempfile.mkdtemp(prefix="repro-surrogate-bench-"))
-    try:
-        def _tier():
-            return SurrogateTier(
-                IntervalModel(simcache=SimCache(cache_dir)),
-                threshold=threshold, n_probes=probes)
-
-        tier = _tier()
-        train_s, _ = _timed(tier.train)
-        warm = _tier()
-        load_s, _ = _timed(warm.train)
-        print(f"surrogate train: cold {train_s:.3f}s, warm load "
-              f"{load_s:.3f}s; agreement {tier.agreement}")
-        if not tier.active:
-            failures.append(
-                f"surrogate agreement gate refused activation: "
-                f"{tier.agreement}")
-        if full_guards:
-            for mode_name, scores in tier.agreement.items():
-                if scores["rho"] < 0.95:
-                    failures.append(
-                        f"held-out Spearman rho {scores['rho']:.3f} "
-                        f"< 0.95 for mode {mode_name}")
-                if scores["mre"] > 0.05:
-                    failures.append(
-                        f"held-out IPC MRE {scores['mre']:.4f} > 5% "
-                        f"for mode {mode_name}")
-    finally:
-        shutil.rmtree(cache_dir, ignore_errors=True)
-
-    # Cache-cold builds: no disk cache, a fresh collector per trial, so
-    # every trial pays full simulation (or surrogate) cost.
-    def _build(surrogate_on: bool):
-        with _env("REPRO_SIMCACHE_DIR", ""), \
-                _env("REPRO_SURROGATE", "1" if surrogate_on else "0"):
-            return _timed(lambda: build_mode_dataset(
-                traces, Mode.HIGH_PERF, counter_ids,
-                collector=TelemetryCollector()))
-
-    accepted0 = METRICS.count("surrogate.accepted")
-    fallback0 = METRICS.count("surrogate.fallback")
-    interval_trials: list[float] = []
-    surrogate_trials: list[float] = []
-    ds_off = ds_on = None
-    for _ in range(trials):
-        off_s, ds_off = _build(False)
-        on_s, ds_on = _build(True)
-        interval_trials.append(off_s)
-        surrogate_trials.append(on_s)
-    accepted = METRICS.count("surrogate.accepted") - accepted0
-    fallback = METRICS.count("surrogate.fallback") - fallback0
-    fraction = accepted / max(1, accepted + fallback)
-    labels_ok = (np.array_equal(ds_off.y, ds_on.y)
-                 and np.array_equal(ds_off.traces, ds_on.traces))
-    interval_s = min(interval_trials)
-    surrogate_s = min(surrogate_trials)
-    speedup = interval_s / surrogate_s if surrogate_s > 0 else float("inf")
-    print(f"cache-cold build x{trials}: interval best {interval_s:.3f}s, "
-          f"surrogate best {surrogate_s:.3f}s ({speedup:.2f}x); "
-          f"accepted {accepted}/{accepted + fallback} pairs "
-          f"({fraction:.1%})")
-
-    if not labels_ok:
-        failures.append(
-            "surrogate-path dataset labels diverged from the interval "
-            "path")
-    if accepted == 0:
-        failures.append("surrogate accepted zero pairs")
-    if full_guards and speedup < 3.0:
-        failures.append(
-            f"cache-cold build speedup {speedup:.2f}x below the 3x bar")
-
-    section = {
-        "n_traces": len(traces),
-        "intervals_per_trace": intervals,
-        "trials": trials,
-        "threshold": threshold,
-        "probes": probes,
-        "train_cold_s": round(train_s, 4),
-        "train_warm_load_s": round(load_s, 4),
-        "active": bool(tier.active),
-        "agreement": {mode: {k: round(v, 5) for k, v in scores.items()}
-                      for mode, scores in tier.agreement.items()},
-        "accepted_pairs": accepted,
-        "fallback_pairs": fallback,
-        "accepted_fraction": round(fraction, 4),
-        "interval_build_trials_s": [round(t, 3) for t in interval_trials],
-        "surrogate_build_trials_s": [round(t, 3)
-                                     for t in surrogate_trials],
-        "interval_build_s": round(interval_s, 3),
-        "surrogate_build_s": round(surrogate_s, 3),
-        "speedup": round(speedup, 3),
-        "labels_identical": labels_ok,
-    }
-    output = _merge_bench_doc(output, {"surrogate": section})
-    print(f"wrote surrogate section to {output}")
-    for failure in failures:
-        print(f"SURROGATE REGRESSION: {failure}")
-    return section, failures
-
-
 def _bench_parallel_quick(traces, workers: int = 2) -> dict | None:
     """Measured multi-core ``evaluate_predictor`` speedup, CI-sized.
 
@@ -922,18 +686,13 @@ def _staleness_failures(computed: dict) -> list[str]:
 
 def run_quick(n_apps: int = 3, workloads_per_app: int = 2,
               intervals: int = 100) -> int:
-    """CI perf smoke: batched must not be slower than the scalar path.
+    """CI perf smoke: the guarded mechanisms must still pay for themselves.
 
-    Runs only the warm batched-vs-scalar comparison (plus the cycle
-    kernel micro and the resilience-overhead guard) on a small corpus;
-    exits non-zero on a regression.
+    Runs the arena payload, cycle kernel, simcache-verification and
+    tracing-overhead guards on a small corpus; exits non-zero on a
+    regression.
     """
     traces = _generate_corpus(n_apps, workloads_per_app, intervals)
-    cache_dir = Path(tempfile.mkdtemp(prefix="repro-quick-bench-"))
-    try:
-        batched = _bench_batched(traces, cache_dir)
-    finally:
-        shutil.rmtree(cache_dir, ignore_errors=True)
     arena = _bench_arena(traces, workers=2, repeats=2)
     kernel = _bench_cycle_kernel(n_uops=12000)
     resilience = _bench_resilience(traces)
@@ -943,7 +702,6 @@ def run_quick(n_apps: int = 3, workloads_per_app: int = 2,
     # the keys the current benchmarks emit, or its numbers describe a
     # measurement that no longer exists.
     computed = {
-        "batched": batched,
         "arena": arena,
         "cycle_kernel": kernel,
         "resilience": resilience,
@@ -965,14 +723,6 @@ def run_quick(n_apps: int = 3, workloads_per_app: int = 2,
             f"simcache verification overhead "
             f"{(resilience['overhead_ratio'] - 1) * 100:.1f}% exceeds "
             f"the 5% budget")
-    if batched["evaluate_speedup"] < 1.0:
-        failures.append(
-            f"warm evaluate_predictor: batched slower than scalar "
-            f"({batched['evaluate_speedup']:.2f}x)")
-    if batched["dataset_speedup"] < 1.0:
-        failures.append(
-            f"warm build_mode_dataset: batched slower than scalar "
-            f"({batched['dataset_speedup']:.2f}x)")
     if (arena["payload_arena_bytes_per_task"]
             >= arena["payload_pickled_bytes_per_task"]):
         failures.append(
@@ -1010,8 +760,8 @@ def main(argv=None) -> int:
     parser.add_argument("--intervals", type=int, default=240)
     parser.add_argument("--output", type=Path, default=None)
     parser.add_argument("--quick", action="store_true",
-                        help="perf smoke: batched vs reference only, "
-                             "non-zero exit if batched is slower")
+                        help="perf smoke on a small corpus; non-zero "
+                             "exit on a regression")
     parser.add_argument("--scale", action="store_true",
                         help="scale tier: sharded shm dataset build vs "
                              "unsharded pickled on a large corpus; "
@@ -1028,31 +778,9 @@ def main(argv=None) -> int:
     parser.add_argument("--rss-budget-mb", type=float, default=4096.0,
                         help="peak-RSS budget for the sharded --scale "
                              "build (default 4096)")
-    parser.add_argument("--surrogate", action="store_true",
-                        help="surrogate tier: learned tier-0 fast path "
-                             "vs the interval tier on a cache-cold "
-                             "corpus; merges a 'surrogate' section "
-                             "into the perf JSON, non-zero exit on "
-                             "regression")
-    parser.add_argument("--surrogate-traces", type=int, default=10_000,
-                        help="corpus size for --surrogate "
-                             "(default 10000)")
-    parser.add_argument("--surrogate-smoke", action="store_true",
-                        help="with --surrogate: small corpus, only "
-                             "guard gate passage and a non-empty "
-                             "accept set (CI smoke)")
     args = parser.parse_args(argv)
     if args.quick:
         return run_quick()
-    if args.surrogate:
-        smoke = args.surrogate_smoke
-        _, failures = run_surrogate(
-            n_traces=600 if smoke else args.surrogate_traces,
-            intervals=60 if smoke else 100,
-            trials=1 if smoke else 2,
-            output=args.output, full_guards=not smoke)
-        print("surrogate bench:", "FAIL" if failures else "OK")
-        return 1 if failures else 0
     if args.scale:
         _, failures = run_scale(
             n_traces=args.scale_traces, shard=args.scale_shard,

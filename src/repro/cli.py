@@ -30,7 +30,7 @@ from repro.errors import ConfigurationError
 
 
 #: Knob-flag groups every subcommand carries, and ``serve``'s.
-COMMON_GROUPS = ("exec", "obs", "surrogate")
+COMMON_GROUPS = ("exec", "obs")
 SERVE_GROUPS = COMMON_GROUPS + ("serve", "online")
 
 
@@ -214,7 +214,7 @@ def cmd_request(args: argparse.Namespace) -> int:
                      else quick_forest_predictor(traces))
         cpu = AdaptiveCPU(predictor)
         result = adapt_payload(cpu.run(traces[args.trace_index]))
-        print(json.dumps({"ok": True, "op": "adapt", "tier": "interval",
+        print(json.dumps({"ok": True, "op": "adapt",
                           "result": result}, indent=2))
         return 0
     from repro.serve import ServeClient

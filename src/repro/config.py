@@ -154,24 +154,12 @@ KNOBS: tuple[Knob, ...] = (
          None, "sim", "verify simulation cache entries on read"),
     Knob("fault_spec", "REPRO_FAULT_SPEC", "--fault-spec", str, None,
          None, "exec", "fault-injection spec, e.g. 'seed=7,crash=0.1'"),
-    Knob("cycle_kernel", "REPRO_CYCLE_KERNEL", None, str, "soa",
-         _one_of("soa", "reference"), "sim", "reference: the per-uop loop"),
-    Knob("batch_sim", "REPRO_BATCH_SIM", None, _switch, True, None, "sim",
-         "batched simulation; 0: scalar per-(trace, mode) paths"),
     Knob("interval_lru", "REPRO_INTERVAL_LRU", None, _int, 1024,
          _at_least(1), "sim", "interval-model memo bound (entries)"),
     Knob("trace", "REPRO_TRACE", "--trace", _trace, None, None, "obs",
          "write a JSON trace to PATH (1 or no PATH: repro_trace.json)"),
     Knob("trace_sample", "REPRO_TRACE_SAMPLE", None, _int, 8,
          _at_least(1), "obs", "keep 1 in N spans past half the buffer"),
-    Knob("surrogate", "REPRO_SURROGATE", "--surrogate", _switch, False,
-         None, "surrogate", "learned surrogate above the interval tier"),
-    Knob("surrogate_threshold", "REPRO_SURROGATE_THRESHOLD",
-         "--surrogate-threshold", _float, 0.02, _above(0), "surrogate",
-         "max p95 relative CPI disagreement", {"metavar": "REL"}),
-    Knob("surrogate_probes", "REPRO_SURROGATE_PROBES", "--surrogate-probes",
-         _int, 32, _at_least(8), "surrogate",
-         "probe traces that train and gate the surrogate", {"metavar": "N"}),
     Knob("serve_batch_max", "REPRO_SERVE_BATCH_MAX", "--serve-batch-max",
          _int, 8, _at_least(1), "serve", "serve micro-batch bound"),
     Knob("serve_queue_bound", "REPRO_SERVE_QUEUE_BOUND",

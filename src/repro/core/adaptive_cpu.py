@@ -22,7 +22,6 @@ from repro.config import (DEFAULT_SLA, MachineConfig, SLAConfig,
 from repro.core.gating import GatingController
 from repro.core.labels import LabelSet, gating_labels
 from repro.core.predictor import DualModePredictor
-from repro.core.sla import SLAAccounting, sla_window_violations
 from repro.errors import ArenaIntegrityError, DatasetError
 from repro.exec.arena import TraceArena
 from repro.exec.parallel import ParallelMap, default_parallel_map
@@ -74,13 +73,6 @@ class AdaptiveRunResult:
     def avg_performance(self) -> float:
         """Aggregate IPC relative to always-high-performance."""
         return float(self.cycles_baseline.sum() / self.cycles.sum())
-
-    def sla_accounting(self, window_intervals: int,
-                       performance_floor: float) -> SLAAccounting:
-        """System-level windowed SLA measurement for this run."""
-        return sla_window_violations(self.cycles, self.cycles_baseline,
-                                     window_intervals, performance_floor)
-
 
 def _arena_prepare_chunk(handle: str, indices: list[int]):
     """Worker-side prepare: attach to the arena, rebuild, prepare.
@@ -298,8 +290,7 @@ class AdaptiveCPU:
         independent and internally seeded, so every backend returns
         bit-identical results in trace order.
 
-        When the batch-simulation layer is on (``REPRO_BATCH_SIM``),
-        per-trace preparation fans out in whole chunks (stacked
+        Per-trace preparation fans out in whole chunks (stacked
         interval simulation per chunk; process backends ship the
         corpus once via a :class:`~repro.exec.arena.TraceArena` when
         ``REPRO_EXEC_ARENA=1``) and inference runs as one
@@ -319,10 +310,9 @@ class AdaptiveCPU:
         runs stay bit-identical to unsharded ones.
         """
         pmap = pmap if pmap is not None else default_parallel_map()
-        config = active_exec_config()
-        if not (config.batch_sim and type(self).run is AdaptiveCPU.run):
+        if type(self).run is not AdaptiveCPU.run:
             return pmap.map(self.run, traces, stage="adaptive_run")
-        shard = config.shard
+        shard = active_exec_config().shard
         if shard is not None and len(traces) > shard:
             n_shards = -(-len(traces) // shard)
             out: list[AdaptiveRunResult] = []

@@ -13,7 +13,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.config import DEFAULT_SLA, SLAConfig, active_exec_config
+from repro.config import DEFAULT_SLA, SLAConfig
 from repro.errors import DatasetError
 from repro.uarch.interval_model import IntervalModel, IntervalResult
 from repro.uarch.modes import Mode
@@ -79,11 +79,9 @@ def gating_labels(trace: TraceSpec, sla: SLAConfig = DEFAULT_SLA,
         # Labels are a pure function of (trace, SLA floor, granularity,
         # machine), so when the simulator carries a SimCache a warm
         # build loads them directly and never touches the simulator.
-        config = active_exec_config()
-        if model.simcache is not None and config.batch_sim:
-            tier = "surrogate" if config.surrogate else "interval"
+        if model.simcache is not None:
             disk_key = model.simcache.labels_key(
-                trace, sla, granularity_factor, model.machine, tier=tier)
+                trace, sla, granularity_factor, model.machine)
             cached = model.simcache.load_labels(disk_key)
             if cached is not None:
                 return cached

@@ -45,36 +45,19 @@ def _catalog_token(collector: TelemetryCollector) -> str:
     return collector.catalog_token()
 
 
-def _sim_tier() -> str:
-    """Simulator-tier token for cache keys.
-
-    Decided by the config flag — not by per-pair gate outcomes — so
-    keys are deterministic across backends, and artefacts built with
-    the surrogate on can never shadow interval-tier truth (or vice
-    versa).
-    """
-    return "surrogate" if active_exec_config().surrogate else "interval"
-
-
 def _build_trace_part(trace: TraceSpec, mode: Mode,
                       counter_ids: np.ndarray, sla: SLAConfig,
                       collector: TelemetryCollector,
                       granularity_factor: int,
                       horizon: int) -> GatingDataset:
-    """One trace's slice of the supervised dataset (parallel unit)."""
-    if active_exec_config().batch_sim:
-        # Snapshot and labels each consult their own disk-cache tier
-        # (and the simulator's LRU, prewarmed by the chunk's stacked
-        # pass, on a miss) — a fully warm build never simulates.
-        snap = collector.snapshot(trace, mode, counter_ids)
-        labels = gating_labels(trace, sla, collector.model,
-                               granularity_factor)
-    else:
-        results = collector.model.simulate_both(trace)
-        snap = collector.snapshot(trace, mode, counter_ids,
-                                  result=results[mode])
-        labels = gating_labels(trace, sla, collector.model,
-                               granularity_factor, results=results)
+    """One trace's slice of the supervised dataset (parallel unit).
+
+    Snapshot and labels each consult their own disk-cache tier (and
+    the simulator's LRU, prewarmed by the chunk's stacked pass, on a
+    miss), so a fully warm build never simulates.
+    """
+    snap = collector.snapshot(trace, mode, counter_ids)
+    labels = gating_labels(trace, sla, collector.model, granularity_factor)
     if granularity_factor > 1:
         snap = coarsen(snap, granularity_factor)
     t_count = min(snap.n_intervals, labels.n_intervals)
@@ -117,25 +100,22 @@ def _build_trace_chunk(traces: list[TraceSpec], part_fn, mode: Mode,
     def _tkey(trace):
         return (trace.name, trace.seed, trace.n_intervals)
 
-    if simcache is None or not active_exec_config().batch_sim:
+    if simcache is None:
         needs_sim = {_tkey(trace) for trace in traces}
     else:
         machine = collector.model.machine
         token = collector.catalog_token()
-        tier = _sim_tier()
         needs_sim = {
             _tkey(trace) for trace in traces
             if not (simcache.has(simcache.snapshot_key(
-                        trace, mode, machine, counter_ids, token,
-                        tier=tier))
+                        trace, mode, machine, counter_ids, token))
                     and simcache.has(simcache.labels_key(
-                        trace, sla, granularity_factor, machine,
-                        tier=tier)))
+                        trace, sla, granularity_factor, machine)))
         }
     # Prewarm in slices that fit the model's LRU (two entries per
     # trace — one per mode); a chunk larger than the LRU would evict
     # its own head before the per-trace assembly consumes it, silently
-    # degrading every early trace to a scalar re-simulation.
+    # degrading every early trace to a one-pair re-simulation.
     step = max(1, collector.model._cache_size // 2)
     parts = []
     for i in range(0, len(traces), step):
@@ -221,7 +201,7 @@ def _build_mode_dataset(traces, mode, counter_ids, sla, collector,
         key = simcache.dataset_key(
             traces, mode, counter_ids, sla, granularity_factor, horizon,
             collector.model.machine,
-            catalog_token=_catalog_token(collector), tier=_sim_tier())
+            catalog_token=_catalog_token(collector))
         cached = simcache.load_dataset(key)
         if cached is not None:
             return cached
@@ -249,8 +229,6 @@ def _build_parts(traces, mode, counter_ids, sla, collector,
                                 collector=collector,
                                 granularity_factor=granularity_factor,
                                 horizon=horizon)
-    if not active_exec_config().batch_sim:
-        return pmap.map(part_fn, traces, stage="build_dataset")
     # Whole chunks reach each worker, so the interval simulations
     # of a chunk run as one stacked batch pass before the per-trace
     # assembly (which then hits the warm LRU). Process dispatch
@@ -312,8 +290,7 @@ def _build_sharded(traces, mode, counter_ids, sla, collector,
                 shard_key = simcache.dataset_key(
                     sub, mode, counter_ids, sla, granularity_factor,
                     horizon, collector.model.machine,
-                    catalog_token=_catalog_token(collector),
-                    tier=_sim_tier())
+                    catalog_token=_catalog_token(collector))
                 cached = simcache.load_dataset(shard_key)
                 if cached is not None:
                     METRICS.incr("build_dataset.shard_cache_hits")

@@ -86,14 +86,3 @@ def cached_build(key: str, builder) -> GatingDataset:
     dataset = builder()
     save_dataset(key, dataset)
     return dataset
-
-
-def clear_cache() -> int:
-    """Remove every cached dataset; returns the number deleted."""
-    removed = 0
-    root = cache_dir()
-    for name in os.listdir(root):
-        if name.endswith(".npz"):
-            os.remove(os.path.join(root, name))
-            removed += 1
-    return removed

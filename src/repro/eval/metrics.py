@@ -60,11 +60,9 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float:
     """Spearman rank correlation, dependency-free.
 
     Pearson correlation of average ranks (ties share their mean rank),
-    matching ``scipy.stats.spearmanr``. Used to validate one simulator
-    tier against the next (cycle vs interval in
-    ``benchmarks/bench_sim_validation.py``, interval vs surrogate in
-    the :mod:`repro.surrogate` agreement gate). Returns 0.0 when either
-    input has zero rank variance.
+    matching ``scipy.stats.spearmanr``. Used to validate the cycle tier
+    against the interval tier (``benchmarks/bench_sim_validation.py``).
+    Returns 0.0 when either input has zero rank variance.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -87,7 +85,7 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def mean_relative_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Mean of ``|pred - true| / |true|``; the surrogate MRE gate."""
+    """Mean of ``|pred - true| / |true|``."""
     y_true = np.asarray(y_true, dtype=np.float64).ravel()
     y_pred = np.asarray(y_pred, dtype=np.float64).ravel()
     if y_true.shape != y_pred.shape:

@@ -146,8 +146,7 @@ def evaluate_predictor(predictor: DualModePredictor,
     n_shards = (1 if shard is None or len(traces) <= shard
                 else -(-len(traces) // shard))
     with tracer.span("evaluate.predictor", predictor=predictor.name,
-                     traces=len(traces), shards=n_shards,
-                     surrogate=active_exec_config().surrogate):
+                     traces=len(traces), shards=n_shards):
         cpu = AdaptiveCPU(predictor, collector=collector, power=power,
                           sla=sla)
         runs = cpu.run_many(traces, pmap=pmap)

@@ -180,10 +180,6 @@ class FaultPlan:
             parts.append(f"hang_s={self.hang_s}")
         return ",".join(parts)
 
-    @property
-    def any_enabled(self) -> bool:
-        return any(getattr(self, kind) > 0.0 for kind in FAULT_KINDS)
-
     # ------------------------------------------------------------------
     # Decisions.
     # ------------------------------------------------------------------

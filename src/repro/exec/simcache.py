@@ -122,20 +122,8 @@ class SimCache:
         return self._digest(b"sim", trace_fingerprint(trace), mode.value,
                             _machine_token(machine))
 
-    @staticmethod
-    def _tier_tokens(tier: str) -> tuple[str, ...]:
-        """Extra digest tokens for a non-default simulator tier.
-
-        The default ``"interval"`` tier contributes nothing, so every
-        key minted before tiers existed — and every key minted with the
-        surrogate disabled — stays byte-identical. Artefacts derived
-        under the surrogate tier live in their own key namespace and
-        can never shadow interval-tier truth.
-        """
-        return () if tier == "interval" else (f"tier={tier}",)
-
     def snapshot_key(self, trace, mode, machine, counter_ids,
-                     catalog_token: str, tier: str = "interval") -> str:
+                     catalog_token: str) -> str:
         """Key for one materialised telemetry snapshot.
 
         The snapshot is a pure function of the simulation inputs plus
@@ -145,23 +133,19 @@ class SimCache:
         ids = np.asarray(counter_ids, dtype=np.int64)
         return self._digest(b"snapshot", trace_fingerprint(trace),
                             mode.value, _machine_token(machine),
-                            ids.tobytes(), catalog_token,
-                            *self._tier_tokens(tier))
+                            ids.tobytes(), catalog_token)
 
-    def labels_key(self, trace, sla, granularity_factor: int,
-                   machine, tier: str = "interval") -> str:
+    def labels_key(self, trace, sla, granularity_factor: int, machine) -> str:
         """Key for one trace's gating ``LabelSet`` at one granularity."""
         return self._digest(
             b"labels", trace_fingerprint(trace),
             f"{sla.performance_floor}/g={granularity_factor}",
             _machine_token(machine),
-            *self._tier_tokens(tier),
         )
 
     def dataset_key(self, traces, mode, counter_ids, sla,
                     granularity_factor: int, horizon: int, machine,
-                    catalog_token: str = "",
-                    tier: str = "interval") -> str:
+                    catalog_token: str = "") -> str:
         """Key for one built per-mode gating dataset."""
         ids = np.asarray(counter_ids, dtype=np.int64)
         return self._digest(
@@ -173,20 +157,6 @@ class SimCache:
             f"g={granularity_factor}/h={horizon}",
             _machine_token(machine),
             catalog_token,
-            *self._tier_tokens(tier),
-        )
-
-    def surrogate_key(self, machine, probes, version: str) -> str:
-        """Key for one trained surrogate tier.
-
-        Content-addressed on the machine configuration and the full
-        probe-corpus fingerprint, so a surrogate is only ever loaded by
-        a process that would have trained the identical one.
-        """
-        return self._digest(
-            b"surrogate", version,
-            b"".join(trace_fingerprint(t) for t in probes),
-            _machine_token(machine),
         )
 
     # ------------------------------------------------------------------
@@ -280,10 +250,6 @@ class SimCache:
             return None
         METRICS.incr("simcache.hit")
         return payload, meta
-
-    def evict(self, key: str) -> None:
-        """Drop one entry (benchmarks isolating specific cache tiers)."""
-        self._path(key).unlink(missing_ok=True)
 
     def has(self, key: str) -> bool:
         """Whether an entry exists, without reading it (prewarm probes)."""
@@ -443,24 +409,6 @@ class SimCache:
             granularity=int(meta["granularity"]),
             sla_floor=float(meta["sla_floor"]),
         )
-
-
-    # ------------------------------------------------------------------
-    # Trained surrogates.
-    # ------------------------------------------------------------------
-    def store_surrogate(self, key: str,
-                        payload: dict[str, np.ndarray],
-                        meta: dict) -> None:
-        """Persist one trained surrogate tier (weights + gate state)."""
-        self._write(key, payload, meta)
-
-    def load_surrogate(self, key: str) -> tuple[dict, dict] | None:
-        """Load one trained surrogate, or ``None`` on miss.
-
-        Corrupt entries quarantine and read as misses like every other
-        tier, so a damaged surrogate is retrained, never trusted.
-        """
-        return self._read(key)
 
 
 def default_simcache() -> SimCache | None:

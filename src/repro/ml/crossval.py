@@ -97,12 +97,3 @@ def leave_one_app_out(groups: Sequence[str]) -> list[Fold]:
             validation_idx=by_app[held_out],
         ))
     return folds
-
-
-def leave_one_group_out(groups: Sequence[str]) -> list[Fold]:
-    """Alias of :func:`leave_one_app_out` for workload-level groups.
-
-    Section 7.3 applies leave-one-out over *workloads* of a single
-    application; pass workload names as the groups.
-    """
-    return leave_one_app_out(groups)

@@ -136,8 +136,7 @@ def screen_configs(model_factory: Callable[[Mapping[str, object]], Estimator],
     pmap = pmap if pmap is not None else default_parallel_map()
     grid = [(config, fold) for config in configs for fold in folds]
     with tracer.span("screen_configs", configs=len(configs),
-                     folds=len(folds),
-                     surrogate=active_exec_config().surrogate):
+                     folds=len(folds)):
         return _screen_grid(model_factory, configs, x, y, folds,
                             metric_fns, threshold_tuner, pmap, grid)
 

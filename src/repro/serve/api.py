@@ -130,24 +130,22 @@ class AdaptResponse:
 
     ``result`` is the digest-bearing adaptation payload
     (:func:`repro.serve.protocol.adapt_payload` — bit-identity
-    contract unchanged); ``tier`` names the simulation tier that
-    served it; ``model_generation`` the registry generation whose
-    model computed it.
+    contract unchanged); ``model_generation`` the registry generation
+    whose model computed it.
     """
 
     result: dict
-    tier: str
     model_generation: int
     schema_version: int = SCHEMA_VERSION
 
     def to_wire(self) -> dict:
-        return {"result": self.result, "tier": self.tier,
+        return {"result": self.result,
                 "model_generation": self.model_generation,
                 "schema_version": self.schema_version}
 
     @classmethod
     def from_wire(cls, payload: dict) -> "AdaptResponse":
-        return cls(result=payload["result"], tier=payload["tier"],
+        return cls(result=payload["result"],
                    model_generation=int(payload["model_generation"]),
                    schema_version=int(payload["schema_version"]))
 

@@ -1,20 +1,17 @@
 """Warm-state checkpointing for the serving daemon.
 
 A cold daemon start pays corpus synthesis plus predictor training
-(and, when enabled, surrogate probe simulation) before it can answer
-its first request. Under process supervision that bill is paid on
-*every* crash — exactly when fast recovery matters most. This module
-serializes the daemon's expensive warm state once at startup so a
-supervised restart loads it back in milliseconds:
+before it can answer its first request. Under process supervision
+that bill is paid on *every* crash — exactly when fast recovery
+matters most. This module serializes the daemon's expensive warm
+state once at startup so a supervised restart loads it back in
+milliseconds:
 
 * the trace corpus (``list[TraceSpec]``),
 * the trained :class:`~repro.core.predictor.DualModePredictor` inside
   its :class:`~repro.core.adaptive_cpu.AdaptiveCPU` (resident arena
   and interval-LRU drop out via the existing ``__getstate__`` hooks —
-  both are rebuilt on load and can never change results),
-* the fitted surrogate tier, when one is active (pickled in the same
-  payload, so its ``model`` reference re-joins the CPU's interval
-  model by pickle identity on load).
+  both are rebuilt on load and can never change results).
 
 File format: ``magic | version | CRC32(payload) | payload-length |
 pickle payload``, written atomically (tmp + rename). Every load
@@ -80,16 +77,11 @@ def save_checkpoint(path: str, cpu, traces: list,
     restarts resume warm on the promoted model, not the founder).
     """
     start = time.perf_counter()
-    tier = getattr(cpu.collector.model, "_surrogate", None)
     payload_obj = {
         "fingerprint": fingerprint,
         "created": time.time(),
         "cpu": cpu,
         "traces": list(traces),
-        # Same pickle as ``cpu``: the tier's interval-model reference
-        # deduplicates against cpu.collector.model, so load-time
-        # re-attachment is pure pointer surgery.
-        "tier": tier,
         "generation": int(generation),
     }
     try:
@@ -122,9 +114,8 @@ def save_checkpoint(path: str, cpu, traces: list,
 def load_checkpoint(path: str, fingerprint: str) -> dict:
     """Validate and load a checkpoint written by :func:`save_checkpoint`.
 
-    Returns ``{"cpu", "traces", "created", "age_s"}`` with the
-    surrogate tier (when one was checkpointed) re-attached to the
-    CPU's interval model. Raises :class:`CheckpointError` on a
+    Returns ``{"cpu", "traces", "created", "age_s", "generation"}``.
+    Raises :class:`CheckpointError` on a
     missing file, bad magic/version, truncation, CRC mismatch or a
     fingerprint that does not match the requested corpus.
     """
@@ -170,19 +161,9 @@ def load_checkpoint(path: str, fingerprint: str) -> dict:
             f"{obj.get('fingerprint')!r} does not match requested "
             f"corpus {fingerprint!r}"
         )
-    cpu = obj["cpu"]
-    tier = obj.get("tier")
-    if tier is not None:
-        # Pickle identity already makes tier.model the CPU's interval
-        # model; re-point defensively and re-install the tier so the
-        # restored daemon scores through it without retraining.
-        model = cpu.collector.model
-        tier.model = model
-        model._surrogate = tier
-        model._surrogate_config = (tier.threshold, tier.n_probes)
     created = float(obj.get("created", 0.0))
     return {
-        "cpu": cpu,
+        "cpu": obj["cpu"],
         "traces": obj["traces"],
         "created": created,
         "age_s": round(max(time.time() - created, 0.0), 3),

@@ -6,9 +6,9 @@ unpickle) the predictor, spin up worker pools, then answer one
 question and throw it all away. :class:`AdaptationServer` loads once
 and stays resident — the corpus lives in a daemon-lifetime
 :class:`~repro.exec.arena.TraceArena`, worker pools stay warm, the
-dual predictor stays trained, the surrogate tier (when enabled) stays
-fitted and the SimCache stays open — and answers adaptation requests
-over a local socket for the life of the process.
+dual predictor stays trained and the SimCache stays open — and
+answers adaptation requests over a local socket for the life of the
+process.
 
 Request lifecycle::
 
@@ -39,7 +39,7 @@ Resilience (see the failure ladder in DESIGN.md):
   frame observes the original execution's payload instead of running
   twice;
 * with a checkpoint path configured, :func:`build_server` restores
-  warm state (corpus + trained predictor + surrogate tier) from a
+  warm state (corpus + trained predictor) from a
   CRC-validated checkpoint and writes one after any cold build, so a
   supervised restart reaches ready in a fraction of a cold start.
 """
@@ -201,15 +201,6 @@ class _DedupEntry:
         self.event = threading.Event()
         self.payload: dict | None = None
         self.error: BaseException | None = None
-
-
-def _tier_from_deltas(accepted: int, fallback: int) -> str:
-    """Which simulation tier served a batch, from counter deltas."""
-    if accepted > 0 and fallback == 0:
-        return "surrogate"
-    if accepted > 0:
-        return "mixed"
-    return "interval"
 
 
 class AdaptationServer:
@@ -727,9 +718,7 @@ class AdaptationServer:
 
         ``run_many`` on the resident corpus is bit-identical to
         per-trace ``run`` calls, so coalescing concurrent requests
-        changes latency only. The simulation tier that served the
-        batch (surrogate / mixed / interval) is read off the METRICS
-        counter deltas around the call.
+        changes latency only.
 
         Generation fence: the registry entry is resolved ONCE here and
         used for the whole batch — a promotion landing mid-batch
@@ -739,13 +728,8 @@ class AdaptationServer:
         """
         entry = self.registry.current()
         indices = [item.trace_index for item in items]
-        before_acc = METRICS.count("surrogate.accepted")
-        before_fall = METRICS.count("surrogate.fallback")
         results = entry.cpu.run_many(
             [self.traces[i] for i in indices], pmap=self._pmap)
-        tier = _tier_from_deltas(
-            METRICS.count("surrogate.accepted") - before_acc,
-            METRICS.count("surrogate.fallback") - before_fall)
         out = []
         for item, index, result in zip(items, indices, results):
             stale = self._stale(item, entry)
@@ -754,7 +738,7 @@ class AdaptationServer:
                 continue
             if self.ring is not None:
                 # Realized outcome sample for the continual loop: the
-                # labels come free with the interval-tier run.
+                # labels come free with the interval-model run.
                 accuracy = float(np.count_nonzero(
                     result.predictions == result.labels)
                     / max(result.predictions.shape[0], 1))
@@ -764,7 +748,7 @@ class AdaptationServer:
                                           float(result.residency)):
                     METRICS.incr("online.samples")
             out.append(AdaptResponse(
-                result=adapt_payload(result), tier=tier,
+                result=adapt_payload(result),
                 model_generation=entry.generation))
         return out
 

@@ -14,7 +14,6 @@ import dataclasses
 import numpy as np
 
 from repro import rng as rng_mod
-from repro.config import active_exec_config
 from repro.errors import DatasetError
 from repro.telemetry.counters import CounterCatalog, default_catalog
 from repro.uarch.interval_model import IntervalModel, IntervalResult
@@ -130,39 +129,19 @@ class TelemetryCollector:
         # Materialised snapshots persist in the attached SimCache: the
         # (T, catalog) noise field is the single most expensive step of
         # the warm closed loop, so skipping it entirely on a hit is
-        # what makes repeated deployments fast. Gated on the batch
-        # layer so REPRO_BATCH_SIM=0 reproduces the pre-batch flow.
-        config = active_exec_config()
+        # what makes repeated deployments fast.
         simcache = self.model.simcache
         disk_key = None
-        # Snapshots derived under the surrogate tier live in their own
-        # key namespace: the tier token is decided by the config flag
-        # (not the per-pair outcome), so keys stay deterministic across
-        # backends and REPRO_SURROGATE=0 keys are untouched.
-        tier = "surrogate" if config.surrogate else "interval"
-        if simcache is not None and config.batch_sim:
+        if simcache is not None:
             disk_key = simcache.snapshot_key(
-                trace, mode, self.model.machine, ids, self.catalog_token(),
-                tier=tier)
+                trace, mode, self.model.machine, ids, self.catalog_token())
             cached = simcache.load_snapshot(disk_key)
             if cached is not None:
                 return cached
         if result is None:
             result = self.model.simulate(trace, mode)
-        if result.tier == "surrogate":
-            # Surrogate fast path: draw measurement noise only for the
-            # requested counter subset, from a dedicated stream. The
-            # full-catalog field below is the single most expensive
-            # step of a cold snapshot; skipping it is a large part of
-            # the tier's speedup.
-            rng = rng_mod.stream(trace.seed, "telemetry-surrogate",
-                                 mode.value)
-            noise = rng.standard_normal((result.n_intervals, ids.size))
-            counts = self.catalog.materialize(result.signals, noise, ids,
-                                              noise_subset=True)
-        else:
-            noise = self._noise_field(trace, mode, result.n_intervals)
-            counts = self.catalog.materialize(result.signals, noise, ids)
+        noise = self._noise_field(trace, mode, result.n_intervals)
+        counts = self.catalog.materialize(result.signals, noise, ids)
         snapshot = TelemetrySnapshot(
             trace_name=trace.name,
             mode=mode,

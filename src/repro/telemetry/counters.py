@@ -195,13 +195,13 @@ class CounterCatalog:
     # ------------------------------------------------------------------
     def materialize(self, signals: np.ndarray, noise_z: np.ndarray,
                     counter_ids: np.ndarray | list[int] | None = None,
-                    noise_subset: bool = False) -> np.ndarray:
+                    ) -> np.ndarray:
         """Raw integer counter values for each interval.
 
         Parameters
         ----------
         signals:
-            Base-signal matrix ``(T, N_SIGNALS)`` from a simulator tier.
+            Base-signal matrix ``(T, N_SIGNALS)`` from the interval model.
         noise_z:
             Standard-normal noise field ``(T, len(self))``; the caller
             draws it once per (trace, mode) so counter values do not
@@ -209,12 +209,6 @@ class CounterCatalog:
         counter_ids:
             Optional subset of counters to materialise (saves memory
             when models only need 8-32 counters).
-        noise_subset:
-            When True, ``noise_z`` is already aligned to
-            ``counter_ids`` — shape ``(T, len(counter_ids))`` — and is
-            used as-is. The surrogate fast path draws only the subset
-            it needs (from its own RNG stream) instead of the full
-            catalog field.
 
         Returns
         -------
@@ -235,8 +229,8 @@ class CounterCatalog:
         stuck = kind == KIND_STUCK
         raw[:, stuck] = self._offset[ids][stuck][None, :]
         # Poisson-like integer measurement noise.
-        z = noise_z if noise_subset else noise_z[:, ids]
-        noisy = raw + np.sqrt(raw) * z * self._noise[ids][None, :]
+        noisy = (raw + np.sqrt(raw) * noise_z[:, ids]
+                 * self._noise[ids][None, :])
         counts = np.rint(np.maximum(noisy, 0.0))
         counts[:, stuck] = self._offset[ids][stuck][None, :]
         return counts

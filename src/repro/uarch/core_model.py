@@ -29,7 +29,7 @@ import heapq
 import numpy as np
 
 from repro import rng as rng_mod
-from repro.config import MachineConfig, active_exec_config
+from repro.config import MachineConfig
 from repro.errors import SimulationError
 from repro.obs import tracer
 from repro.uarch.isa import (
@@ -137,24 +137,18 @@ class _Ring:
 class ClusteredCoreModel:
     """Cycle-level two-cluster core for one operating mode.
 
-    ``kernel`` selects between two bit-identical implementations of
-    :meth:`execute`: ``"soa"`` (default; structure-of-arrays decode +
-    chunked wavefront scoreboard) and ``"reference"`` (the original
-    per-uop loop, kept as ground truth). Subclasses that override the
-    outcome hooks automatically fall back to the reference loop, since
-    the SoA decode pass assumes the trace-annotated outcomes.
+    :meth:`execute` runs the structure-of-arrays kernel (decode +
+    chunked wavefront scoreboard). Subclasses that override the
+    outcome hooks fall back to :meth:`_execute_reference`, the
+    original per-uop loop, since the SoA decode pass assumes the
+    trace-annotated outcomes. The two are bit-identical on annotated
+    streams, and the reference loop is the SoA kernel's test oracle.
     """
 
     def __init__(self, machine: MachineConfig | None = None,
-                 mode: Mode = Mode.HIGH_PERF,
-                 kernel: str | None = None) -> None:
+                 mode: Mode = Mode.HIGH_PERF) -> None:
         self.machine = machine or MachineConfig()
         self.mode = mode
-        self.kernel = (kernel if kernel is not None
-                       else active_exec_config().cycle_kernel)
-        if self.kernel not in ("soa", "reference"):
-            raise ValueError(
-                f"kernel must be 'soa' or 'reference', got {self.kernel!r}")
 
     @property
     def active_clusters(self) -> int:
@@ -190,7 +184,7 @@ class ClusteredCoreModel:
     # ------------------------------------------------------------------
     def execute(self, stream: UopStream) -> CycleSimResult:
         """Run a micro-op stream to completion; return timing/events."""
-        if self.kernel == "soa" and self._hooks_are_default():
+        if self._hooks_are_default():
             return self._execute_soa(stream)
         return self._execute_reference(stream)
 
@@ -656,8 +650,7 @@ def simulate_phase_cycle_level(phase: PhaseInstance, n_uops: int,
                                ) -> CycleSimResult:
     """Synthesize a uop stream for a phase and run the cycle model."""
     with tracer.span("cycle.simulate_phase", phase=phase.name,
-                     mode=mode.value, uops=n_uops,
-                     kernel=active_exec_config().cycle_kernel):
+                     mode=mode.value, uops=n_uops):
         stream = synthesize_uops(phase, n_uops,
                                  rng_mod.derive_seed(seed, "cyclesim",
                                                      phase.name,

@@ -81,6 +81,28 @@ LOW_POWER_UOPC_MISS_FACTOR = 1.35
 MISPREDICT_REFILL_UOPS = 20.0
 
 
+def _per_mode(mode, fn):
+    """``fn(mode)`` for one mode, or a ``(P, 1)`` column over P modes.
+
+    The column broadcasts against the ``(P, T)`` field slices of a
+    stacked ``(P, T, F)`` physics tensor. Every use is elementwise, so
+    row ``p`` of a stacked pass carries the same bits as a one-mode
+    call on ``physics[p]``.
+    """
+    if isinstance(mode, Mode):
+        return fn(mode)
+    return np.array([[fn(m)] for m in mode])
+
+
+def _is_low_power(mode: Mode) -> bool:
+    return mode is Mode.LOW_POWER
+
+
+def _pair_key(trace: TraceSpec, mode: Mode) -> tuple:
+    """The LRU key one (trace, mode) simulation is memoised under."""
+    return (trace.name, trace.seed, trace.n_intervals, mode)
+
+
 @dataclasses.dataclass(frozen=True)
 class IntervalResult:
     """Per-interval simulation output for one trace in one mode."""
@@ -91,11 +113,6 @@ class IntervalResult:
     cycles: np.ndarray  # (T,)
     signals: np.ndarray  # (T, N_SIGNALS)
     interval_instructions: int
-    #: Which simulator tier produced this result: ``"interval"`` (the
-    #: analytical pass) or ``"surrogate"`` (the tier-0 learned fast
-    #: path). Surrogate results never enter the disk result cache and
-    #: are only served from the LRU while the surrogate is enabled.
-    tier: str = "interval"
 
     @property
     def n_intervals(self) -> int:
@@ -124,7 +141,9 @@ class IntervalModel:
     granularities and in both modes. The bound defaults to the
     ``REPRO_INTERVAL_LRU`` knob (the active config's
     ``interval_lru``); hit/miss counts surface in
-    the :data:`~repro.obs.metrics.METRICS` report.
+    the :data:`~repro.obs.metrics.METRICS` report. One model may be
+    shared across threads: a small lock guards each LRU lookup and
+    insert, and is never held while simulating.
 
     When a :class:`~repro.exec.simcache.SimCache` is attached (or
     ``REPRO_SIMCACHE_DIR`` is set), results additionally persist to a
@@ -138,95 +157,41 @@ class IntervalModel:
         self._cache: "OrderedDict[tuple, IntervalResult]" = OrderedDict()
         self._cache_size = (active_exec_config().interval_lru
                             if cache_size is None else cache_size)
+        self._lru_lock = threading.Lock()
         self.simcache = simcache if simcache is not None else (
             default_simcache())
-        # Tier-0 learned surrogate (repro.surrogate), built lazily on
-        # first use when REPRO_SURROGATE is on. ``_training`` guards
-        # the probe pass: while the surrogate trains on this model's
-        # own outputs it must see pure interval results.
-        self._surrogate = None
-        self._surrogate_config: tuple | None = None
-        self._surrogate_lock = threading.RLock()
-        self._training_tls = threading.local()
-
-    @property
-    def _training(self) -> bool:
-        """Whether *this thread* is running the surrogate's probe pass.
-
-        Thread-local on purpose: under the thread backend another
-        thread must not mistake an in-progress training for "surrogate
-        off" and silently take the interval path — it waits on
-        :attr:`_surrogate_lock` and scores through the trained tier,
-        reaching the same bits as a serial build.
-        """
-        return getattr(self._training_tls, "active", False)
-
-    @_training.setter
-    def _training(self, value: bool) -> None:
-        self._training_tls.active = bool(value)
 
     def __getstate__(self) -> dict:
-        """Pickle without the LRU memo or the surrogate tier.
+        """Pickle without the LRU memo or its lock.
 
         The memo is a pure accelerator — dropping it can never change a
         result — and shipping up to ``REPRO_INTERVAL_LRU`` cached
         interval tensors per task is exactly the payload bloat the
-        execution engine exists to avoid. The surrogate tier is dropped
-        for the same reason: workers retrain it deterministically (or
-        load it from the shared SimCache), reaching the identical
-        accept/fallback decisions.
+        execution engine exists to avoid.
         """
         state = self.__dict__.copy()
         state["_cache"] = OrderedDict()
-        state["_surrogate"] = None
-        state["_surrogate_config"] = None
-        del state["_surrogate_lock"], state["_training_tls"]
+        del state["_lru_lock"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._surrogate_lock = threading.RLock()
-        self._training_tls = threading.local()
+        self._lru_lock = threading.Lock()
 
-    def _surrogate_tier(self, config):
-        """The active surrogate tier, or ``None`` when disabled.
+    def _lookup(self, key: tuple) -> IntervalResult | None:
+        """LRU lookup plus recency refresh, atomic across threads."""
+        with self._lru_lock:
+            result = self._cache.get(key)
+            if result is not None:
+                self._cache.move_to_end(key)
+        return result
 
-        Rebuilt when the surrogate knobs change between calls; a tier
-        whose agreement gate refused stays cached (still ``None``-like:
-        its ``score`` returns everything as fallback) so refusal is
-        paid once, not per batch.
-        """
-        if self._training:
-            return None
-        if not config.surrogate:
-            return None
-        key = (config.surrogate_threshold, config.surrogate_probes)
-        if self._surrogate is None or self._surrogate_config != key:
-            with self._surrogate_lock:
-                # Double-checked: one thread trains, the rest block
-                # here and reuse the published tier.
-                if (self._surrogate is None
-                        or self._surrogate_config != key):
-                    from repro.surrogate import SurrogateTier
-                    tier = SurrogateTier(
-                        self, threshold=config.surrogate_threshold,
-                        n_probes=config.surrogate_probes)
-                    tier.train()
-                    self._surrogate = tier
-                    self._surrogate_config = key
-        return self._surrogate
-
-    def _lru_usable(self, result: IntervalResult, surrogate_on: bool,
-                    ) -> bool:
-        """Whether an LRU entry may be served under the active config.
-
-        Surrogate-tagged entries are only valid while the surrogate is
-        on (and never during its own training); otherwise they read as
-        misses and the interval pass recomputes and replaces them.
-        """
-        if result.tier == "interval":
-            return True
-        return (not self._training) and surrogate_on
+    def _remember(self, key: tuple, result: IntervalResult) -> None:
+        """Insert into the bounded LRU memo, atomic across threads."""
+        with self._lru_lock:
+            self._cache[key] = result
+            if len(self._cache) > self._cache_size:
+                self._cache.popitem(last=False)
 
     # ------------------------------------------------------------------
     # Mode-dependent machine parameters.
@@ -248,6 +213,14 @@ class IntervalModel:
     def lq_entries(self, mode: Mode) -> int:
         """Load-queue entries available in a mode."""
         return self.machine.cluster.load_queue_entries * mode.active_clusters
+
+    def intercluster_cpi(self, mode: Mode) -> float:
+        """CPI tax of inter-cluster bypasses (high-performance mode only)."""
+        if mode is not Mode.HIGH_PERF:
+            return 0.0
+        m = self.machine
+        return (m.intercluster_uop_fraction * m.intercluster_latency
+                / self.effective_width(mode) * UOPS_PER_INSTRUCTION)
 
     # ------------------------------------------------------------------
     # Core model.
@@ -280,69 +253,82 @@ class IntervalModel:
         return physics
 
     def mode_adjusted_physics(self, physics: np.ndarray,
-                              mode: Mode) -> np.ndarray:
+                              mode: Mode | list[Mode]) -> np.ndarray:
         """Apply mode-dependent front-end effects to phase physics.
 
         With cluster 2 gated, only its half of the split instruction
         cache and uop cache is usable, so low-power mode observes more
-        front-end misses for the same code footprint. Accepts one
-        ``(T, F)`` matrix or a stack ``(P, T, F)`` of them; the
-        adjustments are elementwise, so stacked rows carry the same
-        bits as per-matrix calls.
+        front-end misses for the same code footprint. ``physics`` is
+        ``(..., T, F)``; ``mode`` is one :class:`Mode`, or one mode per
+        row of a stacked ``(P, T, F)`` tensor. Returns ``physics``
+        itself when no row is low-power, else an adjusted copy.
         """
-        if mode is Mode.HIGH_PERF:
+        if not np.any(_per_mode(mode, _is_low_power)):
             return physics
         adjusted = physics.copy()
-        adjusted[..., _F["icache_mpki"]] *= LOW_POWER_ICACHE_FACTOR
-        miss_rate = 1.0 - adjusted[..., _F["uopcache_hit_rate"]]
-        adjusted[..., _F["uopcache_hit_rate"]] = np.clip(
-            1.0 - miss_rate * LOW_POWER_UOPC_MISS_FACTOR, 0.0, 1.0)
+        self._adjust_front_end(adjusted, mode)
         return adjusted
 
-    def cpi_components(self, physics: np.ndarray, mode: Mode,
+    @staticmethod
+    def _adjust_front_end(physics: np.ndarray,
+                          mode: Mode | list[Mode]) -> None:
+        """The low-power front-end adjustment, in place on low-power rows."""
+        low = _per_mode(mode, _is_low_power)
+        if not np.any(low):
+            return
+        icache = physics[..., _F["icache_mpki"]]
+        physics[..., _F["icache_mpki"]] = np.where(
+            low, icache * LOW_POWER_ICACHE_FACTOR, icache)
+        hit = physics[..., _F["uopcache_hit_rate"]]
+        miss_rate = 1.0 - hit
+        physics[..., _F["uopcache_hit_rate"]] = np.where(
+            low, np.clip(1.0 - miss_rate * LOW_POWER_UOPC_MISS_FACTOR,
+                         0.0, 1.0), hit)
+
+    def cpi_components(self, physics: np.ndarray, mode: Mode | list[Mode],
                        ) -> dict[str, np.ndarray]:
         """CPI decomposition for each interval (interval analysis).
 
-        ``physics`` must already be mode-adjusted. Returns a dict of
-        additive CPI components, all shaped ``(T,)``.
+        ``physics`` must already be mode-adjusted and is ``(..., T,
+        F)``; ``mode`` is one :class:`Mode`, or one mode per row of a
+        stacked ``(P, T, F)`` tensor. Returns a dict of additive CPI
+        components, each shaped like ``physics[..., 0]``.
         """
         m = self.machine
-        width = self.effective_width(mode)
-        ilp = physics[:, _F["ilp"]]
+        width = _per_mode(mode, self.effective_width)
+        ilp = physics[..., _F["ilp"]]
         cpi_base = 1.0 / np.minimum(width, ilp)
 
         refill = MISPREDICT_REFILL_UOPS / width
-        cpi_branch = (physics[:, _F["branch_mpki"]] / 1000.0
+        cpi_branch = (physics[..., _F["branch_mpki"]] / 1000.0
                       * (m.branch_mispredict_penalty + refill))
         cpi_frontend = (
-            physics[:, _F["icache_mpki"]] / 1000.0 * m.icache_miss_penalty
-            + (1.0 - physics[:, _F["uopcache_hit_rate"]])
+            physics[..., _F["icache_mpki"]] / 1000.0 * m.icache_miss_penalty
+            + (1.0 - physics[..., _F["uopcache_hit_rate"]])
             * UOPCACHE_MISS_PENALTY
         )
-        cpi_tlb = ((physics[:, _F["itlb_mpki"]] + physics[:, _F["dtlb_mpki"]])
+        cpi_tlb = ((physics[..., _F["itlb_mpki"]]
+                    + physics[..., _F["dtlb_mpki"]])
                    / 1000.0 * m.tlb_miss_penalty)
 
-        l1d = physics[:, _F["l1d_mpki"]]
-        l2 = physics[:, _F["l2_mpki"]]
-        l3 = physics[:, _F["l3_mpki"]]
+        l1d = physics[..., _F["l1d_mpki"]]
+        l2 = physics[..., _F["l2_mpki"]]
+        l3 = physics[..., _F["l3_mpki"]]
         mem_cost = ((l1d - l2) * m.l2_latency
                     + (l2 - l3) * m.l3_latency
                     + l3 * m.memory_latency) / 1000.0
-        mlp_eff = np.clip(physics[:, _F["mlp"]], 1.0, self.mshr_cap(mode))
+        mlp_eff = np.clip(physics[..., _F["mlp"]], 1.0,
+                          _per_mode(mode, self.mshr_cap))
         cpi_memory = mem_cost / mlp_eff * (1.0 - MEMORY_OVERLAP)
 
-        sq_penalty = (SQ_PENALTY_LOW_POWER if mode is Mode.LOW_POWER
-                      else SQ_PENALTY_HIGH_PERF)
-        cpi_sq = (physics[:, _F["sq_pressure"]]
-                  * physics[:, _F["frac_store"]] * sq_penalty)
+        sq_penalty = _per_mode(
+            mode, lambda md: (SQ_PENALTY_LOW_POWER if md is Mode.LOW_POWER
+                              else SQ_PENALTY_HIGH_PERF))
+        cpi_sq = (physics[..., _F["sq_pressure"]]
+                  * physics[..., _F["frac_store"]] * sq_penalty)
 
-        if mode is Mode.HIGH_PERF:
-            cpi_xc = np.full_like(cpi_base,
-                                  m.intercluster_uop_fraction
-                                  * m.intercluster_latency / width
-                                  * UOPS_PER_INSTRUCTION)
-        else:
-            cpi_xc = np.zeros_like(cpi_base)
+        cpi_xc = np.full(cpi_base.shape,
+                         _per_mode(mode, self.intercluster_cpi))
 
         return {
             "base": cpi_base,
@@ -360,84 +346,14 @@ class IntervalModel:
         Returns per-interval IPC, cycles, and the full base-signal
         matrix the telemetry catalog consumes.
         """
-        config = active_exec_config()
-        key = (trace.name, trace.seed, trace.n_intervals, mode)
-        cached = self._cache.get(key)
-        if cached is not None and self._lru_usable(cached, config.surrogate):
-            self._cache.move_to_end(key)
-            METRICS.incr("interval_lru.hit")
-            return cached
-        METRICS.incr("interval_lru.miss")
-        # Tier-0 fast path: the surrogate decides *before* the disk
-        # result tier, so a pair's tier outcome is a pure function of
-        # (trace, mode, trained surrogate) — never of LRU or disk
-        # state. Accepted results enter the LRU only; the disk result
-        # tier stores interval-tier truth exclusively.
-        surrogate = self._surrogate_tier(config)
-        if surrogate is not None:
-            result = surrogate.score_one(trace, mode)
-            if result is not None:
-                self._remember(key, result)
-                return result
-        disk_key = None
-        if self.simcache is not None:
-            disk_key = self.simcache.sim_key(trace, mode, self.machine)
-            result = self.simcache.load_result(disk_key)
-            if result is not None:
-                self._remember(key, result)
-                return result
-        with METRICS.stage("interval_simulate"):
-            result = self._simulate_uncached(trace, mode)
-        self._remember(key, result)
-        if disk_key is not None:
-            self.simcache.store_result(disk_key, result)
-        return result
-
-    def _simulate_uncached(self, trace: TraceSpec,
-                           mode: Mode) -> IntervalResult:
-        """The actual simulation, bypassing both cache tiers."""
-        physics = self.mode_adjusted_physics(
-            self._jittered_physics(trace), mode)
-        components = self.cpi_components(physics, mode)
-        cpi = np.zeros(physics.shape[0])
-        for part in components.values():
-            cpi = cpi + part
-        if np.any(cpi <= 0.0):
-            raise SimulationError("non-positive CPI encountered")
-        width = self.effective_width(mode)
-        ipc = np.minimum(1.0 / cpi, width)
-        cpi = 1.0 / ipc
-        inst = float(trace.interval_instructions)
-        cycles = inst * cpi
-        signals = self._signals(trace, physics, components, cpi, cycles, mode)
-        return IntervalResult(
-            trace_name=trace.name,
-            mode=mode,
-            ipc=ipc,
-            cycles=cycles,
-            signals=signals,
-            interval_instructions=trace.interval_instructions,
-        )
-
-    def _remember(self, key: tuple, result: IntervalResult) -> None:
-        """Insert into the bounded LRU memo."""
-        self._cache[key] = result
-        if len(self._cache) > self._cache_size:
-            self._cache.popitem(last=False)
+        return self.simulate_batch([trace], (mode,))[_pair_key(trace, mode)]
 
     def simulate_both(self, trace: TraceSpec,
                       ) -> dict[Mode, IntervalResult]:
         """Simulate a trace in both modes (the paper's data recipe)."""
-        if active_exec_config().batch_sim:
-            batch = self.simulate_batch([trace])
-            return {mode: batch[(trace.name, trace.seed,
-                                 trace.n_intervals, mode)]
-                    for mode in Mode}
-        return {mode: self.simulate(trace, mode) for mode in Mode}
+        batch = self.simulate_batch([trace])
+        return {mode: batch[_pair_key(trace, mode)] for mode in Mode}
 
-    # ------------------------------------------------------------------
-    # Batched simulation.
-    # ------------------------------------------------------------------
     def simulate_batch(self, traces, modes=None,
                        ) -> dict[tuple, IntervalResult]:
         """Simulate many (trace, mode) pairs in stacked tensor passes.
@@ -446,59 +362,34 @@ class IntervalModel:
         one ``(P, T, F)`` tensor (grouped by interval count ``T``) and
         the CPI decomposition plus every base signal are computed in a
         single vectorised pass. Every array operation is elementwise,
-        so each row of the batch is bit-identical to a scalar
-        :meth:`simulate` call (enforced by tests/test_batch_kernels.py).
+        so a pair's result does not depend on which other pairs share
+        its batch (enforced by tests/test_batch_kernels.py).
 
         Both cache tiers are honoured per pair: LRU and disk hits are
         sliced out up front and only the misses are computed; fresh
-        results enter both tiers exactly as in :meth:`simulate`.
+        results enter both tiers.
 
-        Returns a dict keyed by ``(name, seed, n_intervals, mode)`` —
-        the same key :meth:`simulate` memoises under.
+        Returns a dict keyed by ``(name, seed, n_intervals, mode)``.
         """
         modes_t = tuple(Mode) if modes is None else tuple(modes)
         pairs = []
         seen = set()
         for trace in traces:
             for mode in modes_t:
-                key = (trace.name, trace.seed, trace.n_intervals, mode)
+                key = _pair_key(trace, mode)
                 if key not in seen:
                     seen.add(key)
                     pairs.append((key, trace, mode))
 
-        config = active_exec_config()
         results: dict[tuple, IntervalResult] = {}
-        lru_misses = []
+        misses = []
         for key, trace, mode in pairs:
-            cached = self._cache.get(key)
-            if cached is not None and self._lru_usable(cached,
-                                                       config.surrogate):
-                self._cache.move_to_end(key)
+            cached = self._lookup(key)
+            if cached is not None:
                 METRICS.incr("interval_lru.hit")
                 results[key] = cached
                 continue
             METRICS.incr("interval_lru.miss")
-            lru_misses.append((key, trace, mode, None))
-        if not lru_misses:
-            return results
-
-        # Tier-0 fast path: the surrogate scores every LRU miss first —
-        # *before* the disk result tier — so a pair's tier outcome is a
-        # pure function of (trace, mode, trained surrogate), never of
-        # cache state. Accepted results enter the LRU but not the disk
-        # result tier; only the gated remainder consults the disk and
-        # pays the interval pass below, exactly as before.
-        surrogate = self._surrogate_tier(config)
-        if surrogate is not None:
-            accepted, lru_misses = surrogate.score(lru_misses)
-            for key, result in accepted.items():
-                self._remember(key, result)
-                results[key] = result
-            if not lru_misses:
-                return results
-
-        misses = []
-        for key, trace, mode, _ in lru_misses:
             disk_key = None
             if self.simcache is not None:
                 disk_key = self.simcache.sim_key(trace, mode, self.machine)
@@ -522,7 +413,7 @@ class IntervalModel:
                 tracer.span("interval.simulate_batch",
                             pairs=len(pairs), misses=len(misses)):
             for _, group in sorted(groups.items()):
-                computed = self._simulate_batch_uncached(
+                computed = self._simulate_uncached(
                     [(trace, mode) for _, trace, mode, _ in group])
                 for (key, trace, mode, disk_key), result in zip(group,
                                                                 computed):
@@ -532,13 +423,20 @@ class IntervalModel:
                     results[key] = result
         return results
 
-    def _simulate_batch_uncached(self, pairs: list[tuple[TraceSpec, Mode]],
-                                 ) -> list[IntervalResult]:
+    def _simulate_uncached(self, pairs: list[tuple[TraceSpec, Mode]],
+                           ) -> list[IntervalResult]:
         """Compute a batch of same-``T`` pairs, bypassing both caches."""
+        # Per-row values that every row shares broadcast as plain
+        # scalars instead of (P, 1) columns: the same bits, with less
+        # per-call overhead for one-pair and one-mode batches.
         modes = [mode for _, mode in pairs]
+        mode_arg = modes[0] if len(set(modes)) == 1 else modes
+        insts = [float(trace.interval_instructions) for trace, _ in pairs]
+        inst = (insts[0] if len(set(insts)) == 1
+                else np.array(insts)[:, None])
         # Workload jitter is per trace (shared between modes), so a
         # trace appearing in both modes is jittered once and its matrix
-        # reused in both rows — exactly the values the scalar path sees.
+        # reused in both rows.
         jittered: dict[tuple, np.ndarray] = {}
         rows = []
         for trace, _ in pairs:
@@ -547,32 +445,21 @@ class IntervalModel:
                 jittered[tkey] = self._jittered_physics(trace)
             rows.append(jittered[tkey])
         physics = np.stack(rows)  # (P, T, F); rows are fresh copies
+        self._adjust_front_end(physics, mode_arg)
 
-        # Mode-adjusted front end, applied in place on low-power rows
-        # with the same elementwise ops as mode_adjusted_physics.
-        lp_rows = np.flatnonzero(
-            np.array([mode is Mode.LOW_POWER for mode in modes]))
-        if lp_rows.size:
-            physics[lp_rows, :, _F["icache_mpki"]] = (
-                physics[lp_rows, :, _F["icache_mpki"]]
-                * LOW_POWER_ICACHE_FACTOR)
-            miss_rate = 1.0 - physics[lp_rows, :, _F["uopcache_hit_rate"]]
-            physics[lp_rows, :, _F["uopcache_hit_rate"]] = np.clip(
-                1.0 - miss_rate * LOW_POWER_UOPC_MISS_FACTOR, 0.0, 1.0)
-
-        components = self._cpi_components_batch(physics, modes)
+        components = self.cpi_components(physics, mode_arg)
         cpi = np.zeros(physics.shape[:2])
         for part in components.values():
             cpi = cpi + part
         if np.any(cpi <= 0.0):
             raise SimulationError("non-positive CPI encountered")
-        width = self._mode_col(modes, self.effective_width)
+        width = _per_mode(mode_arg, self.effective_width)
         ipc = np.minimum(1.0 / cpi, width)
         cpi = 1.0 / ipc
-        inst = np.array([[float(trace.interval_instructions)]
-                         for trace, _ in pairs])
         cycles = inst * cpi
-        signals = self._signals_batch(pairs, physics, components, cpi, cycles)
+        signals = self._base_signals(mode_arg, inst, physics, components,
+                                     cpi, cycles)
+        self._add_measurement_noise(pairs, physics, signals)
         return [
             IntervalResult(
                 trace_name=trace.name,
@@ -585,109 +472,45 @@ class IntervalModel:
             for p, (trace, mode) in enumerate(pairs)
         ]
 
-    @staticmethod
-    def _mode_col(modes: list[Mode], fn) -> np.ndarray:
-        """Per-mode machine scalars as a broadcastable (P, 1) column."""
-        return np.array([[fn(mode)] for mode in modes])
+    # ------------------------------------------------------------------
+    # Base-signal synthesis.
+    # ------------------------------------------------------------------
+    def _base_signals(self, mode: Mode | list[Mode], inst: np.ndarray,
+                      physics: np.ndarray,
+                      components: dict[str, np.ndarray], cpi: np.ndarray,
+                      cycles: np.ndarray) -> np.ndarray:
+        """Every noise-free base signal of a stacked batch.
 
-    def _cpi_components_batch(self, physics: np.ndarray, modes: list[Mode],
-                              ) -> dict[str, np.ndarray]:
-        """:meth:`cpi_components` over a stacked (P, T, F) tensor.
-
-        Per-mode machine scalars broadcast as (P, 1) columns; every
-        operation is elementwise, so row ``p`` equals
-        ``cpi_components(physics[p], modes[p])`` bit for bit.
+        ``physics`` is ``(P, T, F)``; ``inst`` (instructions per
+        interval) and ``mode`` are one value for the whole batch or a
+        ``(P, 1)`` column / one mode per row. Returns ``(P, T,
+        N_SIGNALS)``.
         """
         m = self.machine
-        width = self._mode_col(modes, self.effective_width)
-        ilp = physics[:, :, _F["ilp"]]
-        cpi_base = 1.0 / np.minimum(width, ilp)
-
-        refill = MISPREDICT_REFILL_UOPS / width
-        cpi_branch = (physics[:, :, _F["branch_mpki"]] / 1000.0
-                      * (m.branch_mispredict_penalty + refill))
-        cpi_frontend = (
-            physics[:, :, _F["icache_mpki"]] / 1000.0 * m.icache_miss_penalty
-            + (1.0 - physics[:, :, _F["uopcache_hit_rate"]])
-            * UOPCACHE_MISS_PENALTY
-        )
-        cpi_tlb = ((physics[:, :, _F["itlb_mpki"]]
-                    + physics[:, :, _F["dtlb_mpki"]])
-                   / 1000.0 * m.tlb_miss_penalty)
-
-        l1d = physics[:, :, _F["l1d_mpki"]]
-        l2 = physics[:, :, _F["l2_mpki"]]
-        l3 = physics[:, :, _F["l3_mpki"]]
-        mem_cost = ((l1d - l2) * m.l2_latency
-                    + (l2 - l3) * m.l3_latency
-                    + l3 * m.memory_latency) / 1000.0
-        mlp_eff = np.clip(physics[:, :, _F["mlp"]], 1.0,
-                          self._mode_col(modes, self.mshr_cap))
-        cpi_memory = mem_cost / mlp_eff * (1.0 - MEMORY_OVERLAP)
-
-        sq_penalty = np.array(
-            [[SQ_PENALTY_LOW_POWER if mode is Mode.LOW_POWER
-              else SQ_PENALTY_HIGH_PERF] for mode in modes])
-        cpi_sq = (physics[:, :, _F["sq_pressure"]]
-                  * physics[:, :, _F["frac_store"]] * sq_penalty)
-
-        xc_const = (m.intercluster_uop_fraction * m.intercluster_latency
-                    / self.effective_width(Mode.HIGH_PERF)
-                    * UOPS_PER_INSTRUCTION)
-        xc_col = np.array([[xc_const if mode is Mode.HIGH_PERF else 0.0]
-                           for mode in modes])
-        cpi_xc = np.broadcast_to(xc_col, cpi_base.shape).copy()
-
-        return {
-            "base": cpi_base,
-            "branch": cpi_branch,
-            "frontend": cpi_frontend,
-            "tlb": cpi_tlb,
-            "memory": cpi_memory,
-            "store_queue": cpi_sq,
-            "intercluster": cpi_xc,
-        }
-
-    def _signals_batch(self, pairs: list[tuple[TraceSpec, Mode]],
-                       physics: np.ndarray,
-                       components: dict[str, np.ndarray], cpi: np.ndarray,
-                       cycles: np.ndarray) -> np.ndarray:
-        """:meth:`_signals` over a stacked batch -> (P, T, N_SIGNALS).
-
-        The deterministic signal synthesis is one tensor pass; only the
-        per-pair measurement-noise draw stays a loop, because each pair
-        owns a named RNG stream whose draw order must match the scalar
-        path exactly.
-        """
-        m = self.machine
-        modes = [mode for _, mode in pairs]
-        n_pairs, t_count = cpi.shape
-        inst = np.array([[float(trace.interval_instructions)]
-                         for trace, _ in pairs])
-        out = np.zeros((n_pairs, t_count, N_SIGNALS))
+        out = np.zeros(cpi.shape + (N_SIGNALS,))
 
         def put(name: str, values: np.ndarray | float) -> None:
-            out[:, :, signal_index(name)] = values
+            out[..., signal_index(name)] = values
 
         ipc = 1.0 / cpi
-        frac_load = physics[:, :, _F["frac_load"]]
-        frac_store = physics[:, :, _F["frac_store"]]
-        frac_branch = physics[:, :, _F["frac_branch"]]
-        frac_fp = physics[:, :, _F["frac_fp"]]
+        frac_load = physics[..., _F["frac_load"]]
+        frac_store = physics[..., _F["frac_store"]]
+        frac_branch = physics[..., _F["frac_branch"]]
+        frac_fp = physics[..., _F["frac_fp"]]
         frac_int = 1.0 - (frac_load + frac_store + frac_branch + frac_fp)
 
         uops = inst * UOPS_PER_INSTRUCTION
         loads = inst * frac_load
         stores = inst * frac_store
         branches = inst * frac_branch
-        l1d_misses = inst * physics[:, :, _F["l1d_mpki"]] / 1000.0
-        l2_misses = inst * physics[:, :, _F["l2_mpki"]] / 1000.0
-        l3_misses = inst * physics[:, :, _F["l3_mpki"]] / 1000.0
-        icache_misses = inst * physics[:, :, _F["icache_mpki"]] / 1000.0
-        br_miss = inst * physics[:, :, _F["branch_mpki"]] / 1000.0
-        dirty = physics[:, :, _F["dirty_frac"]]
-        uopc_hit = physics[:, :, _F["uopcache_hit_rate"]]
-        width = self._mode_col(modes, self.effective_width)
+        l1d_misses = inst * physics[..., _F["l1d_mpki"]] / 1000.0
+        l2_misses = inst * physics[..., _F["l2_mpki"]] / 1000.0
+        l3_misses = inst * physics[..., _F["l3_mpki"]] / 1000.0
+        icache_misses = inst * physics[..., _F["icache_mpki"]] / 1000.0
+        br_miss = inst * physics[..., _F["branch_mpki"]] / 1000.0
+        dirty = physics[..., _F["dirty_frac"]]
+        uopc_hit = physics[..., _F["uopcache_hit_rate"]]
+        width = _per_mode(mode, self.effective_width)
 
         put("cycles", cycles)
         put("instructions", inst)
@@ -725,8 +548,8 @@ class IntervalModel:
         put("icache_hits", np.maximum(fetch_blocks - icache_misses, 0.0))
         put("uopcache_hits", uops * uopc_hit)
         put("uopcache_misses", uops * (1.0 - uopc_hit))
-        put("itlb_misses", inst * physics[:, :, _F["itlb_mpki"]] / 1000.0)
-        put("dtlb_misses", inst * physics[:, :, _F["dtlb_mpki"]] / 1000.0)
+        put("itlb_misses", inst * physics[..., _F["itlb_mpki"]] / 1000.0)
+        put("dtlb_misses", inst * physics[..., _F["dtlb_mpki"]] / 1000.0)
 
         # Stall accounting from the CPI decomposition.
         stall_share = np.maximum(cpi - components["base"], 0.0) / cpi
@@ -743,40 +566,39 @@ class IntervalModel:
         put("backend_stall_cycles", cycles * (mem_share + sq_share + dep_share))
 
         # Occupancies via Little's law (summed entries x cycles).
-        ilp = physics[:, :, _F["ilp"]]
+        ilp = physics[..., _F["ilp"]]
         put("uops_ready", np.minimum(ilp, width) * cycles)
         avg_inst_latency = 5.0 + (components["memory"]
-                                  * physics[:, :, _F["mlp"]]
+                                  * physics[..., _F["mlp"]]
                                   / np.maximum(frac_load, 0.02))
         in_flight = np.minimum(ipc * avg_inst_latency, m.rob_entries)
         put("rob_occupancy", in_flight * cycles)
-        sched_total = np.array(
-            [[m.cluster.scheduler_entries * mode.active_clusters]
-             for mode in modes])
+        sched_total = _per_mode(
+            mode, lambda md: m.cluster.scheduler_entries * md.active_clusters)
         sched_occ = np.minimum(in_flight * 0.45, sched_total)
         put("scheduler_occupancy", sched_occ * cycles)
         put("uops_stalled_dep",
             np.maximum(sched_occ - np.minimum(ilp, width), 0.0) * cycles)
-        store_residency = 4.0 + physics[:, :, _F["sq_pressure"]] * 44.0
+        store_residency = 4.0 + physics[..., _F["sq_pressure"]] * 44.0
         sq_occ = np.minimum(frac_store * ipc * store_residency,
-                            self._mode_col(modes, self.sq_entries))
+                            _per_mode(mode, self.sq_entries))
         put("sq_occupancy", sq_occ * cycles)
         load_residency = 4.0 + (components["memory"] * 1000.0
                                 / np.maximum(frac_load * 1000.0, 1.0))
         lq_occ = np.minimum(frac_load * ipc * load_residency,
-                            self._mode_col(modes, self.lq_entries))
+                            _per_mode(mode, self.lq_entries))
         put("lq_occupancy", lq_occ * cycles)
         # MSHR occupancy reflects exploited memory-level parallelism:
         # outstanding misses while memory-bound, capped by the MSHRs.
-        mlp_exploited = np.clip(physics[:, :, _F["mlp"]], 1.0,
-                                self._mode_col(modes, self.mshr_cap))
+        mlp_exploited = np.clip(physics[..., _F["mlp"]], 1.0,
+                                _per_mode(mode, self.mshr_cap))
         put("mshr_occupancy", mlp_exploited * mem_share * cycles)
 
         put("preg_refs", uops * 1.9)
         put("preg_allocs", uops * 0.85)
-        hp_col = np.array([[mode is Mode.HIGH_PERF] for mode in modes])
+        high_perf = _per_mode(mode, lambda md: md is Mode.HIGH_PERF)
         put("intercluster_transfers",
-            np.where(hp_col, uops * m.intercluster_uop_fraction, 0.0))
+            np.where(high_perf, uops * m.intercluster_uop_fraction, 0.0))
         put("mode_switches", 0.0)
         prefetches = l2_misses * 0.6
         put("prefetches_issued", prefetches)
@@ -786,12 +608,21 @@ class IntervalModel:
         put("mem_bandwidth_bytes",
             (l3_misses + l2_evictions * dirty) * m.line_bytes)
         put("store_buffer_drains",
-            stores * physics[:, :, _F["sq_pressure"]] * 0.1)
+            stores * physics[..., _F["sq_pressure"]] * 0.1)
+        return out
 
-        # Per-interval sampling noise on event counts. Each pair owns a
-        # named RNG stream, so the (T, N_SIGNALS) draw stays per pair.
+    @staticmethod
+    def _add_measurement_noise(pairs: list[tuple[TraceSpec, Mode]],
+                               physics: np.ndarray,
+                               signals: np.ndarray) -> None:
+        """Per-interval sampling noise on event counts, in place.
+
+        Cycles and instructions stay exact, as the hardware counts
+        them. Each pair owns a named RNG stream, so the ``(T,
+        N_SIGNALS)`` draw stays per pair.
+        """
+        t_count = signals.shape[1]
         exact = [signal_index("cycles"), signal_index("instructions")]
-        result = np.empty_like(out)
         for p, (trace, mode) in enumerate(pairs):
             rng = rng_mod.stream(trace.seed, "signal-noise", mode.value)
             noise_sigma = (0.01
@@ -799,145 +630,4 @@ class IntervalModel:
             noise = np.exp(rng.normal(0.0, 1.0, (t_count, N_SIGNALS))
                            * noise_sigma)
             noise[:, exact] = 1.0
-            result[p] = out[p] * noise
-        return result
-
-    # ------------------------------------------------------------------
-    # Base-signal synthesis.
-    # ------------------------------------------------------------------
-    def _signals(self, trace: TraceSpec, physics: np.ndarray,
-                 components: dict[str, np.ndarray], cpi: np.ndarray,
-                 cycles: np.ndarray, mode: Mode) -> np.ndarray:
-        """Emit all base signals for each interval."""
-        m = self.machine
-        t_count = physics.shape[0]
-        inst = float(trace.interval_instructions)
-        out = np.zeros((t_count, N_SIGNALS))
-
-        def put(name: str, values: np.ndarray | float) -> None:
-            out[:, signal_index(name)] = values
-
-        ipc = 1.0 / cpi
-        frac_load = physics[:, _F["frac_load"]]
-        frac_store = physics[:, _F["frac_store"]]
-        frac_branch = physics[:, _F["frac_branch"]]
-        frac_fp = physics[:, _F["frac_fp"]]
-        frac_int = 1.0 - (frac_load + frac_store + frac_branch + frac_fp)
-
-        uops = inst * UOPS_PER_INSTRUCTION
-        loads = inst * frac_load
-        stores = inst * frac_store
-        branches = inst * frac_branch
-        l1d_misses = inst * physics[:, _F["l1d_mpki"]] / 1000.0
-        l2_misses = inst * physics[:, _F["l2_mpki"]] / 1000.0
-        l3_misses = inst * physics[:, _F["l3_mpki"]] / 1000.0
-        icache_misses = inst * physics[:, _F["icache_mpki"]] / 1000.0
-        br_miss = inst * physics[:, _F["branch_mpki"]] / 1000.0
-        dirty = physics[:, _F["dirty_frac"]]
-        uopc_hit = physics[:, _F["uopcache_hit_rate"]]
-        width = self.effective_width(mode)
-
-        put("cycles", cycles)
-        put("instructions", inst)
-        put("uops_issued", uops + br_miss * width * 2.0)  # incl. wrong path
-        put("uops_retired", uops)
-        put("loads_retired", loads)
-        put("stores_retired", stores)
-        put("branches_retired", branches)
-        put("fp_ops_retired", inst * frac_fp)
-        put("int_ops_retired", inst * frac_int)
-        put("l1d_reads", loads)
-        put("l1d_writes", stores)
-        put("l1d_misses", l1d_misses)
-        put("l1d_hits", np.maximum(loads + stores - l1d_misses, 0.0))
-        l2_accesses = l1d_misses + icache_misses
-        put("l2_accesses", l2_accesses)
-        put("l2_misses", l2_misses)
-        put("l2_hits", np.maximum(l2_accesses - l2_misses, 0.0))
-        put("l3_accesses", l2_misses)
-        put("l3_misses", l3_misses)
-        put("l3_hits", np.maximum(l2_misses - l3_misses, 0.0))
-        put("memory_reads", l3_misses)
-        l2_evictions = l2_misses  # each fill evicts in steady state
-        put("l2_evictions", l2_evictions)
-        put("l2_silent_evictions", l2_evictions * (1.0 - dirty))
-        put("l2_dirty_evictions", l2_evictions * dirty)
-        put("branch_mispredicts", br_miss)
-        put("wrong_path_uops",
-            br_miss * width * m.branch_mispredict_penalty * 0.5)
-        machine_clears = inst * 2e-5
-        put("pipeline_flushes", br_miss + machine_clears)
-        put("machine_clears", machine_clears)
-        put("icache_misses", icache_misses)
-        fetch_blocks = inst / 8.0
-        put("icache_hits", np.maximum(fetch_blocks - icache_misses, 0.0))
-        put("uopcache_hits", uops * uopc_hit)
-        put("uopcache_misses", uops * (1.0 - uopc_hit))
-        put("itlb_misses", inst * physics[:, _F["itlb_mpki"]] / 1000.0)
-        put("dtlb_misses", inst * physics[:, _F["dtlb_mpki"]] / 1000.0)
-
-        # Stall accounting from the CPI decomposition.
-        stall_share = np.maximum(cpi - components["base"], 0.0) / cpi
-        put("stall_cycles", cycles * stall_share)
-        fe_share = (components["branch"] + components["frontend"]) / cpi
-        put("frontend_stall_cycles", cycles * fe_share)
-        mem_share = components["memory"] / cpi
-        put("memory_stall_cycles", cycles * mem_share)
-        sq_share = components["store_queue"] / cpi
-        put("sq_full_stall_cycles", cycles * sq_share)
-        dep_share = np.maximum(
-            components["base"] - 1.0 / width, 0.0) / cpi
-        put("dep_stall_cycles", cycles * dep_share)
-        put("backend_stall_cycles", cycles * (mem_share + sq_share + dep_share))
-
-        # Occupancies via Little's law (summed entries x cycles).
-        ilp = physics[:, _F["ilp"]]
-        put("uops_ready", np.minimum(ilp, width) * cycles)
-        avg_inst_latency = 5.0 + (components["memory"] * physics[:, _F["mlp"]]
-                                  / np.maximum(frac_load, 0.02))
-        in_flight = np.minimum(ipc * avg_inst_latency, m.rob_entries)
-        put("rob_occupancy", in_flight * cycles)
-        sched_total = (m.cluster.scheduler_entries * mode.active_clusters)
-        sched_occ = np.minimum(in_flight * 0.45, sched_total)
-        put("scheduler_occupancy", sched_occ * cycles)
-        put("uops_stalled_dep",
-            np.maximum(sched_occ - np.minimum(ilp, width), 0.0) * cycles)
-        store_residency = 4.0 + physics[:, _F["sq_pressure"]] * 44.0
-        sq_occ = np.minimum(frac_store * ipc * store_residency,
-                            self.sq_entries(mode))
-        put("sq_occupancy", sq_occ * cycles)
-        load_residency = 4.0 + (components["memory"] * 1000.0
-                                / np.maximum(frac_load * 1000.0, 1.0))
-        lq_occ = np.minimum(frac_load * ipc * load_residency,
-                            self.lq_entries(mode))
-        put("lq_occupancy", lq_occ * cycles)
-        # MSHR occupancy reflects exploited memory-level parallelism:
-        # outstanding misses while memory-bound, capped by the MSHRs.
-        mlp_exploited = np.clip(physics[:, _F["mlp"]], 1.0,
-                                self.mshr_cap(mode))
-        put("mshr_occupancy", mlp_exploited * mem_share * cycles)
-
-        put("preg_refs", uops * 1.9)
-        put("preg_allocs", uops * 0.85)
-        if mode is Mode.HIGH_PERF:
-            put("intercluster_transfers",
-                uops * m.intercluster_uop_fraction)
-        put("mode_switches", 0.0)
-        prefetches = l2_misses * 0.6
-        put("prefetches_issued", prefetches)
-        put("prefetch_hits", prefetches * 0.5)
-        put("fp_divides", inst * frac_fp * 0.05)
-        put("int_muls", inst * frac_int * 0.08)
-        put("mem_bandwidth_bytes",
-            (l3_misses + l2_evictions * dirty) * m.line_bytes)
-        put("store_buffer_drains",
-            stores * physics[:, _F["sq_pressure"]] * 0.1)
-
-        # Per-interval sampling noise on event counts (not on cycles or
-        # instructions, which the hardware counts exactly).
-        rng = rng_mod.stream(trace.seed, "signal-noise", mode.value)
-        noise_sigma = 0.01 + physics[:, _F["noise_scale"]][:, None] * 0.3
-        noise = np.exp(rng.normal(0.0, 1.0, out.shape) * noise_sigma)
-        exact = [signal_index("cycles"), signal_index("instructions")]
-        noise[:, exact] = 1.0
-        return out * noise
+            signals[p] *= noise

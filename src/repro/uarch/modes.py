@@ -26,15 +26,6 @@ class Mode(enum.Enum):
         """Number of enabled execution clusters."""
         return 1 if self is Mode.LOW_POWER else 2
 
-    @classmethod
-    def from_label(cls, label: int) -> "Mode":
-        """Map a gating label (1 = gate / low power) to a mode."""
-        return cls.LOW_POWER if label else cls.HIGH_PERF
-
-    def to_label(self) -> int:
-        """Map a mode to a gating label (1 = low power)."""
-        return 1 if self is Mode.LOW_POWER else 0
-
 
 #: Both modes, in a stable order (high-performance first).
 ALL_MODES = (Mode.HIGH_PERF, Mode.LOW_POWER)

@@ -1,25 +1,27 @@
 """Bit-identity properties of the vectorized batch-simulation kernels.
 
-Three layers each ship a batched implementation next to a reference
-path, and every one must be *bit-identical* to it:
+Three layers each ship a batched implementation, and every one must be
+*bit-identical* to its reference:
 
 * the SoA cycle-model scoreboard vs the per-uop reference loop;
-* ``IntervalModel.simulate_batch`` vs looped ``simulate`` (including
-  batches that mix LRU hits, disk hits and misses);
+* ``IntervalModel.simulate_batch``: a pair computed alone vs inside a
+  mixed batch (including batches that mix LRU hits, disk hits and
+  misses), plus reference values recorded from the former per-pair
+  implementation;
 * the batched ``AdaptiveCPU.run_many`` closed loop vs per-trace
   ``run`` (one concatenated inference call vs many small ones).
 """
 
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
 
 from repro import rng as rng_mod
-from repro.config import active_exec_config
 from repro.core.adaptive_cpu import AdaptiveCPU
 from repro.core.pipeline import train_dual_predictor
-from repro.data.builders import build_mode_dataset, dataset_from_traces
+from repro.data.builders import dataset_from_traces
 from repro.exec.parallel import ParallelMap
 from repro.exec.simcache import SimCache
 from repro.ml.forest import RandomForestClassifier
@@ -66,6 +68,14 @@ def _stream(types, src1=None, src2=None, mem_level=None,
     )
 
 
+def _assert_kernels_agree(stream, mode, context=""):
+    """SoA kernel and reference loop on one stream; returns the SoA run."""
+    core = ClusteredCoreModel(mode=mode)
+    soa = core._execute_soa(stream)
+    _assert_same_result(soa, core._execute_reference(stream), context)
+    return soa
+
+
 class TestCycleKernelIdentity:
     """SoA scoreboard == reference loop, field for field."""
 
@@ -75,10 +85,7 @@ class TestCycleKernelIdentity:
             rng = np.random.default_rng(100 + i)
             phase = sample_phase_instance(arch.name, rng)
             stream = synthesize_uops(phase, 6000, seed=17 + i)
-            soa = ClusteredCoreModel(mode=mode, kernel="soa")
-            ref = ClusteredCoreModel(mode=mode, kernel="reference")
-            _assert_same_result(soa.execute(stream), ref.execute(stream),
-                                context=(arch.name, mode))
+            _assert_kernels_agree(stream, mode, context=(arch.name, mode))
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_branch_heavy_stream(self, mode):
@@ -89,10 +96,8 @@ class TestCycleKernelIdentity:
             p=[0.4, 0.6]).astype(np.int8)
         mispred = rng.random(n) < 0.5  # pathological misprediction rate
         stream = _stream(types, mispredicted=mispred)
-        soa = ClusteredCoreModel(mode=mode, kernel="soa").execute(stream)
-        ref = ClusteredCoreModel(
-            mode=mode, kernel="reference").execute(stream)
-        _assert_same_result(soa, ref, context=("branch-heavy", mode))
+        soa = _assert_kernels_agree(stream, mode,
+                                    context=("branch-heavy", mode))
         assert soa.branch_mispredicts > 0
 
     @pytest.mark.parametrize("mode", list(Mode))
@@ -102,10 +107,7 @@ class TestCycleKernelIdentity:
             np.concatenate([np.full(48, UopType.STORE),
                             np.full(4, UopType.ALU)]), 60)
         stream = _stream(types)
-        soa = ClusteredCoreModel(mode=mode, kernel="soa").execute(stream)
-        ref = ClusteredCoreModel(
-            mode=mode, kernel="reference").execute(stream)
-        _assert_same_result(soa, ref, context=("store-burst", mode))
+        _assert_kernels_agree(stream, mode, context=("store-burst", mode))
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_bypass_heavy_stream(self, mode):
@@ -120,10 +122,7 @@ class TestCycleKernelIdentity:
         src1 = np.maximum(idx - 1, -1)
         src2 = np.where(idx >= 2, idx - 2, -1)
         stream = _stream(types, src1=src1, src2=src2)
-        soa = ClusteredCoreModel(mode=mode, kernel="soa").execute(stream)
-        ref = ClusteredCoreModel(
-            mode=mode, kernel="reference").execute(stream)
-        _assert_same_result(soa, ref, context=("bypass-heavy", mode))
+        _assert_kernels_agree(stream, mode, context=("bypass-heavy", mode))
 
     def test_memory_level_mix(self):
         # Loads at every hierarchy level, including DRAM MSHR pressure.
@@ -139,19 +138,7 @@ class TestCycleKernelIdentity:
             -1)
         stream = _stream(types, mem_level=levels)
         for mode in Mode:
-            soa = ClusteredCoreModel(mode=mode, kernel="soa")
-            ref = ClusteredCoreModel(mode=mode, kernel="reference")
-            _assert_same_result(soa.execute(stream), ref.execute(stream),
-                                context=("mem-mix", mode))
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(Exception):
-            ClusteredCoreModel(kernel="simd")
-
-    def test_env_default(self):
-        assert active_exec_config().cycle_kernel in ("soa", "reference")
-        assert (ClusteredCoreModel().kernel
-                == active_exec_config().cycle_kernel)
+            _assert_kernels_agree(stream, mode, context=("mem-mix", mode))
 
     def test_subclass_hooks_fall_back_to_reference(self):
         class Hooked(ClusteredCoreModel):
@@ -161,12 +148,14 @@ class TestCycleKernelIdentity:
         rng = np.random.default_rng(3)
         phase = sample_phase_instance(PHASE_LIBRARY[0].name, rng)
         stream = synthesize_uops(phase, 800, seed=3)
-        hooked = Hooked(kernel="soa")
+        hooked = Hooked()
         # The SoA decode assumes trace-annotated outcomes; a subclass
         # overriding a hook must transparently use the reference loop.
-        reference = ClusteredCoreModel(kernel="reference").execute(stream)
+        annotated = ClusteredCoreModel().execute(stream)
+        _assert_same_result(hooked.execute(stream),
+                            hooked._execute_reference(stream))
         assert hooked.execute(stream).branch_mispredicts \
-            != reference.branch_mispredicts
+            != annotated.branch_mispredicts
 
 
 def _traces(n, base_seed, intervals=70):
@@ -191,20 +180,40 @@ def _assert_same_interval(a, b, context=""):
             (context, field)
 
 
+#: Per-pair ``ipc``/``cycles``/``signals`` of ``_traces(3, 600,
+#: intervals=12)`` in both modes, recorded from the former per-pair
+#: (unbatched) implementation of ``IntervalModel.simulate``.
+REFERENCE = pathlib.Path(__file__).parent / "data" / "interval_reference.npz"
+
+
 class TestSimulateBatchIdentity:
-    """Stacked interval passes == looped simulate, bit for bit."""
+    """A pair's result never depends on the batch that computed it."""
 
     def test_batch_matches_loop(self):
-        traces = _traces(4, 300)
-        looped = IntervalModel()
-        batched = IntervalModel()
-        batch = batched.simulate_batch(traces)
+        # Mixed interval counts (two stacked groups) and both modes.
+        traces = _traces(3, 300) + _traces(2, 310, intervals=45)
+        batch = IntervalModel().simulate_batch(traces)
+        assert len(batch) == 2 * len(traces)
         for trace in traces:
             for mode in Mode:
                 key = (trace.name, trace.seed, trace.n_intervals, mode)
                 _assert_same_interval(
-                    batch[key], looped.simulate(trace, mode),
+                    batch[key], IntervalModel().simulate(trace, mode),
                     context=(trace.name, mode))
+
+    def test_matches_recorded_reference(self):
+        reference = np.load(REFERENCE)
+        model = IntervalModel()
+        for i, trace in enumerate(_traces(3, 600, intervals=12)):
+            for mode in Mode:
+                result = model.simulate(trace, mode)
+                for field in ("ipc", "cycles", "signals"):
+                    # rtol, not equality: SIMD exp may differ in the
+                    # last bit across CPUs.
+                    np.testing.assert_allclose(
+                        getattr(result, field),
+                        reference[f"{i}_{mode.value}_{field}"],
+                        rtol=1e-12, atol=0.0, err_msg=f"{i} {mode} {field}")
 
     def test_mixed_cache_states(self, tmp_path):
         traces = _traces(5, 320)
@@ -283,25 +292,3 @@ class TestBatchedClosedLoop:
                             (est, pmap.backend, field.name)
                     else:
                         assert va == vb, (est, pmap.backend, field.name)
-
-
-class TestBatchDisableSwitch:
-    """REPRO_BATCH_SIM=0 reproduces the scalar flow end to end."""
-
-    def test_env_disable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_SIM", "0")
-        assert not active_exec_config().batch_sim
-        traces = _traces(2, 500, intervals=60)
-        ds_off = build_mode_dataset(traces, Mode.HIGH_PERF,
-                                    list(range(8)))
-        monkeypatch.setenv("REPRO_BATCH_SIM", "1")
-        assert active_exec_config().batch_sim
-        ds_on = build_mode_dataset(traces, Mode.HIGH_PERF,
-                                   list(range(8)))
-        assert np.array_equal(ds_off.x, ds_on.x)
-        assert np.array_equal(ds_off.y, ds_on.y)
-
-    def test_invalid_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_SIM", "maybe")
-        with pytest.raises(ValueError):
-            active_exec_config().batch_sim

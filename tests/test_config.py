@@ -123,14 +123,9 @@ KNOB_SAMPLES = {
     "simcache_dir": ("/tmp/sc", "/tmp/sc"),
     "simcache_verify": ("0", False),
     "fault_spec": ("seed=1,crash=0.1", "seed=1,crash=0.1"),
-    "cycle_kernel": ("reference", "reference"),
-    "batch_sim": ("0", False),
     "interval_lru": ("64", 64),
     "trace": ("out.json", "out.json"),
     "trace_sample": ("4", 4),
-    "surrogate": ("1", True),
-    "surrogate_threshold": ("0.05", 0.05),
-    "surrogate_probes": ("16", 16),
     "serve_batch_max": ("16", 16),
     "serve_queue_bound": ("128", 128),
     "serve_batch_timeout_s": ("2.5", 2.5),
@@ -172,8 +167,6 @@ class TestExecConfig:
         assert config.retries == 2
         assert config.timeout is None
         assert config.simcache_verify is True
-        assert config.cycle_kernel == "soa"
-        assert config.batch_sim is True
         assert config.trace is None
         assert config.shmres is True
         assert config.shard is None
@@ -191,8 +184,6 @@ class TestExecConfig:
         monkeypatch.setenv("REPRO_SIMCACHE_DIR", "/tmp/sc")
         monkeypatch.setenv("REPRO_SIMCACHE_VERIFY", "0")
         monkeypatch.setenv("REPRO_FAULT_SPEC", "seed=1,crash=0.1")
-        monkeypatch.setenv("REPRO_CYCLE_KERNEL", "reference")
-        monkeypatch.setenv("REPRO_BATCH_SIM", "0")
         monkeypatch.setenv("REPRO_INTERVAL_LRU", "64")
         monkeypatch.setenv("REPRO_TRACE", "out.json")
         monkeypatch.setenv("REPRO_EXEC_SHMRES", "0")
@@ -203,7 +194,7 @@ class TestExecConfig:
             backend="auto", workers=3, pool="fresh", arena=False,
             chunk=16, retries=5, timeout=2.5, simcache_dir="/tmp/sc",
             simcache_verify=False, fault_spec="seed=1,crash=0.1",
-            cycle_kernel="reference", batch_sim=False, interval_lru=64,
+            interval_lru=64,
             trace="out.json", shmres=False, shard=5000, trace_sample=4)
         # Every row of the table, one at a time.
         assert set(KNOB_SAMPLES) == set(KNOB)
@@ -290,7 +281,7 @@ class TestExecConfig:
         original = ExecConfig(backend="process", workers=2, arena=False,
                               chunk=7, retries=1, timeout=0.5,
                               fault_spec="seed=9,crash=0.01",
-                              cycle_kernel="reference", interval_lru=32,
+                              pool="fresh", interval_lru=32,
                               trace="1", shmres=False, shard=3,
                               trace_sample=2, serve_batch_max=4,
                               serve_queue_bound=32)
@@ -350,12 +341,12 @@ class TestExecConfig:
         _clear_exec_env(monkeypatch)
         cfg = ExecConfig(simcache_dir="/tmp/x",
                          fault_spec="seed=2,crash=0.5",
-                         cycle_kernel="reference", interval_lru=17,
+                         pool="fresh", interval_lru=17,
                          trace="t.json")
         with cfg.override():
             assert active_exec_config().simcache_dir == "/tmp/x"
             assert active_exec_config().fault_spec == "seed=2,crash=0.5"
-            assert active_exec_config().cycle_kernel == "reference"
+            assert active_exec_config().pool == "fresh"
             assert active_exec_config().interval_lru == 17
             assert active_exec_config().trace == "t.json"
 
@@ -369,7 +360,7 @@ class TestExecConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"pool": "sometimes"},
-        {"cycle_kernel": "vector9"},
+        {"trace_sample": 0},
         {"chunk": 0},
         {"retries": -1},
         {"timeout": -2.0},
@@ -455,4 +446,4 @@ class TestKnobTable:
                           r"<!-- knob-table:end -->", readme, re.S)
         assert match is not None
         assert match.group(1) == render_knob_table()
-        assert len(KNOBS) == 37
+        assert len(KNOBS) == 32

@@ -1,5 +1,8 @@
 """Tests for the fast interval performance model."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -159,3 +162,41 @@ class TestSignals:
             ratios[name] = (res.signal("sq_occupancy")
                             / res.signal("cycles")).mean()
         assert ratios["store_burst_log"] > 5 * ratios["linked_list_walk"]
+
+
+class TestLruThreadSafety:
+    def test_concurrent_lookups_and_evictions(self):
+        # A lookup refreshes recency while other threads insert and
+        # evict. Without one lock around each lookup-plus-refresh and
+        # insert-plus-evict, an entry evicted between the two steps
+        # raises KeyError. A tiny switch interval forces interleaving.
+        traces = [generate_application(f"lru{i}", "test",
+                                       {"pointer_chase": 1.0},
+                                       seed=40 + i).workload(0).trace(8, 0)
+                  for i in range(2)]
+        pairs = [(trace, mode) for trace in traces for mode in Mode][:3]
+        model = IntervalModel(cache_size=2)
+        errors = []
+
+        def worker(seed):
+            order = np.random.default_rng(seed).integers(0, len(pairs), 1000)
+            try:
+                for i in order:
+                    model.simulate(*pairs[i])
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,))
+                       for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(model._cache) <= 2

@@ -384,16 +384,6 @@ class TestRetryHints:
 # ---------------------------------------------------------------------
 # Warm-state checkpoints.
 # ---------------------------------------------------------------------
-class _FakeTier:
-    """Stand-in surrogate tier: just the attributes load-time
-    re-attachment touches (model, threshold, n_probes)."""
-
-    def __init__(self, model) -> None:
-        self.model = model
-        self.threshold = 0.5
-        self.n_probes = 3
-
-
 class TestCheckpoint:
     FP = corpus_fingerprint("const", 2, 1, 48, 11)
 
@@ -473,22 +463,10 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path, self.FP)
 
-    def test_surrogate_tier_reattached_on_load(self, tmp_path):
-        path = str(tmp_path / "serve.ckpt")
-        cpu, traces = self._state()
-        cpu.collector.model._surrogate = _FakeTier(cpu.collector.model)
-        save_checkpoint(path, cpu, traces, self.FP)
-        state = load_checkpoint(path, self.FP)
-        model = state["cpu"].collector.model
-        tier = model._surrogate
-        assert isinstance(tier, _FakeTier)
-        assert tier.model is model  # pointer surgery done
-        assert model._surrogate_config == (0.5, 3)
-
     def test_unpicklable_state_is_typed(self, tmp_path):
         path = str(tmp_path / "serve.ckpt")
         cpu, traces = self._state()
-        cpu.collector.model._surrogate = lambda: None  # not picklable
+        cpu.collector.model.hook = lambda: None  # not picklable
         with pytest.raises(CheckpointError,
                            match="not checkpointable"):
             save_checkpoint(path, cpu, traces, self.FP)
