@@ -1,11 +1,12 @@
 """Dataset builders.
 
 Assemble supervised gating datasets from trace corpora exactly as the
-paper does (Section 4.1): simulate each trace in both modes, snapshot
-and cycle-normalise telemetry, coarsen to the prediction granularity,
-and pair counters at interval ``t`` with the gating label at interval
-``t + 2`` — the one-interval gap covers transmitting counters to the
-microcontroller and computing the prediction (Figure 3).
+paper does (Section 4.1): simulate each trace once in each mode, label
+it once, snapshot and cycle-normalise telemetry per mode, coarsen to
+the prediction granularity, and pair counters at interval ``t`` with
+the gating label at interval ``t + 2`` — the one-interval gap covers
+transmitting counters to the microcontroller and computing the
+prediction (Figure 3).
 """
 
 from __future__ import annotations
@@ -40,97 +41,95 @@ from repro.workloads.spec2017 import spec2017_traces
 PREDICTION_HORIZON = 2
 
 
-def _catalog_token(collector: TelemetryCollector) -> str:
-    """Stable fingerprint of the counter catalog (for cache keys)."""
-    return collector.catalog_token()
-
-
-def _build_trace_part(trace: TraceSpec, mode: Mode,
-                      counter_ids: np.ndarray, sla: SLAConfig,
-                      collector: TelemetryCollector,
-                      granularity_factor: int,
-                      horizon: int) -> GatingDataset:
-    """One trace's slice of the supervised dataset (parallel unit).
-
-    Snapshot and labels each consult their own disk-cache tier (and
-    the simulator's LRU, prewarmed by the chunk's stacked pass, on a
-    miss), so a fully warm build never simulates.
-    """
-    snap = collector.snapshot(trace, mode, counter_ids)
-    labels = gating_labels(trace, sla, collector.model, granularity_factor)
-    if granularity_factor > 1:
-        snap = coarsen(snap, granularity_factor)
-    t_count = min(snap.n_intervals, labels.n_intervals)
-    if t_count <= horizon:
-        raise DatasetError(
-            f"trace {trace.name} too short for horizon {horizon} at "
-            f"granularity factor {granularity_factor}"
-        )
-    x = snap.normalized[:t_count - horizon]
-    y = labels.labels[horizon:t_count]
-    n = x.shape[0]
-    return GatingDataset(
-        x=x,
-        y=y,
-        groups=np.full(n, trace.app.name),
-        workloads=np.full(n, trace.workload.name),
-        traces=np.full(n, trace.name),
-        mode=mode,
-        counter_ids=counter_ids,
-        granularity=(BASE_INTERVAL_INSTRUCTIONS * granularity_factor),
-        sla_floor=sla.performance_floor,
-    )
-
-
-def _build_trace_chunk(traces: list[TraceSpec], part_fn, mode: Mode,
+def _build_trace_parts(trace: TraceSpec, modes: tuple[Mode, ...],
                        counter_ids: np.ndarray, sla: SLAConfig,
                        collector: TelemetryCollector,
-                       granularity_factor: int) -> list[GatingDataset]:
-    """Chunk unit of the batched build: stacked simulation, then parts.
+                       granularity_factor: int,
+                       horizon: int) -> list[GatingDataset]:
+    """One trace's slice of the supervised dataset, one part per mode.
+
+    The gating labels do not depend on the telemetry mode, so they are
+    computed once and paired with each mode's snapshot. Snapshot and
+    labels each consult their own disk-cache tier (and the simulator's
+    LRU, prewarmed by the chunk's stacked pass, on a miss), so a fully
+    warm build never simulates.
+    """
+    labels = gating_labels(trace, sla, collector.model, granularity_factor)
+    parts = []
+    for mode in modes:
+        snap = collector.snapshot(trace, mode, counter_ids)
+        if granularity_factor > 1:
+            snap = coarsen(snap, granularity_factor)
+        t_count = min(snap.n_intervals, labels.n_intervals)
+        if t_count <= horizon:
+            raise DatasetError(
+                f"trace {trace.name} too short for horizon {horizon} at "
+                f"granularity factor {granularity_factor}"
+            )
+        x = snap.normalized[:t_count - horizon]
+        y = labels.labels[horizon:t_count]
+        n = x.shape[0]
+        parts.append(GatingDataset(
+            x=x,
+            y=y,
+            groups=np.full(n, trace.app.name),
+            workloads=np.full(n, trace.workload.name),
+            traces=np.full(n, trace.name),
+            mode=mode,
+            counter_ids=counter_ids,
+            granularity=(BASE_INTERVAL_INSTRUCTIONS * granularity_factor),
+            sla_floor=sla.performance_floor,
+        ))
+    return parts
+
+
+def _build_trace_chunk(traces: list[TraceSpec], *, modes: tuple[Mode, ...],
+                       counter_ids: np.ndarray, sla: SLAConfig,
+                       collector: TelemetryCollector,
+                       granularity_factor: int,
+                       horizon: int) -> list[list[GatingDataset]]:
+    """Chunk unit of the build: stacked simulation, then parts.
 
     ``simulate_batch`` warms the model's LRU (and SimCache) with one
-    stacked interval pass over every (trace, mode) pair of the chunk,
-    so each subsequent per-trace part is pure assembly. Traces whose
-    snapshot *and* labels are already on disk are skipped — a fully
-    warm build reads those two small artefacts and never touches the
-    simulator.
+    stacked interval pass over both modes of every trace of the chunk
+    (the labels need both, whichever modes are being built), so each
+    per-trace part is pure assembly and each (trace, mode) pair is
+    simulated once. Traces whose labels and snapshots are already on
+    disk are skipped — a fully warm build reads those small artefacts
+    and never touches the simulator.
+
+    Returns one list of parts per trace, in ``modes`` order.
     """
-    simcache = collector.model.simcache
+    model = collector.model
+    simcache = model.simcache
 
-    def _tkey(trace):
-        return (trace.name, trace.seed, trace.n_intervals)
+    def needs_sim(trace: TraceSpec) -> bool:
+        return simcache is None or not (
+            all(collector.has_snapshot(trace, mode, counter_ids)
+                for mode in modes)
+            and simcache.has(simcache.labels_key(
+                trace, sla, granularity_factor, model.machine)))
 
-    if simcache is None:
-        needs_sim = {_tkey(trace) for trace in traces}
-    else:
-        machine = collector.model.machine
-        token = collector.catalog_token()
-        needs_sim = {
-            _tkey(trace) for trace in traces
-            if not (simcache.has(simcache.snapshot_key(
-                        trace, mode, machine, counter_ids, token))
-                    and simcache.has(simcache.labels_key(
-                        trace, sla, granularity_factor, machine)))
-        }
     # Prewarm in slices that fit the model's LRU (two entries per
     # trace — one per mode); a chunk larger than the LRU would evict
     # its own head before the per-trace assembly consumes it, silently
     # degrading every early trace to a one-pair re-simulation.
-    step = max(1, collector.model._cache_size // 2)
+    step = max(1, model._cache_size // 2)
     parts = []
     for i in range(0, len(traces), step):
         sub = traces[i:i + step]
-        sub_sim = [trace for trace in sub if _tkey(trace) in needs_sim]
+        sub_sim = [trace for trace in sub if needs_sim(trace)]
         if sub_sim:
-            collector.model.simulate_batch(sub_sim)
-        parts.extend(part_fn(trace) for trace in sub)
+            model.simulate_batch(sub_sim)
+        parts.extend(_build_trace_parts(trace, modes, counter_ids, sla,
+                                        collector, granularity_factor,
+                                        horizon)
+                     for trace in sub)
     return parts
 
 
-def _arena_build_chunk(handle: str, indices: list[int], *, mode: Mode,
-                       counter_ids: np.ndarray, sla: SLAConfig,
-                       granularity_factor: int,
-                       horizon: int) -> list[GatingDataset]:
+def _arena_build_chunk(handle: str, indices: list[int],
+                       **knobs) -> list[list[GatingDataset]]:
     """Worker-side build: attach to the arena, rebuild, assemble.
 
     Module-level so process pools can pickle it; the collector (which
@@ -139,17 +138,8 @@ def _arena_build_chunk(handle: str, indices: list[int], *, mode: Mode,
     plus the small scalar knobs in this partial.
     """
     arena = TraceArena.attach(handle)
-    collector = arena.object("collector")
-    traces = [arena.trace(i) for i in indices]
-    part_fn = functools.partial(_build_trace_part, mode=mode,
-                                counter_ids=counter_ids, sla=sla,
-                                collector=collector,
-                                granularity_factor=granularity_factor,
-                                horizon=horizon)
-    return _build_trace_chunk(traces, part_fn=part_fn, mode=mode,
-                              counter_ids=counter_ids, sla=sla,
-                              collector=collector,
-                              granularity_factor=granularity_factor)
+    return _build_trace_chunk([arena.trace(i) for i in indices],
+                              collector=arena.object("collector"), **knobs)
 
 
 def build_mode_dataset(traces: list[TraceSpec], mode: Mode,
@@ -164,13 +154,43 @@ def build_mode_dataset(traces: list[TraceSpec], mode: Mode,
 
     Features are telemetry observed while running in ``mode``; two
     such datasets (one per mode) train the paper's two side-by-side
-    models.
+    models, and :func:`dataset_from_traces` builds both in one pass.
+    """
+    return _build_datasets(traces, (mode,), counter_ids, sla, collector,
+                           granularity_factor, horizon, pmap,
+                           simcache)[mode]
 
-    Per-trace work fans out through ``pmap`` (serial by default) and
-    the assembled matrices persist in ``simcache`` when one is
+
+def dataset_from_traces(traces: list[TraceSpec],
+                        counter_ids: list[int] | np.ndarray,
+                        sla: SLAConfig = DEFAULT_SLA,
+                        collector: TelemetryCollector | None = None,
+                        granularity_factor: int = 1,
+                        horizon: int = PREDICTION_HORIZON,
+                        pmap: ParallelMap | None = None,
+                        simcache: SimCache | None = None,
+                        ) -> dict[Mode, GatingDataset]:
+    """Both per-mode datasets for one trace corpus, in one pass.
+
+    Each trace is simulated once per mode and labelled once; the
+    result equals one :func:`build_mode_dataset` per mode bit for bit.
+    """
+    return _build_datasets(traces, tuple(Mode), counter_ids, sla,
+                           collector, granularity_factor, horizon, pmap,
+                           simcache)
+
+
+def _build_datasets(traces, modes, counter_ids, sla, collector,
+                    granularity_factor, horizon, pmap,
+                    simcache) -> dict[Mode, GatingDataset]:
+    """The dataset-builder body, over a tuple of telemetry modes.
+
+    Per-trace work fans out through ``pmap`` (serial by default), and
+    each mode's assembled matrices persist in ``simcache`` when one is
     attached (or ``REPRO_SIMCACHE_DIR`` is set), keyed by trace
-    content, counter set, SLA, granularity and machine config — both
-    paths are bit-identical to a serial, uncached build.
+    content, mode, counter set, SLA, granularity and machine config;
+    only the modes without a cached dataset are built. Every path is
+    bit-identical to a serial, uncached build.
 
     When ``REPRO_EXEC_SHARD`` caps the number of traces in flight, the
     corpus streams shard-by-shard with bounded parent RSS (and
@@ -178,57 +198,59 @@ def build_mode_dataset(traces: list[TraceSpec], mode: Mode,
     """
     if not traces:
         raise DatasetError("no traces supplied")
-    with tracer.span("build_dataset", mode=mode.value,
+    with tracer.span("build_dataset",
+                     modes=",".join(mode.value for mode in modes),
                      traces=len(traces)):
-        return _build_mode_dataset(
-            traces, mode, counter_ids, sla, collector,
-            granularity_factor, horizon, pmap, simcache)
+        collector = collector or TelemetryCollector()
+        counter_ids = np.asarray(counter_ids, dtype=np.int64)
+        simcache = simcache if simcache is not None else default_simcache()
+        if simcache is None:
+            # Fall back to the cache already attached to the simulator,
+            # so a collector wired to a shared SimCache (the benchmark
+            # fixtures) also persists its built datasets there.
+            simcache = collector.model.simcache
+
+        def key(sub: list[TraceSpec], mode: Mode) -> str | None:
+            if simcache is None:
+                return None
+            return simcache.dataset_key(
+                sub, mode, counter_ids, sla, granularity_factor, horizon,
+                collector.model.machine,
+                catalog_token=collector.catalog_token())
+
+        keys = {mode: key(traces, mode) for mode in modes}
+        out = {mode: simcache.load_dataset(keys[mode])
+               for mode in modes if keys[mode] is not None}
+        todo = tuple(mode for mode in modes if out.get(mode) is None)
+        if todo:
+            build = functools.partial(
+                _build_parts, modes=todo, counter_ids=counter_ids, sla=sla,
+                collector=collector, granularity_factor=granularity_factor,
+                horizon=horizon,
+                pmap=pmap if pmap is not None else default_parallel_map())
+            shard = active_exec_config().shard
+            if shard is not None and len(traces) > shard:
+                out.update(_build_sharded(traces, todo, build, key,
+                                          simcache, shard))
+            else:
+                parts = build(traces)
+                out.update({mode: concat_datasets([p[k] for p in parts])
+                            for k, mode in enumerate(todo)})
+            for mode in todo:
+                if keys[mode] is not None:
+                    simcache.store_dataset(keys[mode], out[mode])
+        return {mode: out[mode] for mode in modes}
 
 
-def _build_mode_dataset(traces, mode, counter_ids, sla, collector,
-                        granularity_factor, horizon, pmap,
-                        simcache) -> GatingDataset:
-    collector = collector or TelemetryCollector()
-    counter_ids = np.asarray(counter_ids, dtype=np.int64)
-    simcache = simcache if simcache is not None else default_simcache()
-    if simcache is None:
-        # Fall back to the cache already attached to the simulator, so
-        # a collector wired to a shared SimCache (the benchmark
-        # fixtures) also persists its built datasets there.
-        simcache = collector.model.simcache
-    key = None
-    if simcache is not None:
-        key = simcache.dataset_key(
-            traces, mode, counter_ids, sla, granularity_factor, horizon,
-            collector.model.machine,
-            catalog_token=_catalog_token(collector))
-        cached = simcache.load_dataset(key)
-        if cached is not None:
-            return cached
-    pmap = pmap if pmap is not None else default_parallel_map()
-    shard = active_exec_config().shard
-    if shard is not None and len(traces) > shard:
-        dataset = _build_sharded(traces, mode, counter_ids, sla,
-                                 collector, granularity_factor, horizon,
-                                 pmap, simcache, shard)
-    else:
-        dataset = concat_datasets(_build_parts(
-            traces, mode, counter_ids, sla, collector,
-            granularity_factor, horizon, pmap))
-    if key is not None:
-        simcache.store_dataset(key, dataset)
-    return dataset
+def _build_parts(traces, *, modes, counter_ids, sla, collector,
+                 granularity_factor, horizon,
+                 pmap) -> list[list[GatingDataset]]:
+    """Fan the per-trace builds of one (sub)corpus out through ``pmap``.
 
-
-def _build_parts(traces, mode, counter_ids, sla, collector,
-                 granularity_factor, horizon, pmap,
-                 ) -> list[GatingDataset]:
-    """Fan the per-trace builds of one (sub)corpus out through ``pmap``."""
-    part_fn = functools.partial(_build_trace_part, mode=mode,
-                                counter_ids=counter_ids, sla=sla,
-                                collector=collector,
-                                granularity_factor=granularity_factor,
-                                horizon=horizon)
+    Returns one list of parts per trace, in ``modes`` order.
+    """
+    knobs = dict(modes=modes, counter_ids=counter_ids, sla=sla,
+                 granularity_factor=granularity_factor, horizon=horizon)
     # Whole chunks reach each worker, so the interval simulations
     # of a chunk run as one stacked batch pass before the per-trace
     # assembly (which then hits the warm LRU). Process dispatch
@@ -244,11 +266,8 @@ def _build_parts(traces, mode, counter_ids, sla, collector,
     if arena is not None:
         try:
             return pmap.map_chunks(
-                functools.partial(
-                    _arena_build_chunk, arena.handle, mode=mode,
-                    counter_ids=counter_ids, sla=sla,
-                    granularity_factor=granularity_factor,
-                    horizon=horizon),
+                functools.partial(_arena_build_chunk, arena.handle,
+                                  **knobs),
                 range(len(traces)), stage="build_dataset")
         except ArenaIntegrityError:
             # Corrupt/injected-corrupt segment: fall back to
@@ -257,75 +276,53 @@ def _build_parts(traces, mode, counter_ids, sla, collector,
         finally:
             arena.close()
     return pmap.map_chunks(
-        functools.partial(_build_trace_chunk, part_fn=part_fn,
-                          mode=mode, counter_ids=counter_ids,
-                          sla=sla, collector=collector,
-                          granularity_factor=granularity_factor),
+        functools.partial(_build_trace_chunk, collector=collector, **knobs),
         traces, stage="build_dataset")
 
 
-def _build_sharded(traces, mode, counter_ids, sla, collector,
-                   granularity_factor, horizon, pmap, simcache,
-                   shard: int) -> GatingDataset:
+def _build_sharded(traces, modes, build, key, simcache,
+                   shard: int) -> dict[Mode, GatingDataset]:
     """Stream the corpus shard-by-shard with bounded parent RSS.
 
     Each shard of ``shard`` traces is built (and its result views
-    released) before the next begins; rows land in a
-    :class:`~repro.data.dataset.DatasetAssembler` by slice-copy, so
-    peak parent memory is roughly the final matrix plus one shard of
-    parts instead of every pickled part at once. Per-trace assembly is
-    independent of grouping, so the result is bit-identical to the
-    unsharded build. When a SimCache is attached, each shard is also
-    cached under its own key, giving interrupted million-trace builds
-    shard-level resume.
+    released) before the next begins; rows land in one
+    :class:`~repro.data.dataset.DatasetAssembler` per mode by
+    slice-copy, so peak parent memory is roughly the final matrices
+    plus one shard of parts instead of every pickled part at once.
+    Per-trace assembly is independent of grouping, so the result is
+    bit-identical to the unsharded build. When a SimCache is attached,
+    each (shard, mode) is also cached under its own key, giving
+    interrupted million-trace builds shard-level resume.
     """
-    assembler = DatasetAssembler()
+    assemblers = {mode: DatasetAssembler() for mode in modes}
     n_shards = -(-len(traces) // shard)
     for si in range(n_shards):
         sub = traces[si * shard:(si + 1) * shard]
         with tracer.span("build_dataset.shard", shard=si,
                          shards=n_shards, traces=len(sub)):
-            shard_key = None
-            if simcache is not None:
-                shard_key = simcache.dataset_key(
-                    sub, mode, counter_ids, sla, granularity_factor,
-                    horizon, collector.model.machine,
-                    catalog_token=_catalog_token(collector))
-                cached = simcache.load_dataset(shard_key)
-                if cached is not None:
+            shard_keys = {mode: key(sub, mode) for mode in modes}
+            todo = []
+            for mode in modes:
+                cached = (None if shard_keys[mode] is None
+                          else simcache.load_dataset(shard_keys[mode]))
+                if cached is None:
+                    todo.append(mode)
+                else:
                     METRICS.incr("build_dataset.shard_cache_hits")
-                    assembler.append(cached)
-                    continue
-            parts = _build_parts(sub, mode, counter_ids, sla, collector,
-                                 granularity_factor, horizon, pmap)
-            if shard_key is not None:
-                shard_ds = concat_datasets(parts)
-                simcache.store_dataset(shard_key, shard_ds)
-                assembler.append(shard_ds)
-            else:
-                for part in parts:
-                    assembler.append(part)
+                    assemblers[mode].append(cached)
+            if todo:
+                parts = build(sub, modes=tuple(todo))
+                for k, mode in enumerate(todo):
+                    mode_parts = [p[k] for p in parts]
+                    if shard_keys[mode] is not None:
+                        shard_ds = concat_datasets(mode_parts)
+                        simcache.store_dataset(shard_keys[mode], shard_ds)
+                        mode_parts = [shard_ds]
+                    for part in mode_parts:
+                        assemblers[mode].append(part)
         METRICS.incr("build_dataset.shards")
-    return assembler.finish()
-
-
-def dataset_from_traces(traces: list[TraceSpec],
-                        counter_ids: list[int] | np.ndarray,
-                        sla: SLAConfig = DEFAULT_SLA,
-                        collector: TelemetryCollector | None = None,
-                        granularity_factor: int = 1,
-                        horizon: int = PREDICTION_HORIZON,
-                        pmap: ParallelMap | None = None,
-                        simcache: SimCache | None = None,
-                        ) -> dict[Mode, GatingDataset]:
-    """Both per-mode datasets for one trace corpus."""
-    collector = collector or TelemetryCollector()
-    return {
-        mode: build_mode_dataset(traces, mode, counter_ids, sla,
-                                 collector, granularity_factor, horizon,
-                                 pmap=pmap, simcache=simcache)
-        for mode in Mode
-    }
+    return {mode: assembler.finish()
+            for mode, assembler in assemblers.items()}
 
 
 def hdtr_traces(seed: int,

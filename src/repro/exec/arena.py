@@ -400,18 +400,33 @@ class TraceArena:
         self.close()
 
 
+def _detach(arena: TraceArena) -> None:
+    """Drop a non-owner attachment's mapping (owners close themselves)."""
+    arena._closed = True
+    try:
+        arena._mm.close()
+    except BufferError:
+        pass
+
+
 def _cache_put(handle: str, arena: TraceArena) -> None:
-    """Insert into the attach LRU; caller holds ``_ATTACH_LOCK``."""
+    """Insert into the attach LRU; caller holds ``_ATTACH_LOCK``.
+
+    Attachments whose backing file is gone first leave the cache: the
+    owner closed that arena, so no task will ask for it again, and
+    keeping it would pin its header objects (a collector with a full
+    interval LRU) in this process until newer attachments push it out.
+    """
+    for path, stale in list(_ATTACHED.items()):
+        if not stale._owner and not os.path.exists(path):
+            del _ATTACHED[path]
+            _detach(stale)
     _ATTACHED[handle] = arena
     _ATTACHED.move_to_end(handle)
     while len(_ATTACHED) > _ATTACH_CACHE_SIZE:
         _, evicted = _ATTACHED.popitem(last=False)
         if not evicted._owner:  # owners stay open until close()
-            evicted._closed = True
-            try:
-                evicted._mm.close()
-            except BufferError:
-                pass
+            _detach(evicted)
 
 
 def detach_all() -> None:
@@ -421,11 +436,7 @@ def detach_all() -> None:
         _ATTACHED.clear()
     for arena in arenas:
         if not arena._owner:
-            arena._closed = True
-            try:
-                arena._mm.close()
-            except BufferError:
-                pass
+            _detach(arena)
 
 
 @atexit.register

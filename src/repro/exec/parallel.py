@@ -130,10 +130,28 @@ BACKOFF_MAX_S = 1.0
 #: run inside a worker stay serial instead of forking grandchildren.
 _IN_WORKER = False
 
+#: ``.active`` is set on thread-pool worker threads (via the pool
+#: initializer) so maps issued from inside one run inline: a nested map
+#: over the same pool would otherwise wait on tasks that no free worker
+#: can run.
+_THREAD_WORKER = threading.local()
+
 
 def _pool_worker_init() -> None:
     global _IN_WORKER
     _IN_WORKER = True
+
+
+def _thread_worker_init() -> None:
+    _THREAD_WORKER.active = True
+
+
+def _new_pool(backend: str, n_workers: int) -> concurrent.futures.Executor:
+    if backend == "thread":
+        return concurrent.futures.ThreadPoolExecutor(
+            max_workers=n_workers, initializer=_thread_worker_init)
+    return concurrent.futures.ProcessPoolExecutor(
+        max_workers=n_workers, initializer=_pool_worker_init)
 
 
 # ---------------------------------------------------------------------
@@ -159,12 +177,7 @@ def _get_pool(backend: str,
             METRICS.incr("parallel.pool_reuse")
             return pool
         start = time.perf_counter()
-        if backend == "thread":
-            pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=n_workers)
-        else:
-            pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=n_workers, initializer=_pool_worker_init)
+        pool = _new_pool(backend, n_workers)
         _POOLS[key] = pool
         METRICS.incr("parallel.pool_create")
         METRICS.gauge_add("parallel.pools_open", 1)
@@ -360,7 +373,7 @@ class ParallelMap:
         the first item serially, times it, and finishes with
         :meth:`_decide_from_probe`.
         """
-        if _IN_WORKER:
+        if _IN_WORKER or getattr(_THREAD_WORKER, "active", False):
             return "serial"
         if self.backend != "auto":
             return self.backend
@@ -394,11 +407,7 @@ class ParallelMap:
         if self._persistent():
             return _get_pool(backend, self.n_workers)
         METRICS.gauge_add("parallel.pools_open", 1)
-        if backend == "thread":
-            return concurrent.futures.ThreadPoolExecutor(
-                max_workers=self.n_workers)
-        return concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.n_workers, initializer=_pool_worker_init)
+        return _new_pool(backend, self.n_workers)
 
     def _release_pool(self, backend: str,
                       pool: concurrent.futures.Executor,

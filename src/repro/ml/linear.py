@@ -12,11 +12,23 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.optimize
 
 from repro.errors import ConfigurationError
 from repro.ml.base import Estimator, StandardScaler, check_xy
 from repro.ml.mlp import sigmoid
+
+
+def lbfgs_minimize(objective, n_params: int, max_iter: int):
+    """L-BFGS-B from zeros, with ``objective`` returning (loss, grad).
+
+    ``scipy.optimize`` is imported on first use: it is most of the
+    package's import time, and only the L-BFGS fits need it.
+    """
+    import scipy.optimize
+    return scipy.optimize.minimize(
+        objective, np.zeros(n_params), jac=True, method="L-BFGS-B",
+        options={"maxiter": max_iter},
+    )
 
 
 class LogisticRegression(Estimator):
@@ -58,10 +70,7 @@ class LogisticRegression(Estimator):
             grad_b = delta.sum()
             return float(loss), np.concatenate([grad_w, [grad_b]])
 
-        result = scipy.optimize.minimize(
-            objective, np.zeros(d + 1), jac=True, method="L-BFGS-B",
-            options={"maxiter": self.max_iter},
-        )
+        result = lbfgs_minimize(objective, d + 1, self.max_iter)
         self.coef_ = result.x[:d]
         self.intercept_ = float(result.x[d])
         return self
@@ -120,10 +129,7 @@ class SoftmaxRegression:
             grad_b = delta.sum(axis=0)
             return float(loss), np.concatenate([grad_w.ravel(), grad_b])
 
-        result = scipy.optimize.minimize(
-            objective, np.zeros(d * k + k), jac=True, method="L-BFGS-B",
-            options={"maxiter": self.max_iter},
-        )
+        result = lbfgs_minimize(objective, d * k + k, self.max_iter)
         self.coef_ = result.x[:d * k].reshape(d, k)
         self.intercept_ = result.x[d * k:]
         return self

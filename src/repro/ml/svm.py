@@ -18,12 +18,12 @@ configuration knob.
 from __future__ import annotations
 
 import numpy as np
-import scipy.optimize
 
 from repro import rng as rng_mod
 from repro.errors import ConfigurationError
 from repro.ml.base import Estimator, StandardScaler, check_xy
 from repro.ml.kernels import get_kernel
+from repro.ml.linear import lbfgs_minimize
 from repro.ml.mlp import sigmoid
 
 
@@ -62,10 +62,7 @@ class LinearSVM(Estimator):
             grad_b = grad_scale.sum()
             return float(loss), np.concatenate([grad_w, [grad_b]])
 
-        result = scipy.optimize.minimize(
-            objective, np.zeros(d + 1), jac=True, method="L-BFGS-B",
-            options={"maxiter": self.max_iter},
-        )
+        result = lbfgs_minimize(objective, d + 1, self.max_iter)
         return result.x[:d], float(result.x[d])
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "LinearSVM":

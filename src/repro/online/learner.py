@@ -47,7 +47,7 @@ import numpy as np
 from repro import rng as rng_mod
 from repro.core.adaptive_cpu import AdaptiveCPU
 from repro.core.predictor import DualModePredictor
-from repro.data.builders import build_mode_dataset
+from repro.data.builders import dataset_from_traces
 from repro.errors import SwapGateError
 from repro.eval.metrics import pooled_rsv
 from repro.ml.base import Estimator
@@ -274,13 +274,13 @@ class OnlineLearner:
         incumbent = self.registry.current().cpu
         predictor = incumbent.predictor
         counter_ids = np.asarray(predictor.counter_ids)
+        datasets = dataset_from_traces(
+            train, counter_ids, sla=incumbent.sla,
+            collector=incumbent.collector,
+            granularity_factor=predictor.granularity_factor,
+            pmap=self.pmap)
         models: dict[Mode, Estimator] = {}
-        for mode in Mode:
-            dataset = build_mode_dataset(
-                train, mode, counter_ids, sla=incumbent.sla,
-                collector=incumbent.collector,
-                granularity_factor=predictor.granularity_factor,
-                pmap=self.pmap)
+        for mode, dataset in datasets.items():
             forest = RandomForestClassifier(
                 n_trees=self.n_trees, max_depth=self.max_depth,
                 seed=rng_mod.derive_seed(self.seed, "online",

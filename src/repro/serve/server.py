@@ -59,7 +59,7 @@ import numpy as np
 from repro.config import active_exec_config
 from repro.core.adaptive_cpu import AdaptiveCPU
 from repro.core.predictor import DualModePredictor
-from repro.data.builders import build_mode_dataset
+from repro.data.builders import dataset_from_traces
 from repro.errors import BatchTimeoutError, BusyError, CheckpointError
 from repro.errors import ProtocolError, ServeClosedError, ServeError
 from repro.exec import faults
@@ -156,8 +156,7 @@ def quick_forest_predictor(traces: list[TraceSpec],
     counter_ids = np.arange(12)
     subset = traces[:max(2, n_train)]
     models: dict[Mode, Estimator] = {}
-    for mode in Mode:
-        dataset = build_mode_dataset(subset, mode, counter_ids)
+    for mode, dataset in dataset_from_traces(subset, counter_ids).items():
         forest = RandomForestClassifier(n_trees=n_trees,
                                         max_depth=max_depth, seed=seed)
         forest.fit(dataset.x, dataset.y)

@@ -96,6 +96,14 @@ class TelemetryCollector:
         """Stable fingerprint of the counter catalog (for cache keys)."""
         return self.catalog.token()
 
+    def has_snapshot(self, trace: TraceSpec, mode: Mode,
+                     counter_ids: np.ndarray) -> bool:
+        """Whether the attached SimCache already holds this snapshot."""
+        simcache = self.model.simcache
+        return simcache is not None and simcache.has(simcache.snapshot_key(
+            trace, mode, self.model.machine, counter_ids,
+            self.catalog_token()))
+
     def _noise_field(self, trace: TraceSpec, mode: Mode,
                      n_intervals: int) -> np.ndarray:
         """Standard-normal measurement noise, one draw per counter.

@@ -165,6 +165,22 @@ class TestArenaRoundTrip:
         assert not os.path.exists(path)
         arena.close()  # idempotent
 
+    def test_closed_arena_leaves_worker_attach_cache(self, traces):
+        first = TraceArena.build(traces[:1], objects={"held": [1, 2, 3]})
+        # Forget the owner's own entry, so the next attach maps the
+        # segment as a pool worker does.
+        arena_mod.detach_all()
+        attached = TraceArena.attach(first.handle)
+        assert attached is not first
+        first.close()
+        second = TraceArena.build(traces[1:2])
+        try:
+            TraceArena.attach(second.handle)
+            assert first.handle not in arena_mod._ATTACHED
+            assert attached._closed
+        finally:
+            second.close()
+
     def test_non_arena_file_rejected(self, tmp_path):
         bogus = tmp_path / "bogus.bin"
         bogus.write_bytes(b"not an arena" * 10)

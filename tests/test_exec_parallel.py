@@ -6,10 +6,14 @@ asserts exact equality, never approximate.
 """
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.config import MachineConfig, active_exec_config
 from repro.core.adaptive_cpu import AdaptiveCPU
 from repro.core.predictor import DualModePredictor
@@ -141,6 +145,35 @@ class TestParallelMap:
         snap = METRICS.snapshot()
         assert "unit_stage" in snap["stages"]
         assert snap["counters"]["unit_stage.items"] >= 4
+
+    def test_nested_thread_map_runs_inline(self):
+        # Every outer task maps over the same persistent thread pool;
+        # unless nested maps run inline, both workers wait forever on
+        # inner tasks that no free worker can pick up. A subprocess
+        # gives the check a hard timeout.
+        code = (
+            "from repro.exec import ParallelMap, close_pools\n"
+            "def inner(i):\n"
+            "    return i * i\n"
+            "def outer(i):\n"
+            "    pmap = ParallelMap('thread', n_workers=2, persistent=True)\n"
+            "    return sum(pmap.map(inner, range(i, i + 4)))\n"
+            "pmap = ParallelMap('thread', n_workers=2, persistent=True)\n"
+            "print(pmap.map(outer, range(6)))\n"
+            "close_pools()\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(repro.__file__).parents[1]),
+             os.environ.get("PYTHONPATH", "")]))
+        try:
+            done = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=60)
+        except subprocess.TimeoutExpired:
+            pytest.fail("nested thread-pool map deadlocked")
+        assert done.returncode == 0, done.stderr
+        expected = [sum(j * j for j in range(i, i + 4)) for i in range(6)]
+        assert done.stdout.strip() == str(expected)
 
 
 class TestParallelEquivalence:

@@ -1,8 +1,14 @@
 """Tests for the from-scratch ML estimators."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro import rng as rng_mod
 from repro.errors import ConfigurationError, DatasetError, NotFittedError
 from repro.ml import (
@@ -389,3 +395,21 @@ class TestThresholdTuning:
         model = LogisticRegression().fit(x, y)
         threshold = tune_threshold_for_fp_rate(model, x, y, 0.5)
         assert threshold >= 0.5
+
+
+def test_pipeline_import_defers_scipy_optimize():
+    # scipy.optimize is most of the package's import time; only the
+    # L-BFGS fits load it.
+    code = ("import sys\n"
+            "import repro.core.pipeline, repro.serve.server\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+            "from repro.ml import LogisticRegression\n"
+            "import numpy as np\n"
+            "LogisticRegression().fit(np.eye(4), np.array([0, 1, 0, 1]))\n"
+            "assert 'scipy.optimize' in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(repro.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
