@@ -33,7 +33,7 @@ from repro import rng as rng_mod
 from repro.config import DEFAULT_SLA, SLAConfig, active_exec_config
 from repro.core.predictor import DualModePredictor
 from repro.data.builders import dataset_from_traces
-from repro.data.dataset import GatingDataset
+from repro.data.dataset import GatingDataset, RowNames
 from repro.errors import ArenaIntegrityError, ConfigurationError
 from repro.eval.metrics import effective_sla_window, pooled_rsv
 from repro.exec.arena import TraceArena
@@ -87,8 +87,10 @@ def tune_threshold_for_rsv(model: Estimator, dataset: GatingDataset,
     # Split the tuning set back into per-trace segments so violation
     # windows never straddle traces.
     segments: list[tuple[np.ndarray, np.ndarray]] = []
-    for trace_name in np.unique(dataset.traces):
-        mask = dataset.traces == trace_name
+    # Codes follow trace-name order, as np.unique(dataset.traces) did.
+    codes = dataset.names.codes
+    for code in np.unique(codes):
+        mask = codes == code
         segments.append((dataset.y[mask], scores[mask]))
     candidates = np.unique(np.concatenate([
         np.linspace(0.3, 0.99, 24),
@@ -184,12 +186,11 @@ def _build_train_arena(factory: Callable[[Mode], Estimator],
                        datasets: dict[Mode, GatingDataset]) -> TraceArena:
     """Pack the per-mode training datasets (and factory) into an arena.
 
-    Feature/label matrices and the per-row name columns ship as named
-    bulk arrays (``np.frombuffer`` round-trips unicode dtypes, so the
-    string columns ride the data region too); only the scalar metadata
-    and the factory go through the pickled header. Workers then attach
-    once per process instead of unpickling the full training set per
-    chunk.
+    Feature/label matrices, the row codes and the name tables ship as
+    named bulk arrays (``np.frombuffer`` round-trips unicode dtypes, so
+    the tables ride the data region too); only the scalar metadata and
+    the factory go through the pickled header. Workers then attach once
+    per process instead of unpickling the full training set per chunk.
     """
     arrays: dict[str, np.ndarray] = {}
     meta: dict[str, dict] = {}
@@ -197,9 +198,10 @@ def _build_train_arena(factory: Callable[[Mode], Estimator],
         tag = mode.value
         arrays[f"x_{tag}"] = ds.x
         arrays[f"y_{tag}"] = ds.y
-        arrays[f"groups_{tag}"] = ds.groups
-        arrays[f"workloads_{tag}"] = ds.workloads
-        arrays[f"traces_{tag}"] = ds.traces
+        arrays[f"codes_{tag}"] = ds.names.codes
+        arrays[f"trace_names_{tag}"] = ds.names.traces
+        arrays[f"workload_names_{tag}"] = ds.names.workloads
+        arrays[f"group_names_{tag}"] = ds.names.groups
         arrays[f"counter_ids_{tag}"] = ds.counter_ids
         meta[tag] = {"granularity": ds.granularity,
                      "sla_floor": ds.sla_floor}
@@ -224,9 +226,11 @@ def _datasets_from_arena(arena: TraceArena) -> dict[Mode, GatingDataset]:
         datasets[mode] = GatingDataset(
             x=arena.array(f"x_{tag}"),
             y=arena.array(f"y_{tag}"),
-            groups=arena.array(f"groups_{tag}"),
-            workloads=arena.array(f"workloads_{tag}"),
-            traces=arena.array(f"traces_{tag}"),
+            names=RowNames(
+                codes=arena.array(f"codes_{tag}"),
+                traces=arena.array(f"trace_names_{tag}"),
+                workloads=arena.array(f"workload_names_{tag}"),
+                groups=arena.array(f"group_names_{tag}")),
             mode=mode,
             counter_ids=arena.array(f"counter_ids_{tag}"),
             granularity=int(meta[tag]["granularity"]),

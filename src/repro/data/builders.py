@@ -23,6 +23,7 @@ from repro.core.labels import gating_labels
 from repro.data.dataset import (
     DatasetAssembler,
     GatingDataset,
+    RowNames,
     concat_datasets,
 )
 from repro.errors import ArenaIntegrityError, DatasetError
@@ -32,6 +33,7 @@ from repro.exec.simcache import SimCache, default_simcache
 from repro.obs.metrics import METRICS
 from repro.obs import tracer
 from repro.telemetry.collector import TelemetryCollector, coarsen
+from repro.uarch.interval_model import BUILD_BATCH_TRACES, pair_key
 from repro.uarch.modes import Mode
 from repro.workloads.categories import hdtr_corpus
 from repro.workloads.generator import ApplicationSpec, TraceSpec
@@ -41,23 +43,30 @@ from repro.workloads.spec2017 import spec2017_traces
 PREDICTION_HORIZON = 2
 
 
-def _build_trace_parts(trace: TraceSpec, modes: tuple[Mode, ...],
-                       counter_ids: np.ndarray, sla: SLAConfig,
-                       collector: TelemetryCollector,
-                       granularity_factor: int,
+def _build_trace_parts(trace: TraceSpec, results: dict,
+                       modes: tuple[Mode, ...], counter_ids: np.ndarray,
+                       sla: SLAConfig, collector: TelemetryCollector,
+                       simcache: SimCache | None, granularity_factor: int,
                        horizon: int) -> list[GatingDataset]:
     """One trace's slice of the supervised dataset, one part per mode.
 
-    The gating labels do not depend on the telemetry mode, so they are
-    computed once and paired with each mode's snapshot. Snapshot and
-    labels each consult their own disk-cache tier (and the simulator's
-    LRU, prewarmed by the chunk's stacked pass, on a miss), so a fully
-    warm build never simulates.
+    ``results`` holds the chunk's fresh simulations, keyed by
+    :func:`~repro.uarch.interval_model.pair_key`; a trace without them
+    had its labels and snapshots on disk. The gating labels do not
+    depend on the telemetry mode, so they are computed once and paired
+    with each mode's snapshot. Snapshot and labels each consult their
+    own tier of ``simcache``, so a fully warm build never simulates.
     """
-    labels = gating_labels(trace, sla, collector.model, granularity_factor)
+    both = None
+    if pair_key(trace, Mode.HIGH_PERF) in results:
+        both = {mode: results[pair_key(trace, mode)] for mode in Mode}
+    labels = gating_labels(trace, sla, collector.model, granularity_factor,
+                           results=both, simcache=simcache)
     parts = []
     for mode in modes:
-        snap = collector.snapshot(trace, mode, counter_ids)
+        snap = collector.snapshot(trace, mode, counter_ids,
+                                  result=None if both is None else both[mode],
+                                  simcache=simcache)
         if granularity_factor > 1:
             snap = coarsen(snap, granularity_factor)
         t_count = min(snap.n_intervals, labels.n_intervals)
@@ -68,13 +77,11 @@ def _build_trace_parts(trace: TraceSpec, modes: tuple[Mode, ...],
             )
         x = snap.normalized[:t_count - horizon]
         y = labels.labels[horizon:t_count]
-        n = x.shape[0]
         parts.append(GatingDataset(
             x=x,
             y=y,
-            groups=np.full(n, trace.app.name),
-            workloads=np.full(n, trace.workload.name),
-            traces=np.full(n, trace.name),
+            names=RowNames.of_trace(x.shape[0], trace.name,
+                                    trace.workload.name, trace.app.name),
             mode=mode,
             counter_ids=counter_ids,
             granularity=(BASE_INTERVAL_INSTRUCTIONS * granularity_factor),
@@ -86,44 +93,40 @@ def _build_trace_parts(trace: TraceSpec, modes: tuple[Mode, ...],
 def _build_trace_chunk(traces: list[TraceSpec], *, modes: tuple[Mode, ...],
                        counter_ids: np.ndarray, sla: SLAConfig,
                        collector: TelemetryCollector,
-                       granularity_factor: int,
+                       simcache: SimCache | None, granularity_factor: int,
                        horizon: int) -> list[list[GatingDataset]]:
     """Chunk unit of the build: stacked simulation, then parts.
 
-    ``simulate_batch`` warms the model's LRU (and SimCache) with one
-    stacked interval pass over both modes of every trace of the chunk
-    (the labels need both, whichever modes are being built), so each
-    per-trace part is pure assembly and each (trace, mode) pair is
-    simulated once. Traces whose labels and snapshots are already on
-    disk are skipped — a fully warm build reads those small artefacts
-    and never touches the simulator.
+    The chunk is simulated in stacked passes of
+    :data:`~repro.uarch.interval_model.BUILD_BATCH_TRACES` traces over
+    both modes (the labels need both, whichever modes are being
+    built), so each (trace, mode) pair is simulated once. Each pass's
+    results go straight to labelling and snapshotting and are dropped
+    with the pass: the model's LRU serves hits but is not filled, since
+    nothing re-reads a build's simulations. Traces whose labels and
+    snapshots are already in ``simcache`` are skipped — a fully warm
+    build reads those small artefacts and never touches the simulator.
 
     Returns one list of parts per trace, in ``modes`` order.
     """
     model = collector.model
-    simcache = model.simcache
 
     def needs_sim(trace: TraceSpec) -> bool:
         return simcache is None or not (
-            all(collector.has_snapshot(trace, mode, counter_ids)
+            all(collector.has_snapshot(trace, mode, counter_ids, simcache)
                 for mode in modes)
             and simcache.has(simcache.labels_key(
                 trace, sla, granularity_factor, model.machine)))
 
-    # Prewarm in slices that fit the model's LRU (two entries per
-    # trace — one per mode); a chunk larger than the LRU would evict
-    # its own head before the per-trace assembly consumes it, silently
-    # degrading every early trace to a one-pair re-simulation.
-    step = max(1, model._cache_size // 2)
     parts = []
-    for i in range(0, len(traces), step):
-        sub = traces[i:i + step]
+    for i in range(0, len(traces), BUILD_BATCH_TRACES):
+        sub = traces[i:i + BUILD_BATCH_TRACES]
         sub_sim = [trace for trace in sub if needs_sim(trace)]
-        if sub_sim:
-            model.simulate_batch(sub_sim)
-        parts.extend(_build_trace_parts(trace, modes, counter_ids, sla,
-                                        collector, granularity_factor,
-                                        horizon)
+        results = (model.simulate_batch(sub_sim, remember=False)
+                   if sub_sim else {})
+        parts.extend(_build_trace_parts(trace, results, modes, counter_ids,
+                                        sla, collector, simcache,
+                                        granularity_factor, horizon)
                      for trace in sub)
     return parts
 
@@ -189,7 +192,9 @@ def _build_datasets(traces, modes, counter_ids, sla, collector,
     each mode's assembled matrices persist in ``simcache`` when one is
     attached (or ``REPRO_SIMCACHE_DIR`` is set), keyed by trace
     content, mode, counter set, SLA, granularity and machine config;
-    only the modes without a cached dataset are built. Every path is
+    only the modes without a cached dataset are built. The per-trace
+    snapshots and label sets use the same cache, so a dataset-key miss
+    (a new horizon, say) still skips simulation. Every path is
     bit-identical to a serial, uncached build.
 
     When ``REPRO_EXEC_SHARD`` caps the number of traces in flight, the
@@ -225,7 +230,8 @@ def _build_datasets(traces, modes, counter_ids, sla, collector,
         if todo:
             build = functools.partial(
                 _build_parts, modes=todo, counter_ids=counter_ids, sla=sla,
-                collector=collector, granularity_factor=granularity_factor,
+                collector=collector, simcache=simcache,
+                granularity_factor=granularity_factor,
                 horizon=horizon,
                 pmap=pmap if pmap is not None else default_parallel_map())
             shard = active_exec_config().shard
@@ -242,7 +248,7 @@ def _build_datasets(traces, modes, counter_ids, sla, collector,
         return {mode: out[mode] for mode in modes}
 
 
-def _build_parts(traces, *, modes, counter_ids, sla, collector,
+def _build_parts(traces, *, modes, counter_ids, sla, collector, simcache,
                  granularity_factor, horizon,
                  pmap) -> list[list[GatingDataset]]:
     """Fan the per-trace builds of one (sub)corpus out through ``pmap``.
@@ -250,11 +256,12 @@ def _build_parts(traces, *, modes, counter_ids, sla, collector,
     Returns one list of parts per trace, in ``modes`` order.
     """
     knobs = dict(modes=modes, counter_ids=counter_ids, sla=sla,
-                 granularity_factor=granularity_factor, horizon=horizon)
+                 simcache=simcache, granularity_factor=granularity_factor,
+                 horizon=horizon)
     # Whole chunks reach each worker, so the interval simulations
-    # of a chunk run as one stacked batch pass before the per-trace
-    # assembly (which then hits the warm LRU). Process dispatch
-    # ships the corpus and collector once via the trace arena.
+    # of a chunk run as stacked batch passes before the per-trace
+    # assembly. Process dispatch ships the corpus and collector once
+    # via the trace arena.
     arena = None
     if (active_exec_config().arena and len(traces) > 1
             and pmap.uses_processes(len(traces), "build_dataset")):

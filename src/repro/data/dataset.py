@@ -11,6 +11,73 @@ from repro.uarch.modes import Mode
 
 
 @dataclasses.dataclass(frozen=True)
+class RowNames:
+    """Integer-coded per-row names: one ``int32`` trace code per row.
+
+    The tables hold one entry per trace, sorted by trace name, with
+    the trace's workload and application alongside; ``codes`` index
+    them. A trace name fixes its workload and application
+    (``app/inputN/traceM``), so a row needs only its trace code, while
+    fixed-width unicode columns would cost tens of bytes per row.
+    """
+
+    codes: np.ndarray  # (N,) int32 index into the tables
+    traces: np.ndarray  # (K,) unique trace names, sorted
+    workloads: np.ndarray  # (K,) each trace's workload
+    groups: np.ndarray  # (K,) each trace's application
+
+    @classmethod
+    def of_trace(cls, n_rows: int, trace: str, workload: str,
+                 group: str) -> "RowNames":
+        """``n_rows`` rows that all belong to one trace."""
+        return cls(codes=np.zeros(n_rows, dtype=np.int32),
+                   traces=np.array([trace]),
+                   workloads=np.array([workload]),
+                   groups=np.array([group]))
+
+    @classmethod
+    def from_rows(cls, groups, workloads, traces) -> "RowNames":
+        """Encode per-row name columns."""
+        workloads, groups = np.asarray(workloads), np.asarray(groups)
+        table, first, codes = np.unique(np.asarray(traces),
+                                        return_index=True,
+                                        return_inverse=True)
+        names = cls(codes=codes.reshape(-1).astype(np.int32), traces=table,
+                    workloads=workloads[first], groups=groups[first])
+        if not (np.array_equal(names.workloads[names.codes], workloads)
+                and np.array_equal(names.groups[names.codes], groups)):
+            raise DatasetError(
+                "a trace name maps to more than one workload or "
+                "application")
+        return names
+
+    @staticmethod
+    def concat(parts: list["RowNames"]) -> "RowNames":
+        """Row-wise concatenation, merging the name tables."""
+        if len(parts) == 1:
+            return parts[0]
+        # Encode the stacked tables (one row per entry), then point
+        # each part's rows at their entry's merged code.
+        merged = RowNames.from_rows(
+            *(np.concatenate([getattr(p, table) for p in parts])
+              for table in ("groups", "workloads", "traces")))
+        offsets = np.cumsum([0] + [len(p.traces) for p in parts[:-1]])
+        return merged.take(np.concatenate([p.codes.astype(np.int64) + off
+                                           for p, off in zip(parts,
+                                                             offsets)]))
+
+    def take(self, rows: np.ndarray) -> "RowNames":
+        """Row subset (a mask or indices); the tables are shared."""
+        return dataclasses.replace(self, codes=self.codes[rows])
+
+    def expand(self, table: np.ndarray) -> np.ndarray:
+        """One name per row, read-only."""
+        out = table[self.codes]
+        out.setflags(write=False)
+        return out
+
+
+@dataclasses.dataclass(frozen=True)
 class GatingDataset:
     """Supervised gating data for one telemetry mode.
 
@@ -18,13 +85,14 @@ class GatingDataset:
     counter vector :math:`x_t` observed in ``mode``, the label is the
     ground-truth configuration :math:`y_{t+2}` for the interval two
     steps ahead (1 = gate cluster 2 / low-power meets the SLA).
+    ``groups``, ``workloads`` and ``traces`` are the per-row
+    application, workload and trace names, expanded read-only from the
+    integer-coded ``names``.
     """
 
     x: np.ndarray  # (N, C)
     y: np.ndarray  # (N,)
-    groups: np.ndarray  # (N,) application names
-    workloads: np.ndarray  # (N,) workload names
-    traces: np.ndarray  # (N,) trace names
+    names: RowNames
     mode: Mode
     counter_ids: np.ndarray  # (C,)
     granularity: int  # instructions per prediction interval
@@ -32,12 +100,23 @@ class GatingDataset:
 
     def __post_init__(self) -> None:
         n = self.x.shape[0]
-        for name in ("y", "groups", "workloads", "traces"):
-            arr = getattr(self, name)
+        for name, arr in (("y", self.y), ("names", self.names.codes)):
             if arr.shape[0] != n:
                 raise DatasetError(
                     f"{name} has {arr.shape[0]} rows, expected {n}"
                 )
+
+    @property
+    def groups(self) -> np.ndarray:
+        return self.names.expand(self.names.groups)
+
+    @property
+    def workloads(self) -> np.ndarray:
+        return self.names.expand(self.names.workloads)
+
+    @property
+    def traces(self) -> np.ndarray:
+        return self.names.expand(self.names.traces)
 
     @property
     def n_samples(self) -> int:
@@ -64,9 +143,7 @@ class GatingDataset:
             self,
             x=self.x[mask],
             y=self.y[mask],
-            groups=self.groups[mask],
-            workloads=self.workloads[mask],
-            traces=self.traces[mask],
+            names=self.names.take(mask),
         )
 
     def for_applications(self, apps: list[str]) -> "GatingDataset":
@@ -98,9 +175,7 @@ def concat_datasets(datasets: list[GatingDataset]) -> GatingDataset:
         first,
         x=np.concatenate([ds.x for ds in datasets]),
         y=np.concatenate([ds.y for ds in datasets]),
-        groups=np.concatenate([ds.groups for ds in datasets]),
-        workloads=np.concatenate([ds.workloads for ds in datasets]),
-        traces=np.concatenate([ds.traces for ds in datasets]),
+        names=RowNames.concat([ds.names for ds in datasets]),
     )
 
 
@@ -111,14 +186,10 @@ class DatasetAssembler:
     numeric matrices land by slice-copy into geometrically grown
     buffers, so peak parent memory is roughly *final matrix + one
     shard* instead of *all parts + their concatenation* — and shm
-    result views can be released shard by shard. The assembled dataset
-    is bit-identical to ``concat_datasets`` over the same parts (the
-    tier-1 suite asserts this).
-
-    Name columns (``groups``/``workloads``/``traces``) are fixed-width
-    unicode whose width is only known once every part has arrived, so
-    they are accumulated and concatenated at :meth:`finish` — they are
-    a few pointers per row, never the RSS driver.
+    result views can be released shard by shard. The integer-coded row
+    names (four bytes per row) are merged at :meth:`finish`. The
+    assembled dataset is bit-identical to ``concat_datasets`` over the
+    same parts (the tier-1 suite asserts this).
     """
 
     def __init__(self) -> None:
@@ -126,7 +197,7 @@ class DatasetAssembler:
         self._x: np.ndarray | None = None
         self._y: np.ndarray | None = None
         self._n = 0
-        self._names: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._names: list[RowNames] = []
 
     def _reserve(self, rows: int) -> None:
         need = self._n + rows
@@ -165,7 +236,7 @@ class DatasetAssembler:
         self._x[n:n + rows] = ds.x
         self._y[n:n + rows] = ds.y
         self._n = n + rows
-        self._names.append((ds.groups, ds.workloads, ds.traces))
+        self._names.append(ds.names)
 
     @property
     def n_rows(self) -> int:
@@ -175,14 +246,9 @@ class DatasetAssembler:
         """The assembled dataset (buffers trimmed to the rows seen)."""
         if self._first is None:
             raise DatasetError("nothing to assemble")
-        groups = np.concatenate([g for g, _, _ in self._names])
-        workloads = np.concatenate([w for _, w, _ in self._names])
-        traces = np.concatenate([t for _, _, t in self._names])
         return dataclasses.replace(
             self._first,
             x=self._x[:self._n],
             y=self._y[:self._n],
-            groups=groups,
-            workloads=workloads,
-            traces=traces,
+            names=RowNames.concat(self._names),
         )

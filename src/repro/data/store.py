@@ -15,7 +15,7 @@ import os
 import numpy as np
 
 from repro.config import active_exec_config
-from repro.data.dataset import GatingDataset
+from repro.data.dataset import GatingDataset, RowNames
 from repro.errors import DatasetError
 from repro.uarch.modes import Mode
 
@@ -42,9 +42,10 @@ def save_dataset(key: str, dataset: GatingDataset) -> str:
         path,
         x=dataset.x,
         y=dataset.y,
-        groups=dataset.groups,
-        workloads=dataset.workloads,
-        traces=dataset.traces,
+        codes=dataset.names.codes,
+        trace_names=dataset.names.traces,
+        workload_names=dataset.names.workloads,
+        group_names=dataset.names.groups,
         counter_ids=dataset.counter_ids,
         mode=np.array([dataset.mode.value]),
         granularity=np.array([dataset.granularity]),
@@ -55,7 +56,8 @@ def save_dataset(key: str, dataset: GatingDataset) -> str:
 
 
 def load_dataset(key: str) -> GatingDataset | None:
-    """Load a cached dataset, or None on miss/corruption."""
+    """Load a cached dataset, or None on miss/corruption (a file of an
+    older layout, without the integer-coded names, reads as a miss)."""
     path = _path_for(key)
     if not os.path.exists(path):
         return None
@@ -66,9 +68,10 @@ def load_dataset(key: str) -> GatingDataset | None:
             return GatingDataset(
                 x=data["x"],
                 y=data["y"],
-                groups=data["groups"],
-                workloads=data["workloads"],
-                traces=data["traces"],
+                names=RowNames(codes=data["codes"],
+                               traces=data["trace_names"],
+                               workloads=data["workload_names"],
+                               groups=data["group_names"]),
                 mode=Mode(str(data["mode"][0])),
                 counter_ids=data["counter_ids"],
                 granularity=int(data["granularity"][0]),

@@ -146,10 +146,15 @@ class SimCache:
     def dataset_key(self, traces, mode, counter_ids, sla,
                     granularity_factor: int, horizon: int, machine,
                     catalog_token: str = "") -> str:
-        """Key for one built per-mode gating dataset."""
+        """Key for one built per-mode gating dataset.
+
+        The tag names the entry layout: datasets store integer-coded
+        row names, so entries of the older per-row string layout are
+        never addressed.
+        """
         ids = np.asarray(counter_ids, dtype=np.int64)
         return self._digest(
-            b"dataset",
+            b"dataset/coded-names",
             b"".join(trace_fingerprint(t) for t in traces),
             mode.value,
             ids.tobytes(),
@@ -380,9 +385,10 @@ class SimCache:
         self._write(key, {
             "x": dataset.x,
             "y": dataset.y,
-            "groups": dataset.groups,
-            "workloads": dataset.workloads,
-            "traces": dataset.traces,
+            "codes": dataset.names.codes,
+            "trace_names": dataset.names.traces,
+            "workload_names": dataset.names.workloads,
+            "group_names": dataset.names.groups,
             "counter_ids": dataset.counter_ids,
         }, {
             "mode": dataset.mode.value,
@@ -396,14 +402,15 @@ class SimCache:
         if entry is None:
             return None
         payload, meta = entry
-        from repro.data.dataset import GatingDataset
+        from repro.data.dataset import GatingDataset, RowNames
         from repro.uarch.modes import Mode
         return GatingDataset(
             x=payload["x"],
             y=payload["y"],
-            groups=payload["groups"],
-            workloads=payload["workloads"],
-            traces=payload["traces"],
+            names=RowNames(codes=payload["codes"],
+                           traces=payload["trace_names"],
+                           workloads=payload["workload_names"],
+                           groups=payload["group_names"]),
             mode=Mode(meta["mode"]),
             counter_ids=payload["counter_ids"],
             granularity=int(meta["granularity"]),

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro import rng as rng_mod
 from repro.errors import DatasetError
+from repro.exec.simcache import SimCache
 from repro.telemetry.counters import CounterCatalog, default_catalog
 from repro.uarch.interval_model import IntervalModel, IntervalResult
 from repro.uarch.modes import Mode
@@ -97,9 +98,11 @@ class TelemetryCollector:
         return self.catalog.token()
 
     def has_snapshot(self, trace: TraceSpec, mode: Mode,
-                     counter_ids: np.ndarray) -> bool:
-        """Whether the attached SimCache already holds this snapshot."""
-        simcache = self.model.simcache
+                     counter_ids: np.ndarray,
+                     simcache: SimCache | None = None) -> bool:
+        """Whether ``simcache`` (the model's by default) already holds
+        this snapshot."""
+        simcache = simcache if simcache is not None else self.model.simcache
         return simcache is not None and simcache.has(simcache.snapshot_key(
             trace, mode, self.model.machine, counter_ids,
             self.catalog_token()))
@@ -116,7 +119,8 @@ class TelemetryCollector:
 
     def snapshot(self, trace: TraceSpec, mode: Mode,
                  counter_ids: list[int] | np.ndarray | None = None,
-                 result: IntervalResult | None = None) -> TelemetrySnapshot:
+                 result: IntervalResult | None = None,
+                 simcache: SimCache | None = None) -> TelemetrySnapshot:
         """Collect telemetry for one trace in one mode.
 
         Parameters
@@ -127,6 +131,8 @@ class TelemetryCollector:
         result:
             Pre-computed simulation result to reuse; simulated on
             demand otherwise.
+        simcache:
+            Disk tier for the snapshot; the model's SimCache by default.
         """
         if result is not None and result.mode is not mode:
             raise DatasetError(
@@ -138,7 +144,7 @@ class TelemetryCollector:
         # (T, catalog) noise field is the single most expensive step of
         # the warm closed loop, so skipping it entirely on a hit is
         # what makes repeated deployments fast.
-        simcache = self.model.simcache
+        simcache = simcache if simcache is not None else self.model.simcache
         disk_key = None
         if simcache is not None:
             disk_key = simcache.snapshot_key(

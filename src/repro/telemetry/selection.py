@@ -26,11 +26,11 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.linalg
 
 from repro.errors import DatasetError
 from repro.telemetry.collector import TelemetryCollector
 from repro.telemetry.counters import CounterCatalog
+from repro.uarch.interval_model import BUILD_BATCH_TRACES, pair_key
 from repro.uarch.modes import Mode
 from repro.workloads.generator import TraceSpec
 
@@ -108,9 +108,11 @@ def gather_selection_stats(collector: TelemetryCollector,
     low-activity within a trace when it reads zero in more than that
     fraction of the trace's intervals.
 
-    Traces are simulated in stacked passes that fit the model's LRU
-    (pairs whose full-catalog snapshot is already on disk are skipped),
-    and ``sum_outer`` is updated once per block of about
+    Traces are simulated in stacked passes of
+    :data:`~repro.uarch.interval_model.BUILD_BATCH_TRACES` (pairs whose
+    full-catalog snapshot is already on disk are skipped) whose results
+    are snapshotted and dropped without entering the model's LRU, and
+    ``sum_outer`` is updated once per block of about
     :data:`OUTER_BLOCK_ROWS` rows. The block boundaries depend only on
     the snapshot sequence, so the sums are the same on every run.
     """
@@ -131,17 +133,17 @@ def gather_selection_stats(collector: TelemetryCollector,
         sum_outer += x.T @ x
         block.clear()
 
-    step = max(1, model._cache_size // max(1, len(modes)))
-    for start in range(0, len(traces), step):
-        sub = traces[start:start + step]
+    for start in range(0, len(traces), BUILD_BATCH_TRACES):
+        sub = traces[start:start + BUILD_BATCH_TRACES]
         sub_sim = [trace for trace in sub
                    if not all(collector.has_snapshot(trace, mode, ids)
                               for mode in modes)]
-        if sub_sim:
-            model.simulate_batch(sub_sim, modes)
+        results = (model.simulate_batch(sub_sim, modes, remember=False)
+                   if sub_sim else {})
         for trace in sub:
             for mode in modes:
-                snap = collector.snapshot(trace, mode)
+                snap = collector.snapshot(
+                    trace, mode, result=results.get(pair_key(trace, mode)))
                 x = snap.normalized
                 sum_x += x.sum(axis=0)
                 block.append(x)
@@ -241,10 +243,9 @@ def pf_counter_selection(stats: SelectionStats, r: int = 12,
             selected.append(int(remaining[0]))
             groups.append([int(remaining[0])])
             break
-        # Second eigenvector (second-largest eigenvalue), per Alg. 1.
-        evals, evecs = scipy.linalg.eigh(matrix,
-                                         subset_by_index=[n - 2, n - 1])
-        second = np.abs(evecs[:, 0])  # columns ordered ascending
+        # Second eigenvector (second-largest eigenvalue), per Alg. 1;
+        # eigh orders the columns by ascending eigenvalue.
+        second = np.abs(np.linalg.eigh(matrix)[1][:, n - 2])
         peak = second.max()
         group_mask = second / max(peak, 1e-24) > tau
         group_mask[int(second.argmax())] = True

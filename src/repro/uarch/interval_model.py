@@ -81,6 +81,13 @@ LOW_POWER_UOPC_MISS_FACTOR = 1.35
 MISPREDICT_REFILL_UOPS = 20.0
 
 
+#: Traces per stacked ``simulate_batch`` call on the build paths (the
+#: training-dataset build and counter selection). Those hand each
+#: call's results straight to their consumers and drop them, so this
+#: bounds the results alive at once. Results do not depend on it.
+BUILD_BATCH_TRACES = 64
+
+
 def _per_mode(mode, fn):
     """``fn(mode)`` for one mode, or a ``(P, 1)`` column over P modes.
 
@@ -98,7 +105,7 @@ def _is_low_power(mode: Mode) -> bool:
     return mode is Mode.LOW_POWER
 
 
-def _pair_key(trace: TraceSpec, mode: Mode) -> tuple:
+def pair_key(trace: TraceSpec, mode: Mode) -> tuple:
     """The LRU key one (trace, mode) simulation is memoised under."""
     return (trace.name, trace.seed, trace.n_intervals, mode)
 
@@ -137,8 +144,8 @@ class IntervalModel:
     """Vectorised per-interval performance and telemetry model.
 
     Results are memoised in a bounded LRU cache keyed by (trace, mode),
-    because dataset builders revisit the same traces at several gating
-    granularities and in both modes. The bound defaults to the
+    because deployment and serving revisit the same traces (dataset
+    builds read the memo but do not fill it). The bound defaults to the
     ``REPRO_INTERVAL_LRU`` knob (the active config's
     ``interval_lru``); hit/miss counts surface in
     the :data:`~repro.obs.metrics.METRICS` report. One model may be
@@ -346,15 +353,15 @@ class IntervalModel:
         Returns per-interval IPC, cycles, and the full base-signal
         matrix the telemetry catalog consumes.
         """
-        return self.simulate_batch([trace], (mode,))[_pair_key(trace, mode)]
+        return self.simulate_batch([trace], (mode,))[pair_key(trace, mode)]
 
     def simulate_both(self, trace: TraceSpec,
                       ) -> dict[Mode, IntervalResult]:
         """Simulate a trace in both modes (the paper's data recipe)."""
         batch = self.simulate_batch([trace])
-        return {mode: batch[_pair_key(trace, mode)] for mode in Mode}
+        return {mode: batch[pair_key(trace, mode)] for mode in Mode}
 
-    def simulate_batch(self, traces, modes=None,
+    def simulate_batch(self, traces, modes=None, remember: bool = True,
                        ) -> dict[tuple, IntervalResult]:
         """Simulate many (trace, mode) pairs in stacked tensor passes.
 
@@ -367,7 +374,10 @@ class IntervalModel:
 
         Both cache tiers are honoured per pair: LRU and disk hits are
         sliced out up front and only the misses are computed; fresh
-        results enter both tiers.
+        results enter both tiers. ``remember=False`` keeps fresh and
+        disk-loaded results out of the LRU, for callers that consume
+        the returned results once and drop them (the cold dataset
+        build), so the memo holds only what someone will re-read.
 
         Returns a dict keyed by ``(name, seed, n_intervals, mode)``.
         """
@@ -376,7 +386,7 @@ class IntervalModel:
         seen = set()
         for trace in traces:
             for mode in modes_t:
-                key = _pair_key(trace, mode)
+                key = pair_key(trace, mode)
                 if key not in seen:
                     seen.add(key)
                     pairs.append((key, trace, mode))
@@ -395,7 +405,8 @@ class IntervalModel:
                 disk_key = self.simcache.sim_key(trace, mode, self.machine)
                 result = self.simcache.load_result(disk_key)
                 if result is not None:
-                    self._remember(key, result)
+                    if remember:
+                        self._remember(key, result)
                     results[key] = result
                     continue
             misses.append((key, trace, mode, disk_key))
@@ -417,7 +428,8 @@ class IntervalModel:
                     [(trace, mode) for _, trace, mode, _ in group])
                 for (key, trace, mode, disk_key), result in zip(group,
                                                                 computed):
-                    self._remember(key, result)
+                    if remember:
+                        self._remember(key, result)
                     if disk_key is not None:
                         self.simcache.store_result(disk_key, result)
                     results[key] = result

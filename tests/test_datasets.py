@@ -14,6 +14,7 @@ from repro.data.builders import (
 from repro.data.dataset import (
     DatasetAssembler,
     GatingDataset,
+    RowNames,
     concat_datasets,
 )
 from repro.data.store import cached_build, load_dataset, save_dataset
@@ -164,9 +165,9 @@ class TestDatasetContainer:
         with pytest.raises(DatasetError):
             GatingDataset(
                 x=np.zeros((4, 2)), y=np.zeros(3),
-                groups=np.array(["a"] * 4),
-                workloads=np.array(["w"] * 4),
-                traces=np.array(["t"] * 4),
+                names=RowNames.from_rows(np.array(["a"] * 4),
+                                         np.array(["w"] * 4),
+                                         np.array(["t"] * 4)),
                 mode=Mode.HIGH_PERF, counter_ids=np.array([0, 1]),
                 granularity=10_000, sla_floor=0.9)
 

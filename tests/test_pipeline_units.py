@@ -16,7 +16,7 @@ from repro.core.pipeline import (
     train_dual_predictor,
 )
 from repro.data.builders import dataset_from_traces
-from repro.data.dataset import GatingDataset
+from repro.data.dataset import GatingDataset, RowNames
 from repro.ml.forest import RandomForestClassifier
 from repro.telemetry.collector import TelemetryCollector
 from repro.uarch.modes import Mode
@@ -42,10 +42,10 @@ def _dataset(rows_per_app=10, n_apps=6):
     return GatingDataset(
         x=rng.random((n, 3)),
         y=rng.integers(0, 2, n),
-        groups=np.repeat([f"a{i}" for i in range(n_apps)], rows_per_app),
-        workloads=np.repeat([f"w{i}" for i in range(n_apps)],
-                            rows_per_app),
-        traces=np.repeat([f"t{i}" for i in range(n_apps)], rows_per_app),
+        names=RowNames.from_rows(
+            np.repeat([f"a{i}" for i in range(n_apps)], rows_per_app),
+            np.repeat([f"w{i}" for i in range(n_apps)], rows_per_app),
+            np.repeat([f"t{i}" for i in range(n_apps)], rows_per_app)),
         mode=Mode.HIGH_PERF,
         counter_ids=np.arange(3),
         granularity=10_000,
