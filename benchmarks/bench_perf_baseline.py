@@ -16,14 +16,14 @@ payload bytes, the SoA cycle kernel, simcache verification overhead
 and tracing overhead, and exits non-zero on a regression. It also
 fails when any recorded ``BENCH_perf.json`` section's keys diverge
 from what the current benchmarks emit (a stale file that was never
-regenerated).
+regenerated). It writes nothing unless ``--output`` names a file.
 
 ``--scale`` runs the large-corpus tier: a ≥10^5-trace dataset build,
 sharded with shared-memory result return under a hard peak-RSS budget,
 against the unsharded pickled path — asserted bit-identical, with
 bytes-returned-per-task and shard throughput merged into the ``scale``
 section of ``BENCH_perf.json`` (``--scale-smoke`` relaxes the guards
-for CI's small-corpus run).
+for CI's small-corpus run and writes only to an explicit ``--output``).
 
 Scale knobs: ``--workers`` (default 4), ``--apps``/``--intervals`` to
 grow the corpus. The deployed predictor is a fixed-probability stub so
@@ -53,7 +53,6 @@ from repro.obs.metrics import METRICS
 from repro.ml.base import Estimator
 from repro.telemetry.collector import TelemetryCollector
 from repro.uarch.core_model import ClusteredCoreModel
-from repro.uarch.interval_model import IntervalModel
 from repro.uarch.isa import synthesize_uops
 from repro.uarch.modes import Mode
 from repro.workloads.generator import generate_application
@@ -345,12 +344,11 @@ def run(workers: int = 4, n_apps: int = 8, workloads_per_app: int = 3,
               f"(single CPU visible: {ratio:.2f}x is pool overhead, "
               f"not a speedup)")
 
-    # Cold vs warm simulation cache, same corpus.
+    # Cold vs warm snapshot and dataset cache, same corpus.
     cache_dir = Path(tempfile.mkdtemp(prefix="repro-simcache-bench-"))
     try:
         def _cached_collector():
-            return TelemetryCollector(
-                model=IntervalModel(simcache=SimCache(cache_dir)))
+            return TelemetryCollector(simcache=SimCache(cache_dir))
 
         cold_s, cold_suite = _timed(lambda: evaluate_predictor(
             predictor, traces, collector=_cached_collector(),
@@ -369,12 +367,10 @@ def run(workers: int = 4, n_apps: int = 8, workloads_per_app: int = 3,
         counter_ids = list(range(12))
         ds_cold_s, _ = _timed(lambda: build_mode_dataset(
             traces, Mode.LOW_POWER, counter_ids,
-            collector=_cached_collector(),
-            simcache=SimCache(cache_dir)))
+            collector=_cached_collector()))
         ds_warm_s, _ = _timed(lambda: build_mode_dataset(
             traces, Mode.LOW_POWER, counter_ids,
-            collector=_cached_collector(),
-            simcache=SimCache(cache_dir)))
+            collector=_cached_collector()))
         ds_speedup = ds_cold_s / ds_warm_s if ds_warm_s > 0 else float("inf")
         print(f"build_mode_dataset cache: cold {ds_cold_s:.3f}s, "
               f"warm {ds_warm_s:.3f}s ({ds_speedup:.2f}x)")
@@ -440,17 +436,15 @@ def _bench_resilience(traces, repeats: int = 3,
     cache_dir = Path(tempfile.mkdtemp(prefix="repro-resil-bench-"))
     counter_ids = list(range(12))
     try:
-        cache = SimCache(cache_dir)
-        collector = TelemetryCollector(
-            model=IntervalModel(simcache=cache))
+        collector = TelemetryCollector(simcache=SimCache(cache_dir))
         build_mode_dataset(traces, Mode.LOW_POWER, counter_ids,
-                           collector=collector, simcache=cache)
+                           collector=collector)
 
         def _sample() -> float:
             start = time.perf_counter()
             for _ in range(loads_per_sample):
                 build_mode_dataset(traces, Mode.LOW_POWER, counter_ids,
-                                   collector=collector, simcache=cache)
+                                   collector=collector)
             return time.perf_counter() - start
 
         with _env("REPRO_SIMCACHE_VERIFY", "1"):
@@ -526,7 +520,8 @@ def run_scale(n_traces: int = 100_000, intervals: int = 24,
 
     ``full_guards=False`` (the CI scale smoke, which runs a far
     smaller corpus) only guards that shm results are smaller than
-    pickled ones; the full tier also enforces the RSS budget and the
+    pickled ones, and records its section only in an explicit
+    ``output``; the full tier also enforces the RSS budget and the
     ≥10x per-task reduction.
     """
     counter_ids = list(range(8))
@@ -613,8 +608,9 @@ def run_scale(n_traces: int = 100_000, intervals: int = 24,
         "result_reduction": round(reduction, 2),
         "bit_identical": not any("diverged" in f for f in failures),
     }
-    output = _merge_bench_doc(output, {"scale": section})
-    print(f"wrote scale section to {output}")
+    if full_guards or output is not None:
+        output = _merge_bench_doc(output, {"scale": section})
+        print(f"wrote scale section to {output}")
     for failure in failures:
         print(f"SCALE REGRESSION: {failure}")
     return section, failures
@@ -685,12 +681,13 @@ def _staleness_failures(computed: dict) -> list[str]:
 
 
 def run_quick(n_apps: int = 3, workloads_per_app: int = 2,
-              intervals: int = 100) -> int:
+              intervals: int = 100, output: Path | None = None) -> int:
     """CI perf smoke: the guarded mechanisms must still pay for themselves.
 
     Runs the arena payload, cycle kernel, simcache-verification and
     tracing-overhead guards on a small corpus; exits non-zero on a
-    regression.
+    regression. A multi-core ``evaluate_predictor`` measurement is
+    recorded only in an explicit ``output``.
     """
     traces = _generate_corpus(n_apps, workloads_per_app, intervals)
     arena = _bench_arena(traces, workers=2, repeats=2)
@@ -711,7 +708,8 @@ def run_quick(n_apps: int = 3, workloads_per_app: int = 2,
         computed["evaluate_predictor"] = parallel_eval
         # A real multi-core measurement supersedes any recorded
         # single-CPU annotation for this section.
-        _merge_bench_doc(None, {"evaluate_predictor": parallel_eval})
+        if output is not None:
+            _merge_bench_doc(output, {"evaluate_predictor": parallel_eval})
     failures = _staleness_failures(computed)
     # Checksumming every loaded entry must stay in the noise: fail only
     # when the overhead is both >5% relative AND >50 ms absolute, so a
@@ -780,7 +778,7 @@ def main(argv=None) -> int:
                              "build (default 4096)")
     args = parser.parse_args(argv)
     if args.quick:
-        return run_quick()
+        return run_quick(output=args.output)
     if args.scale:
         _, failures = run_scale(
             n_traces=args.scale_traces, shard=args.scale_shard,

@@ -26,14 +26,15 @@ generous p99 budget, response bit-identity against direct in-process
 :class:`~repro.core.adaptive_cpu.AdaptiveCPU` calls, and the
 ``BENCH_serve.json`` staleness guard — exits non-zero on any failure.
 
-``--chaos-smoke`` is the resilience CI mode, writing the
-``resilience`` section: a deterministic serve-fault plan (conn_drop,
-slow_peer, corrupt_frame, batch_hang) is injected under a retrying
-keyed client and every response must be digest-identical to the
-fault-free direct run with no request lost; then a supervised
-``daemon_crash`` run (subprocess, checkpoint fast-restart) must
-recover mid-stream with identical digests, a warm restart at least 5x
-faster than the cold start, and no leaked worker processes.
+``--chaos-smoke`` is the resilience CI mode: a deterministic
+serve-fault plan (conn_drop, slow_peer, corrupt_frame, batch_hang) is
+injected under a retrying keyed client and every response must be
+digest-identical to the fault-free direct run with no request lost;
+then a supervised ``daemon_crash`` run (subprocess, checkpoint
+fast-restart) must recover mid-stream with identical digests, a warm
+restart at least 5x faster than the cold start, and no leaked worker
+processes. It writes nothing by default; ``--chaos-smoke --output BENCH_serve.json`` records
+its ``resilience`` section.
 """
 
 from __future__ import annotations
@@ -580,8 +581,9 @@ def run_chaos(args: argparse.Namespace) -> int:
     leaked = multiprocessing.active_children()
     if leaked:
         failures.append(f"{len(leaked)} worker process(es) leaked")
-    out = _merge_bench_doc(args.output, {"resilience": section})
-    print(f"wrote {out}")
+    if args.output is not None:
+        out = _merge_bench_doc(args.output, {"resilience": section})
+        print(f"wrote {out}")
     for failure in failures:
         print(f"FAIL: {failure}")
     if not failures:
@@ -671,8 +673,8 @@ def main() -> int:
     parser.add_argument("--chaos-smoke", action="store_true",
                         help="resilience CI mode: injected serve "
                              "faults + supervised crash restart, "
-                             "digest-checked; writes the resilience "
-                             "section")
+                             "digest-checked; records the resilience "
+                             "section only in an explicit --output")
     parser.add_argument("--apps", type=int, default=8)
     parser.add_argument("--workloads-per-app", type=int, default=2)
     parser.add_argument("--intervals", type=int, default=96)

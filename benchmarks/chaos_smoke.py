@@ -128,7 +128,7 @@ def main() -> int:
             try:
                 ds = build_mode_dataset(
                     traces, Mode.LOW_POWER, counter_ids,
-                    collector=TelemetryCollector(), simcache=cache,
+                    collector=TelemetryCollector(simcache=cache),
                     pmap=pmap)
             except ExecFaultError as exc:
                 print(f"build_mode_dataset[{label}] surrendered "

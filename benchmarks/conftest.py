@@ -22,7 +22,6 @@ from repro.data.builders import hdtr_traces
 from repro.eval.runner import evaluate_predictor
 from repro.exec.simcache import SimCache
 from repro.telemetry.collector import TelemetryCollector
-from repro.uarch.interval_model import IntervalModel
 from repro.workloads.spec2017 import spec2017_traces
 
 #: Seed offset separating the held-out suite from training generation.
@@ -36,12 +35,12 @@ def seed():
 
 @pytest.fixture(scope="session")
 def simcache(tmp_path_factory):
-    """One on-disk simulation cache shared by every benchmark.
+    """One on-disk snapshot and dataset cache shared by every benchmark.
 
     ``REPRO_SIMCACHE_DIR`` (when set) names a persistent directory so
-    warm re-runs skip simulation, snapshot materialisation and dataset
-    assembly entirely; otherwise a session-scoped temp dir still lets
-    the benchmarks of one run share each other's work.
+    warm re-runs skip snapshot materialisation and dataset assembly;
+    otherwise a session-scoped temp dir still lets the benchmarks of
+    one run share each other's work.
     """
     root = os.environ.get("REPRO_SIMCACHE_DIR")
     if root:
@@ -51,7 +50,7 @@ def simcache(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def collector(simcache):
-    return TelemetryCollector(model=IntervalModel(simcache=simcache))
+    return TelemetryCollector(simcache=simcache)
 
 
 @pytest.fixture(scope="session")

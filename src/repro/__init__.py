@@ -23,10 +23,11 @@ Package map — see DESIGN.md for the full inventory:
 * ``repro.ml`` — from-scratch MLP/forest/logistic/SVM estimators.
 * ``repro.firmware`` — model compilation, op budgets, firmware VM,
   post-silicon update flow.
-* ``repro.data`` — dataset builders and caching.
+* ``repro.data`` — dataset builders.
 * ``repro.eval`` — PGOS/RSV metrics, deployment runner, blindspots.
 * ``repro.exec`` — execution engine: parallel map backends, the
-  content-addressed simulation cache, stage/cache instrumentation.
+  content-addressed snapshot and dataset cache, stage/cache
+  instrumentation.
 """
 
 from repro.config import (

@@ -149,9 +149,9 @@ KNOBS: tuple[Knob, ...] = (
     Knob("timeout", "REPRO_EXEC_TIMEOUT", "--exec-timeout", _float_or_off,
          None, _above(0), "exec", "pool task timeout (s); 0 or unset: off"),
     Knob("simcache_dir", "REPRO_SIMCACHE_DIR", None, str, None, None,
-         "sim", "simulation cache directory; unset: no cache"),
+         "sim", "snapshot and dataset cache directory; unset: no cache"),
     Knob("simcache_verify", "REPRO_SIMCACHE_VERIFY", None, _switch, True,
-         None, "sim", "verify simulation cache entries on read"),
+         None, "sim", "verify snapshot and dataset cache entries on read"),
     Knob("fault_spec", "REPRO_FAULT_SPEC", "--fault-spec", str, None,
          None, "exec", "fault-injection spec, e.g. 'seed=7,crash=0.1'"),
     Knob("interval_lru", "REPRO_INTERVAL_LRU", None, _int, 1024,
@@ -196,8 +196,6 @@ KNOBS: tuple[Knob, ...] = (
          "experiment", "dataset scale; larger approaches the paper's"),
     Knob("seed", "REPRO_SEED", None, _int, 7, None, "experiment",
          "experiment seed; a command's --seed overrides it"),
-    Knob("cache_dir", "REPRO_CACHE_DIR", None, str, None, None,
-         "experiment", "dataset cache; unset: ~/.cache/repro-datasets"),
     Knob("results_dir", "REPRO_RESULTS_DIR", None, str, None, None,
          "experiment", "benchmark outputs; unset: benchmarks/results"),
 )

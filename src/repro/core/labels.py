@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.config import DEFAULT_SLA, SLAConfig
 from repro.errors import DatasetError
-from repro.exec.simcache import SimCache
 from repro.uarch.interval_model import IntervalModel, IntervalResult
 from repro.uarch.modes import Mode
 from repro.workloads.generator import TraceSpec
@@ -63,7 +62,6 @@ def gating_labels(trace: TraceSpec, sla: SLAConfig = DEFAULT_SLA,
                   model: IntervalModel | None = None,
                   granularity_factor: int = 1,
                   results: dict[Mode, IntervalResult] | None = None,
-                  simcache: SimCache | None = None,
                   ) -> LabelSet:
     """Compute gating labels for a trace.
 
@@ -74,24 +72,9 @@ def gating_labels(trace: TraceSpec, sla: SLAConfig = DEFAULT_SLA,
         interval (e.g. 4 for the Best RF's 40k interval).
     results:
         Pre-computed both-mode simulation results to reuse.
-    simcache:
-        Disk tier for the label set; the model's SimCache by default.
     """
-    model = model or IntervalModel()
-    simcache = simcache if simcache is not None else model.simcache
-    # Labels are a pure function of (trace, SLA floor, granularity,
-    # machine), so a warm build loads them directly and never touches
-    # the simulator; fresh ones are stored whether or not the caller
-    # supplied the simulation results.
-    disk_key = None
-    if simcache is not None:
-        disk_key = simcache.labels_key(trace, sla, granularity_factor,
-                                       model.machine)
-        cached = simcache.load_labels(disk_key)
-        if cached is not None:
-            return cached
     if results is None:
-        results = model.simulate_both(trace)
+        results = (model or IntervalModel()).simulate_both(trace)
     cycles_high = coarsen_cycles(results[Mode.HIGH_PERF].cycles,
                                  granularity_factor)
     cycles_low = coarsen_cycles(results[Mode.LOW_POWER].cycles,
@@ -101,7 +84,7 @@ def gating_labels(trace: TraceSpec, sla: SLAConfig = DEFAULT_SLA,
     ipc_low = inst / cycles_low
     ratio = ipc_low / ipc_high
     labels = (ratio >= sla.performance_floor).astype(np.int64)
-    label_set = LabelSet(
+    return LabelSet(
         trace_name=trace.name,
         labels=labels,
         ratio=ratio,
@@ -112,9 +95,6 @@ def gating_labels(trace: TraceSpec, sla: SLAConfig = DEFAULT_SLA,
         granularity=inst,
         sla_floor=sla.performance_floor,
     )
-    if disk_key is not None:
-        simcache.store_labels(disk_key, label_set)
-    return label_set
 
 
 def ideal_residency(traces: list[TraceSpec], sla: SLAConfig = DEFAULT_SLA,

@@ -29,7 +29,7 @@ from repro.data.dataset import (
 from repro.errors import ArenaIntegrityError, DatasetError
 from repro.exec.arena import TraceArena
 from repro.exec.parallel import ParallelMap, default_parallel_map
-from repro.exec.simcache import SimCache, default_simcache
+from repro.exec.simcache import SimCache
 from repro.obs.metrics import METRICS
 from repro.obs import tracer
 from repro.telemetry.collector import TelemetryCollector, coarsen
@@ -50,23 +50,18 @@ def _build_trace_parts(trace: TraceSpec, results: dict,
                        horizon: int) -> list[GatingDataset]:
     """One trace's slice of the supervised dataset, one part per mode.
 
-    ``results`` holds the chunk's fresh simulations, keyed by
-    :func:`~repro.uarch.interval_model.pair_key`; a trace without them
-    had its labels and snapshots on disk. The gating labels do not
-    depend on the telemetry mode, so they are computed once and paired
-    with each mode's snapshot. Snapshot and labels each consult their
-    own tier of ``simcache``, so a fully warm build never simulates.
+    ``results`` holds the chunk's simulations, keyed by
+    :func:`~repro.uarch.interval_model.pair_key`. The gating labels do
+    not depend on the telemetry mode, so they are computed once and
+    paired with each mode's snapshot, which ``simcache`` may serve.
     """
-    both = None
-    if pair_key(trace, Mode.HIGH_PERF) in results:
-        both = {mode: results[pair_key(trace, mode)] for mode in Mode}
-    labels = gating_labels(trace, sla, collector.model, granularity_factor,
-                           results=both, simcache=simcache)
+    both = {mode: results[pair_key(trace, mode)] for mode in Mode}
+    labels = gating_labels(trace, sla, granularity_factor=granularity_factor,
+                           results=both)
     parts = []
     for mode in modes:
         snap = collector.snapshot(trace, mode, counter_ids,
-                                  result=None if both is None else both[mode],
-                                  simcache=simcache)
+                                  result=both[mode], simcache=simcache)
         if granularity_factor > 1:
             snap = coarsen(snap, granularity_factor)
         t_count = min(snap.n_intervals, labels.n_intervals)
@@ -103,27 +98,14 @@ def _build_trace_chunk(traces: list[TraceSpec], *, modes: tuple[Mode, ...],
     built), so each (trace, mode) pair is simulated once. Each pass's
     results go straight to labelling and snapshotting and are dropped
     with the pass: the model's LRU serves hits but is not filled, since
-    nothing re-reads a build's simulations. Traces whose labels and
-    snapshots are already in ``simcache`` are skipped — a fully warm
-    build reads those small artefacts and never touches the simulator.
+    nothing re-reads a build's simulations.
 
     Returns one list of parts per trace, in ``modes`` order.
     """
-    model = collector.model
-
-    def needs_sim(trace: TraceSpec) -> bool:
-        return simcache is None or not (
-            all(collector.has_snapshot(trace, mode, counter_ids, simcache)
-                for mode in modes)
-            and simcache.has(simcache.labels_key(
-                trace, sla, granularity_factor, model.machine)))
-
     parts = []
     for i in range(0, len(traces), BUILD_BATCH_TRACES):
         sub = traces[i:i + BUILD_BATCH_TRACES]
-        sub_sim = [trace for trace in sub if needs_sim(trace)]
-        results = (model.simulate_batch(sub_sim, remember=False)
-                   if sub_sim else {})
+        results = collector.model.simulate_batch(sub, remember=False)
         parts.extend(_build_trace_parts(trace, results, modes, counter_ids,
                                         sla, collector, simcache,
                                         granularity_factor, horizon)
@@ -189,13 +171,13 @@ def _build_datasets(traces, modes, counter_ids, sla, collector,
     """The dataset-builder body, over a tuple of telemetry modes.
 
     Per-trace work fans out through ``pmap`` (serial by default), and
-    each mode's assembled matrices persist in ``simcache`` when one is
-    attached (or ``REPRO_SIMCACHE_DIR`` is set), keyed by trace
-    content, mode, counter set, SLA, granularity and machine config;
-    only the modes without a cached dataset are built. The per-trace
-    snapshots and label sets use the same cache, so a dataset-key miss
-    (a new horizon, say) still skips simulation. Every path is
-    bit-identical to a serial, uncached build.
+    each mode's assembled matrices persist in ``simcache`` (the
+    collector's by default), keyed by trace content, mode, counter
+    set, SLA, granularity and machine config; only the modes without a
+    cached dataset are built. The per-trace snapshots use the same
+    cache; a dataset-key miss (a new horizon, say) still simulates
+    each pair once, for the labels. Every path is bit-identical to a
+    serial, uncached build.
 
     When ``REPRO_EXEC_SHARD`` caps the number of traces in flight, the
     corpus streams shard-by-shard with bounded parent RSS (and
@@ -208,12 +190,7 @@ def _build_datasets(traces, modes, counter_ids, sla, collector,
                      traces=len(traces)):
         collector = collector or TelemetryCollector()
         counter_ids = np.asarray(counter_ids, dtype=np.int64)
-        simcache = simcache if simcache is not None else default_simcache()
-        if simcache is None:
-            # Fall back to the cache already attached to the simulator,
-            # so a collector wired to a shared SimCache (the benchmark
-            # fixtures) also persists its built datasets there.
-            simcache = collector.model.simcache
+        simcache = simcache if simcache is not None else collector.simcache
 
         def key(sub: list[TraceSpec], mode: Mode) -> str | None:
             if simcache is None:

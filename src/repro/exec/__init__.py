@@ -16,7 +16,7 @@ configurations or folds:
   shared-memory segments and ship descriptors home instead of pickled
   ndarrays (``REPRO_EXEC_SHMRES`` kill-switch);
 * :class:`~repro.exec.simcache.SimCache` — a content-addressed on-disk
-  cache of simulation outputs and built feature matrices;
+  cache of telemetry snapshots and built feature matrices;
 * :data:`~repro.obs.metrics.METRICS` — process-wide stage timings,
   cache hit/miss counts, payload bytes, worker utilisation and
   resilience counters, printed by the CLI's ``--exec-report`` flag;

@@ -1,15 +1,18 @@
-"""Content-addressed on-disk simulation cache.
+"""Content-addressed on-disk cache for telemetry and dataset artefacts.
 
-Benchmarks, dataset builders and hyperparameter sweeps revisit the
-same traces over and over — across processes, across runs, across
-PRs. The in-process LRU memo in :class:`~repro.uarch.interval_model.
-IntervalModel` only helps within one process; this cache persists two
-kinds of artefacts to disk so repeated work is skipped entirely:
+Benchmarks, dataset builders and repeated evaluations revisit the
+same traces over and over, across processes and runs. This cache
+persists the two artefacts that cost more to recompute than to load:
 
-* **simulation results** — the full per-interval output of
-  ``IntervalModel.simulate`` (IPC, cycles, the base-signal matrix);
-* **built datasets** — the feature matrices produced by
-  :func:`repro.data.builders.build_mode_dataset`.
+* **telemetry snapshots**: the counter matrix one
+  ``TelemetryCollector.snapshot`` materialises for one (trace, mode,
+  counter set);
+* **built datasets**: the per-mode feature matrices produced by
+  :mod:`repro.data.builders`.
+
+Simulation results and gating labels are not cached: one stacked
+interval simulation, and the label arithmetic on its cycles, are
+cheaper than reading an entry back.
 
 Entries are *content addressed*: the key is a SHA-256 over everything
 the output is a pure function of — the trace specification (seed,
@@ -99,7 +102,7 @@ def trace_fingerprint(trace) -> bytes:
 
 
 class SimCache:
-    """Content-addressed store for simulation and dataset artefacts."""
+    """Content-addressed store for snapshot and dataset artefacts."""
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
@@ -117,11 +120,6 @@ class SimCache:
             h.update(token if isinstance(token, bytes) else token.encode())
         return h.hexdigest()
 
-    def sim_key(self, trace, mode, machine) -> str:
-        """Key for one ``IntervalModel.simulate(trace, mode)`` output."""
-        return self._digest(b"sim", trace_fingerprint(trace), mode.value,
-                            _machine_token(machine))
-
     def snapshot_key(self, trace, mode, machine, counter_ids,
                      catalog_token: str) -> str:
         """Key for one materialised telemetry snapshot.
@@ -134,14 +132,6 @@ class SimCache:
         return self._digest(b"snapshot", trace_fingerprint(trace),
                             mode.value, _machine_token(machine),
                             ids.tobytes(), catalog_token)
-
-    def labels_key(self, trace, sla, granularity_factor: int, machine) -> str:
-        """Key for one trace's gating ``LabelSet`` at one granularity."""
-        return self._digest(
-            b"labels", trace_fingerprint(trace),
-            f"{sla.performance_floor}/g={granularity_factor}",
-            _machine_token(machine),
-        )
 
     def dataset_key(self, traces, mode, counter_ids, sla,
                     granularity_factor: int, horizon: int, machine,
@@ -257,40 +247,8 @@ class SimCache:
         return payload, meta
 
     def has(self, key: str) -> bool:
-        """Whether an entry exists, without reading it (prewarm probes)."""
+        """Whether an entry exists, without reading it."""
         return self._path(key).exists()
-
-    # ------------------------------------------------------------------
-    # Simulation results.
-    # ------------------------------------------------------------------
-    def store_result(self, key: str, result) -> None:
-        """Persist one ``IntervalResult``."""
-        self._write(key, {
-            "ipc": result.ipc,
-            "cycles": result.cycles,
-            "signals": result.signals,
-        }, {
-            "trace_name": result.trace_name,
-            "mode": result.mode.value,
-            "interval_instructions": result.interval_instructions,
-        })
-
-    def load_result(self, key: str):
-        """Load one ``IntervalResult`` or ``None`` on miss."""
-        entry = self._read(key)
-        if entry is None:
-            return None
-        payload, meta = entry
-        from repro.uarch.interval_model import IntervalResult
-        from repro.uarch.modes import Mode
-        return IntervalResult(
-            trace_name=meta["trace_name"],
-            mode=Mode(meta["mode"]),
-            ipc=payload["ipc"],
-            cycles=payload["cycles"],
-            signals=payload["signals"],
-            interval_instructions=int(meta["interval_instructions"]),
-        )
 
     # ------------------------------------------------------------------
     # Telemetry snapshots.
@@ -329,52 +287,6 @@ class SimCache:
             cycles=payload["cycles"],
             ipc=payload["ipc"],
             interval_instructions=int(meta["interval_instructions"]),
-        )
-
-    # ------------------------------------------------------------------
-    # Gating label sets.
-    # ------------------------------------------------------------------
-    def store_labels(self, key: str, labels) -> None:
-        """Persist one ``LabelSet``.
-
-        Only the coarsened per-mode cycle arrays are stored; IPCs, the
-        ratio and the binary labels are recomputed on load with the
-        exact operations of ``gating_labels``, so the loaded set is
-        bit-identical to a computed one.
-        """
-        self._write(key, {
-            "cycles_high": labels.cycles_high,
-            "cycles_low": labels.cycles_low,
-        }, {
-            "trace_name": labels.trace_name,
-            "granularity": labels.granularity,
-            "sla_floor": labels.sla_floor,
-        })
-
-    def load_labels(self, key: str):
-        """Load one ``LabelSet`` or ``None`` on miss."""
-        entry = self._read(key)
-        if entry is None:
-            return None
-        payload, meta = entry
-        from repro.core.labels import LabelSet
-        inst = int(meta["granularity"])
-        floor = float(meta["sla_floor"])
-        cycles_high = payload["cycles_high"]
-        cycles_low = payload["cycles_low"]
-        ipc_high = inst / cycles_high
-        ipc_low = inst / cycles_low
-        ratio = ipc_low / ipc_high
-        return LabelSet(
-            trace_name=meta["trace_name"],
-            labels=(ratio >= floor).astype(np.int64),
-            ratio=ratio,
-            ipc_high=ipc_high,
-            ipc_low=ipc_low,
-            cycles_high=cycles_high,
-            cycles_low=cycles_low,
-            granularity=inst,
-            sla_floor=floor,
         )
 
     # ------------------------------------------------------------------

@@ -25,7 +25,7 @@ silently desynchronize prepared telemetry from inference, so
 :class:`~repro.errors.SwapGateError` before any state changes.
 
 Swapped-in CPUs share the founder's collector (interval model + its
-warm LRU + SimCache), power/machine/SLA models, the
+warm LRU, and the SimCache), power/machine/SLA models, the
 resident arena and the resident prepared-run memo, which bakes in the
 same two properties — a swap is pointer surgery plus one
 ``AdaptiveCPU`` construction, not a rebuild of daemon state.

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro import rng as rng_mod
 from repro.errors import DatasetError
-from repro.exec.simcache import SimCache
+from repro.exec.simcache import SimCache, default_simcache
 from repro.telemetry.counters import CounterCatalog, default_catalog
 from repro.uarch.interval_model import IntervalModel, IntervalResult
 from repro.uarch.modes import Mode
@@ -86,26 +86,32 @@ def coarsen(snapshot: TelemetrySnapshot, factor: int) -> TelemetrySnapshot:
 
 
 class TelemetryCollector:
-    """Runs the simulator and materialises counter snapshots."""
+    """Runs the simulator and materialises counter snapshots.
+
+    Snapshots persist in ``simcache`` (by default the
+    ``REPRO_SIMCACHE_DIR`` cache, if set), which also holds the built
+    datasets of a collector passed to :mod:`repro.data.builders`.
+    """
 
     def __init__(self, catalog: CounterCatalog | None = None,
-                 model: IntervalModel | None = None) -> None:
+                 model: IntervalModel | None = None,
+                 simcache: SimCache | None = None) -> None:
         self.catalog = catalog or default_catalog()
         self.model = model or IntervalModel()
+        self.simcache = (simcache if simcache is not None
+                         else default_simcache())
 
     def catalog_token(self) -> str:
         """Stable fingerprint of the counter catalog (for cache keys)."""
         return self.catalog.token()
 
     def has_snapshot(self, trace: TraceSpec, mode: Mode,
-                     counter_ids: np.ndarray,
-                     simcache: SimCache | None = None) -> bool:
-        """Whether ``simcache`` (the model's by default) already holds
-        this snapshot."""
-        simcache = simcache if simcache is not None else self.model.simcache
-        return simcache is not None and simcache.has(simcache.snapshot_key(
-            trace, mode, self.model.machine, counter_ids,
-            self.catalog_token()))
+                     counter_ids: np.ndarray) -> bool:
+        """Whether this collector's SimCache already holds this
+        snapshot."""
+        return self.simcache is not None and self.simcache.has(
+            self.simcache.snapshot_key(trace, mode, self.model.machine,
+                                       counter_ids, self.catalog_token()))
 
     def _noise_field(self, trace: TraceSpec, mode: Mode,
                      n_intervals: int) -> np.ndarray:
@@ -132,7 +138,7 @@ class TelemetryCollector:
             Pre-computed simulation result to reuse; simulated on
             demand otherwise.
         simcache:
-            Disk tier for the snapshot; the model's SimCache by default.
+            Disk tier for the snapshot; this collector's by default.
         """
         if result is not None and result.mode is not mode:
             raise DatasetError(
@@ -144,7 +150,7 @@ class TelemetryCollector:
         # (T, catalog) noise field is the single most expensive step of
         # the warm closed loop, so skipping it entirely on a hit is
         # what makes repeated deployments fast.
-        simcache = simcache if simcache is not None else self.model.simcache
+        simcache = simcache if simcache is not None else self.simcache
         disk_key = None
         if simcache is not None:
             disk_key = simcache.snapshot_key(

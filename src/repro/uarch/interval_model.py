@@ -34,7 +34,6 @@ import numpy as np
 from repro import rng as rng_mod
 from repro.config import MachineConfig, active_exec_config
 from repro.errors import SimulationError
-from repro.exec.simcache import SimCache, default_simcache
 from repro.obs.metrics import METRICS
 from repro.obs import tracer
 from repro.uarch.modes import Mode
@@ -150,23 +149,17 @@ class IntervalModel:
     ``interval_lru``); hit/miss counts surface in
     the :data:`~repro.obs.metrics.METRICS` report. One model may be
     shared across threads: a small lock guards each LRU lookup and
-    insert, and is never held while simulating.
-
-    When a :class:`~repro.exec.simcache.SimCache` is attached (or
-    ``REPRO_SIMCACHE_DIR`` is set), results additionally persist to a
-    content-addressed disk cache shared across processes and runs.
+    insert, and is never held while simulating. There is no disk
+    tier: a stacked simulation is cheaper than loading its result.
     """
 
     def __init__(self, machine: MachineConfig | None = None,
-                 cache_size: int | None = None,
-                 simcache: SimCache | None = None) -> None:
+                 cache_size: int | None = None) -> None:
         self.machine = machine or MachineConfig()
         self._cache: "OrderedDict[tuple, IntervalResult]" = OrderedDict()
         self._cache_size = (active_exec_config().interval_lru
                             if cache_size is None else cache_size)
         self._lru_lock = threading.Lock()
-        self.simcache = simcache if simcache is not None else (
-            default_simcache())
 
     def __getstate__(self) -> dict:
         """Pickle without the LRU memo or its lock.
@@ -372,10 +365,9 @@ class IntervalModel:
         so a pair's result does not depend on which other pairs share
         its batch (enforced by tests/test_batch_kernels.py).
 
-        Both cache tiers are honoured per pair: LRU and disk hits are
-        sliced out up front and only the misses are computed; fresh
-        results enter both tiers. ``remember=False`` keeps fresh and
-        disk-loaded results out of the LRU, for callers that consume
+        LRU hits are sliced out up front and only the misses are
+        computed; fresh results enter the LRU. ``remember=False`` keeps
+        fresh results out of the LRU, for callers that consume
         the returned results once and drop them (the cold dataset
         build), so the memo holds only what someone will re-read.
 
@@ -400,16 +392,7 @@ class IntervalModel:
                 results[key] = cached
                 continue
             METRICS.incr("interval_lru.miss")
-            disk_key = None
-            if self.simcache is not None:
-                disk_key = self.simcache.sim_key(trace, mode, self.machine)
-                result = self.simcache.load_result(disk_key)
-                if result is not None:
-                    if remember:
-                        self._remember(key, result)
-                    results[key] = result
-                    continue
-            misses.append((key, trace, mode, disk_key))
+            misses.append((key, trace, mode))
         if not misses:
             return results
 
@@ -425,19 +408,16 @@ class IntervalModel:
                             pairs=len(pairs), misses=len(misses)):
             for _, group in sorted(groups.items()):
                 computed = self._simulate_uncached(
-                    [(trace, mode) for _, trace, mode, _ in group])
-                for (key, trace, mode, disk_key), result in zip(group,
-                                                                computed):
+                    [(trace, mode) for _, trace, mode in group])
+                for (key, _, _), result in zip(group, computed):
                     if remember:
                         self._remember(key, result)
-                    if disk_key is not None:
-                        self.simcache.store_result(disk_key, result)
                     results[key] = result
         return results
 
     def _simulate_uncached(self, pairs: list[tuple[TraceSpec, Mode]],
                            ) -> list[IntervalResult]:
-        """Compute a batch of same-``T`` pairs, bypassing both caches."""
+        """Compute a batch of same-``T`` pairs, bypassing the LRU."""
         # Per-row values that every row shares broadcast as plain
         # scalars instead of (P, 1) columns: the same bits, with less
         # per-call overhead for one-pair and one-mode batches.

@@ -5,9 +5,9 @@ Three layers each ship a batched implementation, and every one must be
 
 * the SoA cycle-model scoreboard vs the per-uop reference loop;
 * ``IntervalModel.simulate_batch``: a pair computed alone vs inside a
-  mixed batch (including batches that mix LRU hits, disk hits and
-  misses), plus reference values recorded from the former per-pair
-  implementation;
+  mixed batch (including batches that mix LRU hits and misses, whose
+  snapshots mix SimCache hits and misses), plus reference values
+  recorded from the former per-pair implementation;
 * the batched ``AdaptiveCPU.run_many`` closed loop vs per-trace
   ``run`` (one concatenated inference call vs many small ones).
 """
@@ -217,20 +217,30 @@ class TestSimulateBatchIdentity:
 
     def test_mixed_cache_states(self, tmp_path):
         traces = _traces(5, 320)
+        ids = [0, 3, 7, 40]
         cache = SimCache(tmp_path / "sc")
-        model = IntervalModel(simcache=cache)
-        # Warm trace 0 through the LRU+disk, trace 1 only on disk (a
-        # fresh model instance shares the directory but not the LRU).
+        model = IntervalModel()
+        # Trace 0 is in the LRU; trace 1's low-power snapshot is only on
+        # disk (written through a collector whose model has its own LRU).
         model.simulate(traces[0], Mode.HIGH_PERF)
-        IntervalModel(simcache=cache).simulate(traces[1], Mode.LOW_POWER)
+        TelemetryCollector(simcache=cache).snapshot(traces[1],
+                                                    Mode.LOW_POWER, ids)
         batch = model.simulate_batch(traces)
+        cached = TelemetryCollector(model=model, simcache=cache)
         clean = IntervalModel()
+        plain = TelemetryCollector(model=clean)
         for trace in traces:
             for mode in Mode:
                 key = (trace.name, trace.seed, trace.n_intervals, mode)
                 _assert_same_interval(
                     batch[key], clean.simulate(trace, mode),
                     context=(trace.name, mode, "mixed"))
+                got = cached.snapshot(trace, mode, ids, result=batch[key])
+                want = plain.snapshot(trace, mode, ids)
+                for field in ("counts", "normalized", "cycles", "ipc"):
+                    assert np.array_equal(getattr(got, field),
+                                          getattr(want, field)), (
+                        trace.name, mode, field)
 
     def test_simulate_both_uses_identical_results(self):
         trace = _traces(1, 340)[0]
@@ -258,8 +268,7 @@ class TestBatchedClosedLoop:
     def setup(self, tmp_path_factory):
         traces = _traces(5, 400, intervals=80)
         cache = SimCache(tmp_path_factory.mktemp("bk-loop"))
-        collector = TelemetryCollector(
-            model=IntervalModel(simcache=cache))
+        collector = TelemetryCollector(simcache=cache)
         datasets = dataset_from_traces(
             traces[:3], list(range(10)), collector=collector,
             granularity_factor=2)

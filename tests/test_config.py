@@ -141,7 +141,6 @@ KNOB_SAMPLES = {
     "online_interval_s": ("0.25", 0.25),
     "scale": ("2.5", 2.5),
     "seed": ("123", 123),
-    "cache_dir": ("/tmp/cache", "/tmp/cache"),
     "results_dir": ("/tmp/results", "/tmp/results"),
 }
 
@@ -446,4 +445,4 @@ class TestKnobTable:
                           r"<!-- knob-table:end -->", readme, re.S)
         assert match is not None
         assert match.group(1) == render_knob_table()
-        assert len(KNOBS) == 32
+        assert len(KNOBS) == 31

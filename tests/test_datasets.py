@@ -17,7 +17,6 @@ from repro.data.dataset import (
     RowNames,
     concat_datasets,
 )
-from repro.data.store import cached_build, load_dataset, save_dataset
 from repro.errors import DatasetError
 from repro.telemetry.collector import TelemetryCollector
 from repro.telemetry.counters import default_catalog
@@ -206,37 +205,3 @@ class TestDatasetContainer:
     def test_assembler_empty_finish_rejected(self):
         with pytest.raises(DatasetError):
             DatasetAssembler().finish()
-
-
-class TestStore:
-    def test_save_load_roundtrip(self, collector, traces, tmp_path,
-                                 monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        ds = build_mode_dataset(traces[:2], Mode.HIGH_PERF, [0, 1],
-                                collector=collector)
-        save_dataset("key1", ds)
-        loaded = load_dataset("key1")
-        assert loaded is not None
-        assert np.allclose(loaded.x, ds.x)
-        assert np.array_equal(loaded.y, ds.y)
-        assert loaded.mode is ds.mode
-        assert loaded.granularity == ds.granularity
-
-    def test_miss_returns_none(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert load_dataset("nothing-here") is None
-
-    def test_cached_build_builds_once(self, collector, traces, tmp_path,
-                                      monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        calls = []
-
-        def builder():
-            calls.append(1)
-            return build_mode_dataset(traces[:2], Mode.HIGH_PERF, [0],
-                                      collector=collector)
-
-        first = cached_build("key2", builder)
-        second = cached_build("key2", builder)
-        assert len(calls) == 1
-        assert np.allclose(first.x, second.x)

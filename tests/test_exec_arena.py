@@ -120,7 +120,7 @@ class TestArenaRoundTrip:
             arena.close()
 
     def test_objects_and_machine_round_trip(self, traces):
-        model = IntervalModel(simcache=None)
+        model = IntervalModel()
         arena = TraceArena.build(traces[:1],
                                  objects={"payload": {"k": [1, 2, 3]}},
                                  machine=model.machine)
@@ -138,9 +138,9 @@ class TestArenaRoundTrip:
             arena_mod.detach_all()
             attached = TraceArena.attach(arena.handle)
             for i in range(2):
-                direct = IntervalModel(simcache=None).simulate(
+                direct = IntervalModel().simulate(
                     traces[i], Mode.LOW_POWER)
-                rebuilt = IntervalModel(simcache=None).simulate(
+                rebuilt = IntervalModel().simulate(
                     attached.trace(i), Mode.LOW_POWER)
                 assert np.array_equal(direct.ipc, rebuilt.ipc)
                 assert np.array_equal(direct.cycles, rebuilt.cycles)
@@ -270,7 +270,7 @@ class TestArenaDispatch:
             _results_equal(a, b)
 
     def test_interval_model_pickles_without_lru(self, traces):
-        model = IntervalModel(simcache=None)
+        model = IntervalModel()
         model.simulate(traces[0], Mode.LOW_POWER)
         assert len(model._cache) > 0
         clone = pickle.loads(pickle.dumps(model))

@@ -41,7 +41,6 @@ from repro.exec.faults import active_plan
 from repro.exec.simcache import _flip_byte
 from repro.ml.base import Estimator
 from repro.telemetry.collector import TelemetryCollector
-from repro.uarch.interval_model import IntervalModel
 from repro.uarch.modes import Mode
 from repro.workloads.generator import generate_application
 
@@ -262,6 +261,20 @@ class TestPayloadFaults:
         assert METRICS.count("faults.injected.payload") >= 1
 
 
+SNAP_IDS = [0, 5, 9, 40]
+
+
+def _snapshot(trace, cache=None):
+    """One low-power snapshot through a fresh collector (empty LRU)."""
+    return TelemetryCollector(simcache=cache).snapshot(
+        trace, Mode.LOW_POWER, SNAP_IDS)
+
+
+def _assert_same_snapshot(a, b):
+    for field in ("counter_ids", "counts", "normalized", "cycles", "ipc"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
 class TestSimCacheIntegrity:
     def _stale_digest_entry(self, cache):
         key = "ab" + "0" * 62
@@ -292,36 +305,31 @@ class TestSimCacheIntegrity:
 
     def test_flipped_byte_detected_and_recomputed(self, traces, tmp_path):
         trace = traces[0]
-        plain = IntervalModel(simcache=None).simulate(trace,
-                                                      Mode.LOW_POWER)
+        plain = _snapshot(trace)
         cache = SimCache(tmp_path / "c")
-        model = IntervalModel(simcache=cache)
-        model.simulate(trace, Mode.LOW_POWER)
-        key = cache.sim_key(trace, Mode.LOW_POWER, model.machine)
+        collector = TelemetryCollector(simcache=cache)
+        collector.snapshot(trace, Mode.LOW_POWER, SNAP_IDS)
+        key = cache.snapshot_key(trace, Mode.LOW_POWER,
+                                 collector.model.machine, SNAP_IDS,
+                                 collector.catalog_token())
         _flip_byte(cache._path(key))
         quarantined = METRICS.count("simcache.quarantine")
-        reloaded = IntervalModel(simcache=cache).simulate(
-            trace, Mode.LOW_POWER)
+        reloaded = _snapshot(trace, cache)
         assert METRICS.count("simcache.quarantine") == quarantined + 1
-        assert np.array_equal(plain.ipc, reloaded.ipc)
-        assert np.array_equal(plain.cycles, reloaded.cycles)
-        assert np.array_equal(plain.signals, reloaded.signals)
+        _assert_same_snapshot(plain, reloaded)
 
     def test_injected_corruption_recovers_bit_identical(self, traces,
                                                         tmp_path):
         trace = traces[1]
-        plain = IntervalModel(simcache=None).simulate(trace,
-                                                      Mode.LOW_POWER)
+        plain = _snapshot(trace)
         cache = SimCache(tmp_path / "c")
-        IntervalModel(simcache=cache).simulate(trace, Mode.LOW_POWER)
+        _snapshot(trace, cache)
         quarantined = METRICS.count("simcache.quarantine")
         with inject(FaultPlan(seed=0, corrupt_cache=1.0)):
-            loaded = IntervalModel(simcache=cache).simulate(
-                trace, Mode.LOW_POWER)
+            loaded = _snapshot(trace, cache)
         assert METRICS.count("simcache.quarantine") == quarantined + 1
         assert METRICS.count("faults.injected.corrupt_cache") >= 1
-        assert np.array_equal(plain.ipc, loaded.ipc)
-        assert np.array_equal(plain.signals, loaded.signals)
+        _assert_same_snapshot(plain, loaded)
 
     def test_chaotic_cached_dataset_bit_identical(self, traces, tmp_path):
         ids = [0, 1, 2]

@@ -5,6 +5,7 @@ bit-identical results to the serial uncached path. Every test here
 asserts exact equality, never approximate.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -418,21 +419,34 @@ class TestSharding:
                                                for r in sharded]
 
 
+SNAP_IDS = [0, 5, 9, 40]
+SNAP_FIELDS = ("counter_ids", "counts", "normalized", "cycles", "ipc")
+
+
+def _snapshot(trace, cache=None, machine=None):
+    """One low-power snapshot through a fresh collector (empty LRU)."""
+    collector = TelemetryCollector(model=IntervalModel(machine=machine),
+                                   simcache=cache)
+    return collector.snapshot(trace, Mode.LOW_POWER, SNAP_IDS)
+
+
+def _assert_same_snapshot(a, b):
+    for field in SNAP_FIELDS:
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    assert a.interval_instructions == b.interval_instructions
+
+
 class TestSimCache:
     def test_roundtrip_bitwise_identical(self, traces, tmp_path):
         trace = traces[0]
-        plain = IntervalModel(simcache=None).simulate(trace, Mode.LOW_POWER)
+        plain = _snapshot(trace)
         cache = SimCache(tmp_path / "c")
-        writer = IntervalModel(simcache=cache)
-        written = writer.simulate(trace, Mode.LOW_POWER)
+        written = _snapshot(trace, cache)
         hits_before = METRICS.count("simcache.hit")
-        reader = IntervalModel(simcache=cache)  # fresh LRU
-        loaded = reader.simulate(trace, Mode.LOW_POWER)
+        loaded = _snapshot(trace, cache)
         assert METRICS.count("simcache.hit") == hits_before + 1
-        for result in (written, loaded):
-            assert np.array_equal(plain.ipc, result.ipc)
-            assert np.array_equal(plain.cycles, result.cycles)
-            assert np.array_equal(plain.signals, result.signals)
+        for snap in (written, loaded):
+            _assert_same_snapshot(plain, snap)
         assert loaded.trace_name == trace.name
         assert loaded.mode is Mode.LOW_POWER
 
@@ -441,35 +455,71 @@ class TestSimCache:
         cache = SimCache(tmp_path / "c")
         default = MachineConfig()
         slower = MachineConfig(memory_latency=400)
-        assert (cache.sim_key(trace, Mode.LOW_POWER, default)
-                != cache.sim_key(trace, Mode.LOW_POWER, slower))
-        IntervalModel(simcache=cache).simulate(trace, Mode.LOW_POWER)
+        token = TelemetryCollector().catalog_token()
+        assert (cache.snapshot_key(trace, Mode.LOW_POWER, default,
+                                   SNAP_IDS, token)
+                != cache.snapshot_key(trace, Mode.LOW_POWER, slower,
+                                      SNAP_IDS, token))
+        _snapshot(trace, cache)
         misses_before = METRICS.count("simcache.miss")
-        IntervalModel(machine=slower,
-                      simcache=cache).simulate(trace, Mode.LOW_POWER)
+        got = _snapshot(trace, cache, machine=slower)
         assert METRICS.count("simcache.miss") == misses_before + 1
+        _assert_same_snapshot(_snapshot(trace, machine=slower), got)
 
     def test_mode_and_trace_distinguish_keys(self, traces, tmp_path):
         cache = SimCache(tmp_path / "c")
         machine = MachineConfig()
+        token = TelemetryCollector().catalog_token()
         keys = {
-            cache.sim_key(traces[0], Mode.LOW_POWER, machine),
-            cache.sim_key(traces[0], Mode.HIGH_PERF, machine),
-            cache.sim_key(traces[1], Mode.LOW_POWER, machine),
+            cache.snapshot_key(traces[0], Mode.LOW_POWER, machine,
+                               SNAP_IDS, token),
+            cache.snapshot_key(traces[0], Mode.HIGH_PERF, machine,
+                               SNAP_IDS, token),
+            cache.snapshot_key(traces[1], Mode.LOW_POWER, machine,
+                               SNAP_IDS, token),
+            cache.snapshot_key(traces[0], Mode.LOW_POWER, machine,
+                               SNAP_IDS[:3], token),
+            cache.snapshot_key(traces[0], Mode.LOW_POWER, machine,
+                               SNAP_IDS, token + "x"),
         }
-        assert len(keys) == 3
+        assert len(keys) == 5
 
     def test_corrupt_entry_treated_as_miss(self, traces, tmp_path):
         trace = traces[0]
         cache = SimCache(tmp_path / "c")
-        model = IntervalModel(simcache=cache)
-        expected = model.simulate(trace, Mode.LOW_POWER)
-        key = cache.sim_key(trace, Mode.LOW_POWER, model.machine)
-        path = cache._path(key)
-        path.write_bytes(b"not an npz file")
-        reloaded = IntervalModel(simcache=cache).simulate(
-            trace, Mode.LOW_POWER)
-        assert np.array_equal(expected.signals, reloaded.signals)
+        collector = TelemetryCollector(simcache=cache)
+        expected = collector.snapshot(trace, Mode.LOW_POWER, SNAP_IDS)
+        key = cache.snapshot_key(trace, Mode.LOW_POWER,
+                                 collector.model.machine, SNAP_IDS,
+                                 collector.catalog_token())
+        cache._path(key).write_bytes(b"not an npz file")
+        _assert_same_snapshot(expected, _snapshot(trace, cache))
+
+    def test_evaluate_stores_only_snapshots(self, traces, predictor,
+                                            tmp_path):
+        # Simulation results and label sets are recomputed, never
+        # stored: a cold evaluation persists each trace's two
+        # snapshots, and a warm rerun stores nothing.
+        plain = evaluate_predictor(predictor, traces,
+                                   collector=TelemetryCollector())
+        cache = SimCache(tmp_path / "c")
+        suites = []
+        for expected in (2 * len(traces), 0):
+            stored = METRICS.count("simcache.store")
+            suites.append(evaluate_predictor(
+                predictor, traces,
+                collector=TelemetryCollector(simcache=cache)))
+            assert METRICS.count("simcache.store") - stored == expected
+            assert len(list(cache.root.glob("*/*.npz"))) == 2 * len(traces)
+        for suite in suites:
+            assert suite.per_benchmark == plain.per_benchmark
+            for a, b in zip(plain.runs, suite.runs):
+                for field in dataclasses.fields(a):
+                    va, vb = getattr(a, field.name), getattr(b, field.name)
+                    if isinstance(va, np.ndarray):
+                        assert np.array_equal(va, vb), field.name
+                    else:
+                        assert va == vb, field.name
 
     def test_dataset_roundtrip_bitwise_identical(self, traces, tmp_path):
         ids = [0, 1, 2]
@@ -502,7 +552,7 @@ class TestIntervalLRU:
     def test_env_configures_bound(self, monkeypatch):
         monkeypatch.setenv("REPRO_INTERVAL_LRU", "2")
         assert active_exec_config().interval_lru == 2
-        model = IntervalModel(simcache=None)
+        model = IntervalModel()
         assert model._cache_size == 2
 
     def test_invalid_env_rejected(self, monkeypatch):
@@ -514,7 +564,7 @@ class TestIntervalLRU:
             active_exec_config().interval_lru
 
     def test_bound_enforced_and_counters_reported(self, traces):
-        model = IntervalModel(cache_size=1, simcache=None)
+        model = IntervalModel(cache_size=1)
         misses_before = METRICS.count("interval_lru.miss")
         hits_before = METRICS.count("interval_lru.hit")
         model.simulate(traces[0], Mode.LOW_POWER)

@@ -4,7 +4,8 @@
   ``eigh``, and ``scipy.optimize`` loads only for the L-BFGS fits.
 * The cold dataset build hands each stacked simulation straight to
   labelling and snapshotting: it reads the interval LRU but never
-  fills it, while every SimCache tier still stores and is read back.
+  fills it, while the SimCache snapshot and dataset tiers still store
+  and are read back.
 * Dataset rows carry one ``int32`` trace code; the per-row name
   columns are expanded on request and must equal the names the rows
   were built from, through every container round trip.
@@ -18,8 +19,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.config import DEFAULT_SLA
-from repro.core.labels import gating_labels
 from repro.core.pipeline import _build_train_arena, _datasets_from_arena
 from repro.data.builders import dataset_from_traces
 from repro.data.dataset import (
@@ -27,13 +26,11 @@ from repro.data.dataset import (
     RowNames,
     concat_datasets,
 )
-from repro.data.store import load_dataset, save_dataset
 from repro.errors import DatasetError
 from repro.exec import ParallelMap, SimCache, close_pools, reset_default
 from repro.ml.forest import RandomForestClassifier
 from repro.obs.metrics import METRICS
 from repro.telemetry.collector import TelemetryCollector
-from repro.uarch.interval_model import IntervalModel
 from repro.uarch.modes import Mode
 from repro.workloads.generator import generate_application
 
@@ -146,47 +143,44 @@ class TestColdBuildLeavesLRUEmpty:
             assert np.array_equal(got[mode].x, reference[mode].x)
             assert np.array_equal(got[mode].y, reference[mode].y)
 
-    def test_builder_simcache_serves_snapshots_and_labels(self, traces,
-                                                          tmp_path):
+    def test_builder_simcache_serves_snapshots(self, traces, tmp_path):
         # A plain collector carries no cache; the builder's ``simcache``
-        # must still hold the snapshots and labels, so a new horizon
-        # (a dataset-tier miss) simulates nothing.
+        # must still hold the snapshots, so a new horizon (a
+        # dataset-tier miss) simulates each pair once, for the labels,
+        # and reads every snapshot back.
         cache = SimCache(tmp_path / "sc")
         _build(traces, simcache=cache)
         misses = METRICS.count("interval_lru.miss")
+        hits = METRICS.count("simcache.hit")
         got = _build(traces, simcache=cache, horizon=3)
-        assert METRICS.count("interval_lru.miss") == misses
+        assert METRICS.count("interval_lru.miss") - misses \
+            == 2 * len(traces)
+        assert METRICS.count("simcache.hit") - hits == 2 * len(traces)
         want = _build(traces, horizon=3)
         for mode in Mode:
             assert np.array_equal(got[mode].x, want[mode].x)
             assert np.array_equal(got[mode].y, want[mode].y)
 
-    def test_labels_from_results_use_the_disk_tier(self, traces, tmp_path):
-        cache = SimCache(tmp_path / "sc")
-        model = IntervalModel(simcache=cache)
-        trace = traces[0]
-        fresh = gating_labels(trace, model=model,
-                              results=model.simulate_both(trace))
-        assert cache.has(cache.labels_key(trace, DEFAULT_SLA, 1,
-                                          model.machine))
-        loaded = gating_labels(trace, model=IntervalModel(simcache=cache))
-        assert np.array_equal(loaded.labels, fresh.labels)
-        assert np.array_equal(loaded.cycles_low, fresh.cycles_low)
-
     def test_cold_then_warm_model_cache_simulates_nothing(self, traces,
                                                           tmp_path):
+        # The cache now belongs to the collector that simulates for the
+        # build; with no builder ``simcache`` the build falls back to
+        # it, and a warm rerun loads both datasets and simulates and
+        # stores nothing.
         cache = SimCache(tmp_path / "sc")
 
         def collector():
-            return TelemetryCollector(model=IntervalModel(simcache=cache))
+            return TelemetryCollector(simcache=cache)
 
-        _build(traces, collector=collector())
+        cold = _build(traces, collector=collector())
         stored = METRICS.count("simcache.store")
         misses = METRICS.count("interval_lru.miss")
-        _build(traces, collector=collector(), horizon=3)
+        warm = _build(traces, collector=collector())
         assert METRICS.count("interval_lru.miss") == misses
-        # Only the two new per-mode datasets are written.
-        assert METRICS.count("simcache.store") - stored == 2
+        assert METRICS.count("simcache.store") == stored
+        for mode in Mode:
+            assert np.array_equal(warm[mode].x, cold[mode].x)
+            assert np.array_equal(warm[mode].y, cold[mode].y)
 
 
 class TestIntegerCodedNames:
@@ -205,7 +199,7 @@ class TestIntegerCodedNames:
         for mode in Mode:
             _assert_names(got[mode], _row_names(traces))
 
-    def test_containers_round_trip(self, traces, tmp_path, monkeypatch):
+    def test_containers_round_trip(self, traces, tmp_path):
         ds = _build(traces)[Mode.HIGH_PERF]
         expected = _row_names(traces)
         # subset: every other row, and one application.
@@ -227,13 +221,10 @@ class TestIntegerCodedNames:
         for part in parts:
             assembler.append(part)
         _assert_names(assembler.finish(), reordered)
-        # SimCache dataset tier and the on-disk store.
+        # The SimCache dataset tier.
         cache = SimCache(tmp_path / "sc")
         cache.store_dataset("k" * 64, ds)
         _assert_names(cache.load_dataset("k" * 64), expected)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
-        save_dataset("names", ds)
-        _assert_names(load_dataset("names"), expected)
         # The train arena ships codes and tables as bulk arrays.
         arena = _build_train_arena(_rf_factory, {Mode.HIGH_PERF: ds})
         try:

@@ -13,6 +13,7 @@ its picks must not move.
 import numpy as np
 import pytest
 
+from repro.core.labels import gating_labels
 from repro.core.pipeline import select_counters
 from repro.data import builders
 from repro.data.builders import build_mode_dataset, dataset_from_traces
@@ -127,17 +128,53 @@ class TestOnePassEquivalence:
 
     def test_snapshot_and_label_tiers_skip_simulation(self, traces,
                                                       tmp_path):
-        # A new horizon misses the dataset tier, while every snapshot
-        # and label set is already on disk: nothing is simulated.
+        # After a cold build, a collector with a cold interval LRU
+        # reads every snapshot from the disk tier without simulating.
+        # The label tier is gone: labels come from the results the
+        # build already holds, which costs no further simulation.
+        cache = SimCache(tmp_path / "sc")
+        _one_pass(traces, collector=TelemetryCollector(simcache=cache))
+        warm = TelemetryCollector(simcache=cache)
+        misses = METRICS.count("interval_lru.miss")
+        hits = METRICS.count("simcache.hit")
+        got = [warm.snapshot(trace, mode, IDS)
+               for trace in traces for mode in Mode]
+        assert METRICS.count("interval_lru.miss") == misses
+        assert METRICS.count("simcache.hit") - hits == 2 * len(traces)
+        plain = TelemetryCollector()
+        want = [plain.snapshot(trace, mode, IDS)
+                for trace in traces for mode in Mode]
+        for a, b in zip(want, got):
+            assert np.array_equal(a.counts, b.counts)
+        for trace in traces:
+            results = {mode: plain.model.simulate(trace, mode)
+                       for mode in Mode}
+            misses = METRICS.count("interval_lru.miss")
+            fresh = gating_labels(trace, model=IntervalModel(),
+                                  granularity_factor=2, results=results)
+            assert METRICS.count("interval_lru.miss") == misses
+            assert np.array_equal(
+                fresh.labels,
+                gating_labels(trace, granularity_factor=2).labels)
+
+    def test_new_horizon_simulates_each_pair_once(self, traces,
+                                                  tmp_path):
+        # A new horizon misses the dataset tier while every snapshot is
+        # on disk: the labels need both modes of every trace, so each
+        # pair is simulated exactly once, and only the two new per-mode
+        # datasets are stored.
         cache = SimCache(tmp_path / "sc")
 
         def collector():
-            return TelemetryCollector(model=IntervalModel(simcache=cache))
+            return TelemetryCollector(simcache=cache)
 
         _one_pass(traces, collector=collector())
         misses = METRICS.count("interval_lru.miss")
+        stored = METRICS.count("simcache.store")
         got = _one_pass(traces, collector=collector(), horizon=3)
-        assert METRICS.count("interval_lru.miss") == misses
+        assert METRICS.count("interval_lru.miss") - misses \
+            == 2 * len(traces)
+        assert METRICS.count("simcache.store") - stored == 2
         _assert_same(_per_mode(traces, horizon=3), got)
 
 
