@@ -13,9 +13,12 @@ machine-readable ``BENCH_serve.json`` at the repo root:
 * **open_loop** — bursty load: Poisson arrivals at a fixed offered
   rate; latency is measured from the *scheduled* arrival (queue wait
   included), plus how many requests admission control shed.
-* **batching** — the micro-batcher's acceptance criterion: decide
-  throughput with ``max_batch=8`` must be at least 2x the
-  ``max_batch=1`` throughput under 8 concurrent clients.
+* **concurrency** — decide throughput from 1 client and from 8
+  concurrent clients on one daemon, where each request runs on its
+  own connection thread. The gate is that 8 clients get at least the
+  1-client throughput: nothing is amortised across requests any more,
+  so what it guards is that concurrency never costs throughput
+  (lock contention, a serialising hand-off).
 
 Run standalone::
 
@@ -26,8 +29,13 @@ generous p99 budget, response bit-identity against direct in-process
 :class:`~repro.core.adaptive_cpu.AdaptiveCPU` calls, and the
 ``BENCH_serve.json`` staleness guard — exits non-zero on any failure.
 
+``--concurrency-smoke`` runs the concurrency gate at CI scale (1 vs
+4 clients) and exits non-zero when the concurrent throughput falls
+below the single-client one. It writes no file.
+
 ``--chaos-smoke`` is the resilience CI mode: a deterministic
-serve-fault plan (conn_drop, slow_peer, corrupt_frame, batch_hang) is
+serve-fault plan (conn_drop, slow_peer, corrupt_frame, batch_hang —
+an executor hang) is
 injected under a retrying keyed client and every response must be
 digest-identical to the fault-free direct run with no request lost;
 then a supervised ``daemon_crash`` run (subprocess, checkpoint
@@ -42,6 +50,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -52,7 +61,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.obs.metrics import METRICS
-from repro.serve import ServeClient, adapt_payload, decide_payload
+from repro.serve import (ServeClient, adapt_payload, decide_payload,
+                         wait_until_ready)
 from repro.serve.server import AdaptationServer, build_server
 from repro.uarch.modes import Mode
 
@@ -73,10 +83,10 @@ SECTION_KEYS: dict[str, frozenset] = {
     "open_loop": frozenset({
         "arrival_rate_rps", "duration_s", "offered", "completed",
         "shed", "p50_ms", "p95_ms", "p99_ms"}),
-    "batching": frozenset({
-        "clients", "requests_per_client", "batch1_throughput_rps",
-        "batch8_throughput_rps", "speedup", "batch1_mean",
-        "batch8_mean"}),
+    "concurrency": frozenset({
+        "clients", "requests_per_client", "rounds",
+        "single_throughput_rps", "concurrent_throughput_rps",
+        "speedup"}),
     "resilience": frozenset({
         "chaos_requests", "injected", "watchdog_trips",
         "breaker_trips", "dedup_hits", "crash_requests", "restarts",
@@ -89,6 +99,9 @@ def _merge_bench_doc(output: Path | None, sections: dict) -> Path:
     doc = {"schema": 1}
     if output.exists():
         doc = json.loads(output.read_text())
+    # Sections of benchmarks that no longer exist are dropped.
+    doc = {k: v for k, v in doc.items()
+           if k == "schema" or k in SECTION_KEYS}
     doc.update(sections)
     output.write_text(json.dumps(doc, indent=2) + "\n")
     return output
@@ -100,6 +113,11 @@ def check_recorded_sections(path: Path) -> list[str]:
     if not path.exists():
         return problems
     doc = json.loads(path.read_text())
+    for section in sorted(set(doc) - set(SECTION_KEYS) - {"schema"}):
+        problems.append(
+            f"section {section!r} is no longer measured — regenerate "
+            f"BENCH_serve.json"
+        )
     for section, keys in SECTION_KEYS.items():
         recorded = doc.get(section)
         if recorded is None:
@@ -306,57 +324,89 @@ def bench_open_loop(server: AdaptationServer, rate_rps: float,
     }
 
 
-def bench_batching(corpus: dict, clients: int,
-                   requests_per_client: int) -> dict:
-    """Decide throughput, ``max_batch=8`` vs ``max_batch=1``.
+def bench_concurrency(corpus: dict, clients: int,
+                      requests_per_client: int, rounds: int = 5) -> dict:
+    """Decide throughput from 1 client vs ``clients`` concurrent ones.
 
-    Same daemon configuration, same offered concurrency; the only
-    difference is whether the micro-batcher may coalesce. Batch-size
-    means come from METRICS histogram deltas (the registry is
-    process-global, so absolute values would mix trials).
+    The daemon runs in its own process, as deployed: in-process, the
+    load generator's threads would share the daemon's GIL and the
+    section would time the harness. Each request runs on its own
+    connection thread, so there is no batching to amortise per-call
+    cost; the gate on this section (concurrent >= single) guards
+    throughput under concurrency: contention between connection
+    threads, or a lock or hand-off that serialised them, shows up as
+    concurrent clients getting less done than one. The two trials
+    alternate for ``rounds`` rounds and each side reports its median,
+    because host speed drifts between seconds on a shared machine.
     """
-    def trial(max_batch: int) -> tuple[float, float]:
-        server = _start("forest", corpus, max_batch=max_batch)
-        window = _decide_window(server)
-        with ServeClient(server.address) as c:
-            c.decide(Mode.LOW_POWER.value, window)  # warm
-        before = dict(METRICS.snapshot()["histograms"].get(
-            "serve.batch_size", {"count": 0, "total": 0.0}))
+    workdir = tempfile.mkdtemp(prefix="repro_conc_")
+    sock = os.path.join(workdir, "serve.sock")
+    cmd = [sys.executable, "-m", "repro", "serve", "--socket", sock,
+           "--predictor", "forest",
+           "--apps", str(corpus["n_apps"]),
+           "--workloads-per-app", str(corpus["workloads_per_app"]),
+           "--intervals", str(corpus["intervals"])]
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
 
+    def trial(n_clients: int, window: np.ndarray) -> float:
         def worker() -> None:
-            with ServeClient(server.address) as c:
+            with ServeClient(sock) as c:
                 for _ in range(requests_per_client):
                     c.decide(Mode.LOW_POWER.value, window)
 
         threads = [threading.Thread(target=worker)
-                   for _ in range(clients)]
+                   for _ in range(n_clients)]
         start = time.perf_counter()
         for t in threads:
             t.start()
         for t in threads:
             t.join()
         wall = time.perf_counter() - start
-        after = METRICS.snapshot()["histograms"]["serve.batch_size"]
-        batches = after["count"] - before.get("count", 0)
-        items = after["total"] - before.get("total", 0.0)
-        mean = items / batches if batches else 0.0
-        _stop(server)
-        return clients * requests_per_client / wall, mean
+        return n_clients * requests_per_client / wall
 
-    tput1, mean1 = trial(1)
-    tput8, mean8 = trial(8)
-    speedup = tput1 and tput8 / tput1
-    print(f"batching: batch=1 {tput1:.0f} rps, batch=8 {tput8:.0f} rps "
-          f"({speedup:.2f}x, mean batch {mean8:.2f})")
+    try:
+        wait_until_ready(sock, timeout_s=120.0)
+        with ServeClient(sock) as c:
+            width = c.stats()["n_counters"]
+            window = np.random.default_rng(5).random((16, width))
+            c.decide(Mode.LOW_POWER.value, window)  # warm
+        singles, concurrents = [], []
+        for _ in range(rounds):
+            singles.append(trial(1, window))
+            concurrents.append(trial(clients, window))
+        with ServeClient(sock) as c:
+            c.shutdown()
+        proc.wait(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        shutil.rmtree(workdir, ignore_errors=True)
+    single = float(np.median(singles))
+    concurrent = float(np.median(concurrents))
+    speedup = concurrent / single
+    print(f"concurrency: 1 client {single:.0f} rps, {clients} clients "
+          f"{concurrent:.0f} rps ({speedup:.2f}x, medians of {rounds})")
     return {
         "clients": clients,
         "requests_per_client": requests_per_client,
-        "batch1_throughput_rps": round(tput1, 1),
-        "batch8_throughput_rps": round(tput8, 1),
+        "rounds": rounds,
+        "single_throughput_rps": round(single, 1),
+        "concurrent_throughput_rps": round(concurrent, 1),
         "speedup": round(speedup, 3),
-        "batch1_mean": round(mean1, 3),
-        "batch8_mean": round(mean8, 3),
     }
+
+
+def concurrency_failures(section: dict) -> list[str]:
+    """The concurrency gate: concurrent clients must not lose
+    throughput against a single client."""
+    if section["speedup"] >= 1.0:
+        return []
+    return [f"{section['clients']} concurrent clients got "
+            f"{section['concurrent_throughput_rps']} rps, below the "
+            f"single-client {section['single_throughput_rps']} rps"]
 
 
 # ---------------------------------------------------------------------
@@ -381,7 +431,7 @@ def check_bit_identity(server: AdaptationServer) -> None:
                 mode).decision_threshold
             direct = decide_payload(probs, threshold)
             for key in ("probs", "decisions", "digest"):
-                assert served[key] == direct[key], (
+                assert np.array_equal(served[key], direct[key]), (
                     f"decide {key} diverged in mode {mode.value}"
                 )
     print("bit-identity: daemon == direct AdaptiveCPU (ok)")
@@ -490,11 +540,9 @@ def chaos_supervised_crash(corpus: dict, requests: int = 12) -> dict:
     at least 5x faster than the cold start.
     """
     import re
-    import shutil
 
     from repro.core.adaptive_cpu import AdaptiveCPU
-    from repro.serve import (quick_forest_predictor, serving_corpus,
-                             wait_until_ready)
+    from repro.serve import quick_forest_predictor, serving_corpus
 
     seed = 7  # pinned REPRO_SEED for the child, mirrored here
     traces = serving_corpus(corpus["n_apps"],
@@ -610,21 +658,15 @@ def run_full(args: argparse.Namespace) -> int:
             server, rate_rps=150.0, duration_s=4.0)
     finally:
         _stop(server)
-    sections["batching"] = bench_batching(
+    sections["concurrency"] = bench_concurrency(
         corpus, clients=8, requests_per_client=60)
 
-    failures = []
+    failures = concurrency_failures(sections["concurrency"])
     if sections["resident_vs_cold"]["speedup"] < 10.0:
         failures.append(
             f"resident p50 only "
             f"{sections['resident_vs_cold']['speedup']}x faster than "
             f"cold start (need >= 10x)"
-        )
-    if sections["batching"]["speedup"] < 2.0:
-        failures.append(
-            f"batched throughput only "
-            f"{sections['batching']['speedup']}x over batch=1 "
-            f"(need >= 2x)"
         )
     out = _merge_bench_doc(args.output, sections)
     print(f"wrote {out}")
@@ -665,6 +707,18 @@ def run_smoke(args: argparse.Namespace) -> int:
     return 0
 
 
+def run_concurrency_smoke(args: argparse.Namespace) -> int:
+    """CI mode of the concurrency gate: 1 vs 4 clients."""
+    corpus = {"n_apps": 4, "workloads_per_app": 1, "intervals": 64}
+    section = bench_concurrency(corpus, clients=4, requests_per_client=60)
+    failures = concurrency_failures(section)
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    if not failures:
+        print("serve concurrency smoke ok")
+    return 1 if failures else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
@@ -675,6 +729,10 @@ def main() -> int:
                              "faults + supervised crash restart, "
                              "digest-checked; records the resilience "
                              "section only in an explicit --output")
+    parser.add_argument("--concurrency-smoke", action="store_true",
+                        help="CI mode of the concurrency gate: decide "
+                             "throughput at 1 vs 4 clients; writes no "
+                             "file")
     parser.add_argument("--apps", type=int, default=8)
     parser.add_argument("--workloads-per-app", type=int, default=2)
     parser.add_argument("--intervals", type=int, default=96)
@@ -686,6 +744,8 @@ def main() -> int:
     args = parser.parse_args()
     if args.chaos_smoke:
         return run_chaos(args)
+    if args.concurrency_smoke:
+        return run_concurrency_smoke(args)
     if args.smoke:
         return run_smoke(args)
     return run_full(args)

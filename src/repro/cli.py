@@ -175,8 +175,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                   f"ring {server.ring.capacity}")
     print(f"serving {len(server.traces)} traces with "
           f"{server.cpu.predictor.name} on {server.address} "
-          f"(batch<={server.max_batch} on free, "
-          f"queue<={server.queue_bound}, "
+          f"(in flight<={server.queue_bound} per op, "
           f"init {server.init_s * 1e3:.1f}ms "
           f"{'warm' if warm else 'cold'}{online})", flush=True)
     server.serve_forever()

@@ -160,14 +160,12 @@ KNOBS: tuple[Knob, ...] = (
          "write a JSON trace to PATH (1 or no PATH: repro_trace.json)"),
     Knob("trace_sample", "REPRO_TRACE_SAMPLE", None, _int, 8,
          _at_least(1), "obs", "keep 1 in N spans past half the buffer"),
-    Knob("serve_batch_max", "REPRO_SERVE_BATCH_MAX", "--serve-batch-max",
-         _int, 8, _at_least(1), "serve", "serve micro-batch bound"),
     Knob("serve_queue_bound", "REPRO_SERVE_QUEUE_BOUND",
          "--serve-queue-bound", _int, 64, _at_least(1), "serve",
-         "admission queue bound before shedding"),
+         "per-op in-flight bound before shedding"),
     Knob("serve_batch_timeout_s", "REPRO_SERVE_BATCH_TIMEOUT",
          "--serve-batch-timeout", _float, 30.0, _above(0), "serve",
-         "seconds a batch may run before the watchdog abandons it"),
+         "seconds a request may run before the watchdog abandons it"),
     Knob("serve_breaker_threshold", "REPRO_SERVE_BREAKER_THRESHOLD", None,
          _int, 3, _at_least(1), "serve", "failures that trip a breaker"),
     Knob("serve_breaker_cooldown_s", "REPRO_SERVE_BREAKER_COOLDOWN", None,

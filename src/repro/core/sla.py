@@ -100,8 +100,8 @@ class RollingSLA:
 
         0.0 = no violations; 1.0 = exactly at the tolerated violation
         budget (``1 - guarantee``); above 1.0 the guarantee is already
-        breached. The serving batcher dequeues tenants by descending
-        pressure, so the tenant nearest violation is served first.
+        breached. The serving daemon reports it per tenant in its
+        ``stats`` op.
         """
         if self._count == 0:
             return 0.0

@@ -94,12 +94,12 @@ class ServeClosedError(ServeError):
 
 
 class BatchTimeoutError(ServeError):
-    """An in-flight serve batch exceeded ``REPRO_SERVE_BATCH_TIMEOUT``.
+    """An in-flight serve request exceeded ``REPRO_SERVE_BATCH_TIMEOUT``.
 
-    Raised by the supervisor into every request of the hung batch —
-    only the in-flight requests fail; queued requests are re-served by
-    the restarted batcher. Clients may retry: the executor never
-    committed a result for the timed-out requests.
+    The watchdog abandons the execution and answers with a typed
+    ``timeout``; the hung thread discards its late result, so the
+    executor never commits one. Clients may retry; a keyed retry runs
+    fresh.
     """
 
 

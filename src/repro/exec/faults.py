@@ -37,8 +37,8 @@ Fault kinds (rates in ``[0, 1]``):
     :meth:`~repro.exec.parallel.ParallelMap._pool_dispatch`.
 
 Serve-site fault kinds (injected at named sites in
-:mod:`repro.serve.protocol`, :mod:`repro.serve.batcher` and
-:mod:`repro.serve.server`; see the serve failure ladder in DESIGN.md):
+:mod:`repro.serve.protocol` and :mod:`repro.serve.server`; see the
+serve failure ladder in DESIGN.md):
 
 ``conn_drop``
     The daemon abruptly closes a connection instead of writing the
@@ -49,14 +49,15 @@ Serve-site fault kinds (injected at named sites in
     then ``hang_s`` seconds pass before the rest, exercising partial-
     frame reassembly and client hedging.
 ``corrupt_frame``
-    The first body byte of a response frame is overwritten with an
-    invalid UTF-8 byte before sending, so the client's decode *always*
-    fails with a typed :class:`~repro.errors.ProtocolError` (never a
-    silently-valid mutated JSON), exercising retry + dedup.
+    The first body byte of a response frame is overwritten with 0xFF
+    before sending, so the header length runs past the body and the
+    client's decode *always* fails with a typed
+    :class:`~repro.errors.ProtocolError` (never a silently-valid
+    mutated message), exercising retry + dedup.
 ``batch_hang``
-    A serve batch executor sleeps ``hang_s`` seconds before running,
-    tripping the supervisor's ``REPRO_SERVE_BATCH_TIMEOUT`` watchdog
-    when the sleep exceeds it.
+    A serve executor sleeps ``hang_s`` seconds before running,
+    tripping the watchdog's ``REPRO_SERVE_BATCH_TIMEOUT`` when the
+    sleep exceeds it.
 ``daemon_crash``
     The daemon process dies (``os._exit``) while a request is being
     dispatched, exercising supervised re-exec and checkpoint

@@ -140,6 +140,11 @@ _THREAD_WORKER = threading.local()
 def _pool_worker_init() -> None:
     global _IN_WORKER
     _IN_WORKER = True
+    # Forked from a pinned serve thread: take the parent's CPUs back.
+    try:
+        os.sched_setaffinity(0, os.sched_getaffinity(os.getppid()))
+    except (AttributeError, OSError):
+        pass
 
 
 def _thread_worker_init() -> None:

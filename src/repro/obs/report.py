@@ -91,29 +91,29 @@ def render_report(metrics: Metrics | None = None) -> str:
 
     requests = snap["counters"].get("serve.requests", 0)
     if requests:
-        batches = snap["counters"].get("serve.batches", 0)
+        executed = snap["counters"].get("serve.batches", 0)
         shed = snap["counters"].get("serve.shed", 0)
-        full = snap["counters"].get("serve.flush_full", 0)
-        wait = snap["counters"].get("serve.flush_wait", 0)
         lines.append(
-            f"serving: {requests} requests, {batches} batches "
-            f"(flush: {full} full / {wait} on free), {shed} shed")
-        latency = snap["histograms"].get("serve.queue_latency_s")
-        if latency and latency["count"]:
-            lines.append(
-                f"  {'request latency':<26s} mean="
-                f"{latency['mean'] * 1e3:.2f}ms "
-                f"max={latency['max'] * 1e3:.2f}ms "
-                f"(n={latency['count']})")
+            f"serving: {requests} requests, {executed} executed, "
+            f"{shed} shed")
+        for op in ("adapt", "decide"):
+            parts = []
+            for stage in ("decode", "validate", "execute", "send"):
+                stat = snap["stages"].get(f"serve.{op}.{stage}")
+                if stat and stat["calls"]:
+                    mean_us = stat["wall_s"] / stat["calls"] * 1e6
+                    parts.append(f"{stage} {mean_us:.0f}us")
+            if parts:
+                lines.append(f"  {op + ' stages (mean)':<26s} "
+                             f"{', '.join(parts)}")
         serve_resilience = []
         for counter, label in (
                 ("serve.watchdog_trips", "watchdog trips"),
-                ("serve.batcher_restarts", "batcher restarts"),
                 ("serve.breaker_trips", "breaker trips"),
                 ("serve.breaker_shed", "breaker shed"),
                 ("serve.serial_requests", "serial degrades"),
                 ("serve.dedup_hits", "dedup hits"),
-                ("serve.stale_batches_discarded", "stale discards"),
+                ("serve.abandoned_results_discarded", "late discards"),
                 ("serve.checkpoint_loads", "checkpoint loads"),
                 ("serve.checkpoint_saves", "checkpoint saves"),
                 ("serve.checkpoint_rejected", "checkpoint rejects")):

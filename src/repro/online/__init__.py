@@ -14,7 +14,7 @@ predictor was trained on:
   on drift, shadow-evaluate against the incumbent, promote only
   candidates that are no worse on both PPW and RSV;
 * :mod:`repro.online.registry` — the generation-stamped model registry
-  whose atomic swap (under the batch-boundary generation fence) makes
+  whose atomic swap (under the per-request generation fence) makes
   a promotion invisible to in-flight requests.
 
 Everything here is thread-safe and usable standalone; the serving

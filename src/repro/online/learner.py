@@ -19,7 +19,7 @@ own daemon thread:
    SLA-violation rate, Eq. 3) no worse. A candidate that trades SLA
    safety for throughput is rejected and the incumbent keeps serving.
 5. **Promote**: :meth:`ModelRegistry.swap` installs generation N+1 at
-   the next batch boundary, the promotion is persisted through the
+   the next request, the promotion is persisted through the
    serve checkpoint (supervised restarts resume warm on the new
    model), and the drift detector re-baselines so the new incumbent is
    judged against its own steady state.

@@ -2,16 +2,16 @@
 
 The actor/learner split's rendezvous point: the serving executors
 (actors) resolve the current :class:`ModelEntry` exactly once per
-batch, the background learner pushes a promoted candidate in with
+request, the background learner pushes a promoted candidate in with
 :meth:`ModelRegistry.swap`, and the generation fence between them is
 what makes swaps invisible to in-flight work:
 
-* an executor snapshots ``(generation, cpu)`` at batch start and runs
-  the *whole* batch against that immutable entry — a swap landing
-  mid-batch changes nothing the batch can observe, so its responses
-  stay digest-identical to direct calls on the model it started with;
+* an executor snapshots ``(generation, cpu)`` when a request starts
+  and runs it against that immutable entry — a swap landing
+  mid-request changes nothing the request can observe, so its response
+  stays digest-identical to a direct call on the model it started with;
 * :meth:`swap` replaces the current entry under the lock in one
-  assignment — the next batch's snapshot atomically sees generation
+  assignment — the next request's snapshot atomically sees generation
   N+1. No pause, no drain, no request ever waits on a swap.
 
 Compatibility gate: the daemon's resident
@@ -49,8 +49,8 @@ from repro.obs.metrics import METRICS
 class ModelEntry:
     """One immutable (generation, model) pair.
 
-    Executors hold an entry for the lifetime of a batch; the frozen
-    dataclass makes "the model a batch started with" a value, not a
+    Executors hold an entry for the lifetime of a request; the frozen
+    dataclass makes "the model a request started with" a value, not a
     mutable reference.
     """
 
@@ -60,7 +60,7 @@ class ModelEntry:
 
 
 class ModelRegistry:
-    """Holds the serving model; swaps at batch boundaries."""
+    """Holds the serving model; swaps between requests."""
 
     def __init__(self, cpu: AdaptiveCPU, generation: int = 0,
                  tag: str = "incumbent") -> None:
@@ -76,7 +76,7 @@ class ModelRegistry:
 
     # ------------------------------------------------------------------
     def current(self) -> ModelEntry:
-        """The serving entry — call once per batch, use throughout."""
+        """The serving entry — call once per request, use throughout."""
         with self._lock:
             return self._current
 

@@ -14,7 +14,7 @@ counter-based 1-in-N scheme the span tracer uses (``seed`` fixes the
 phase), so two daemons fed the same request stream sample identical
 entries — no RNG draw, no clock read, no allocation per request.
 
-Thread-safety: appends come from the batcher executor threads and
+Thread-safety: appends come from the daemon's connection threads and
 reads from the learner thread; a single lock around the (tiny) row
 write and the window copies keeps the ring consistent without
 measurable hot-path cost.
@@ -66,7 +66,7 @@ class TelemetryRing:
         self._sampled = 0
 
     # ------------------------------------------------------------------
-    # Producers (batcher executor threads).
+    # Producers (the daemon's connection threads).
     # ------------------------------------------------------------------
     def _append(self, op: int, trace_index: int, generation: int,
                 accuracy: float, ppw_gain: float, residency: float,

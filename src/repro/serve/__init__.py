@@ -14,33 +14,33 @@ from repro.serve.admission import (DrainTracker, TenantLedger,
 from repro.serve.api import (SCHEMA_VERSION, AdaptRequest, AdaptResponse,
                              DecideRequest, DecideResponse, HealthStatus,
                              parse_request)
-from repro.serve.batcher import MicroBatcher
 from repro.serve.checkpoint import (corpus_fingerprint, load_checkpoint,
                                     save_checkpoint)
 from repro.serve.client import ServeClient, wait_until_ready
-from repro.serve.protocol import BATCHED_OPS, MAX_FRAME_BYTES, OPS
+from repro.serve.protocol import MAX_FRAME_BYTES, OPS
 from repro.serve.protocol import adapt_payload, decide_payload
-from repro.serve.protocol import encode_frame, recv_frame, send_frame
+from repro.serve.protocol import decode_frame, encode_frame
+from repro.serve.protocol import recv_frame, send_frame
 from repro.serve.server import (AdaptationServer, DAEMON_CRASH_EXIT,
                                 build_server, const_predictor,
                                 quick_forest_predictor, serving_corpus)
-from repro.serve.supervisor import (BREAKER_MODES, BatcherSupervisor,
-                                    ServeCircuitBreaker, run_supervised)
+from repro.serve.supervisor import (BREAKER_MODES, ExecutionWatchdog,
+                                    InflightTable, ServeCircuitBreaker,
+                                    run_supervised)
 
 __all__ = [
     "AdaptRequest",
     "AdaptResponse",
     "AdaptationServer",
-    "BATCHED_OPS",
     "BREAKER_MODES",
-    "BatcherSupervisor",
     "DAEMON_CRASH_EXIT",
     "DecideRequest",
     "DecideResponse",
     "DrainTracker",
+    "ExecutionWatchdog",
     "HealthStatus",
+    "InflightTable",
     "MAX_FRAME_BYTES",
-    "MicroBatcher",
     "OPS",
     "SCHEMA_VERSION",
     "ServeCircuitBreaker",
@@ -52,6 +52,7 @@ __all__ = [
     "const_predictor",
     "corpus_fingerprint",
     "decide_payload",
+    "decode_frame",
     "encode_frame",
     "load_checkpoint",
     "parse_request",

@@ -4,20 +4,17 @@ Three pieces of back-pressure policy, all deliberately tiny:
 
 * :class:`TenantLedger` — one :class:`~repro.core.sla.RollingSLA`
   window per tenant, fed with (service latency, latency budget) pairs
-  as responses complete. The batcher orders pending requests by
-  descending :meth:`TenantLedger.pressure`, so the tenant nearest its
-  SLA violation budget drains first — the same accounting the paper's
+  as executions complete — the same accounting the paper's
   system-level SLA check uses, pointed at request latency instead of
-  windowed IPC.
-* :class:`DrainTracker` — a sliding window of recent batch
-  completions, from which :func:`retry_after_ms` turns the queue
-  depth at shed time into an actionable hint: roughly how long until
-  the backlog ahead of a retry has drained. Clients honor it instead
-  of hammering a saturated daemon with blind retries.
-* Queue-bound admission lives in the batcher itself (it owns the
-  queue); it raises :class:`~repro.errors.BusyError`, which the server
-  maps to the typed ``busy`` response. This module just supplies the
-  response shape so server and client agree on it.
+  windowed IPC, reported per tenant by the ``stats`` op.
+* :class:`DrainTracker` — a sliding window of recent completions,
+  from which :func:`retry_after_ms` turns the in-flight depth at shed
+  time into an actionable hint: roughly how long until the work ahead
+  of a retry has drained. Clients honor it instead of hammering a
+  saturated daemon with blind retries.
+* The in-flight bound itself lives in
+  :class:`~repro.serve.supervisor.InflightTable`; this module supplies
+  the ``busy`` response shape so server and client agree on it.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ TENANT_GUARANTEE = 0.99
 RETRY_AFTER_MIN_MS = 1.0
 RETRY_AFTER_MAX_MS = 10_000.0
 
-#: Per-queued-request fallback (ms) when no drain rate is known yet —
+#: Per-request fallback (ms) when no drain rate is known yet —
 #: a fresh daemon has served nothing, so assume a modest service time.
 RETRY_AFTER_FALLBACK_PER_REQ_MS = 25.0
 
@@ -54,9 +51,9 @@ RETRY_AFTER_FALLBACK_PER_REQ_MS = 25.0
 class DrainTracker:
     """Sliding-window completion counter: recent drain rate in req/s.
 
-    The batcher records each flushed batch; :meth:`rate_rps` divides
+    Each finished execution is recorded; :meth:`rate_rps` divides
     completions inside the window by the observed span. Thread-safe —
-    connection handlers read rates while the batcher thread records.
+    connection threads record and read concurrently.
     """
 
     def __init__(self, window_s: float = 5.0) -> None:
@@ -127,8 +124,8 @@ def busy_response(request_id: object, queue_depth: int,
 class TenantLedger:
     """Per-tenant rolling latency-SLA accounting.
 
-    Thread-safe: connection handlers record completions while the
-    batcher thread reads pressures to order the next batch.
+    Thread-safe: connection threads record completions concurrently
+    with ``stats`` snapshots.
     """
 
     def __init__(self, default_budget_ms: float = DEFAULT_BUDGET_MS,

@@ -1,14 +1,13 @@
 """Typed, versioned request/response schema for the serving protocol.
 
-The wire stays 4-byte-length-prefixed JSON (see
+Frames are schema 3 (JSON header plus raw float64 tensors, see
 :mod:`repro.serve.protocol`); what this module adds is a typed layer
-over the frames for the two batched inference ops. Both sides build
-and consume frozen dataclasses — the server parses every incoming
+over the frames for the two inference ops. Both sides build and
+consume frozen dataclasses — the server parses every incoming
 ``adapt``/``decide`` frame into a request object at the dispatch edge
 (:func:`parse_request`) and serialises a response object back out
 (``to_wire``); everything between those edges (validation, admission,
-the micro-batcher, the executors, dedup) handles typed values, not raw
-dicts.
+the executors, dedup) handles typed values, not raw dicts.
 
 Versioning: every typed frame carries ``schema_version``, and the
 daemon speaks exactly :data:`SCHEMA_VERSION`. A frame without the field
@@ -16,14 +15,14 @@ or with any other version is rejected with a typed ``bad_request``, so
 a client on another dialect fails loudly instead of having fields
 silently dropped or defaulted.
 
-Schema 2 (the first typed schema): responses carry ``model_generation``
-(the registry generation that computed them — the observable face of
-the hot-swap fence), and requests may carry generation constraints:
-``min_generation`` (serve only if the daemon has promoted at least
-this far — "I require the retrained model") and ``pin_generation``
-(serve only from exactly this generation — reproducibility across a
-promotion window). Constraint violations come back as
-``stale_generation`` errors carrying both sides of the comparison.
+Responses carry ``model_generation`` (the registry generation that
+computed them — the observable face of the hot-swap fence), and
+requests may carry generation constraints: ``min_generation`` (serve
+only if the daemon has promoted at least this far — "I require the
+retrained model") and ``pin_generation`` (serve only from exactly
+this generation — reproducibility across a promotion window).
+Constraint violations come back as ``stale_generation`` errors
+carrying both sides of the comparison.
 """
 
 from __future__ import annotations
@@ -34,8 +33,8 @@ from typing import Any
 from repro.errors import ProtocolError
 
 #: The one schema generation this daemon speaks: typed frames with
-#: model generations.
-SCHEMA_VERSION = 2
+#: model generations and float64 tensor sections.
+SCHEMA_VERSION = 3
 
 
 def _put_optional(frame: dict, obj, *fields: str) -> dict:
@@ -89,9 +88,10 @@ class AdaptRequest:
 class DecideRequest:
     """One ``decide`` query: mode-switch inference over counter rows.
 
-    ``window`` is the raw list of counter rows exactly as framed;
-    shape validation (non-empty, rows of counter-set width) is
-    server-side, against the serving predictor.
+    ``window`` is the counter rows: an array or a list of rows going
+    out (the codec ships it as a float64 tensor), the decoded float64
+    array coming in. Shape validation (non-empty, 2-D, rows of
+    counter-set width) is server-side, against the serving predictor.
     """
 
     mode: str
@@ -186,7 +186,7 @@ class DecideResponse:
 class HealthStatus:
     """Typed view of the ``health`` op's liveness/degradation surface.
 
-    All pre-existing keys are preserved verbatim; schema 2 adds
+    All pre-existing keys are preserved verbatim; schema 2 added
     ``model_generation`` (the serving registry generation) and
     ``online`` (ring occupancy, drift detector state, last shadow
     verdict — ``None`` when the daemon runs without the continual
@@ -218,7 +218,7 @@ class HealthStatus:
 
 
 def parse_request(frame: dict) -> AdaptRequest | DecideRequest:
-    """Typed request for an incoming batched-op frame.
+    """Typed request for an incoming inference-op frame.
 
     A frame whose ``schema_version`` is missing or not
     :data:`SCHEMA_VERSION` raises :class:`ProtocolError`, so the client

@@ -1,9 +1,9 @@
 """Blocking client for the adaptation-serving daemon.
 
 One :class:`ServeClient` wraps one connection; requests are
-synchronous (send one frame, read one frame). Concurrency — the thing
-that exercises the daemon's micro-batcher — comes from many clients,
-one per thread, as in ``benchmarks/bench_serve.py``.
+synchronous (send one frame, read one frame). Concurrency comes from
+many clients, one per thread, as in ``benchmarks/bench_serve.py``;
+the daemon runs each connection's requests on its own thread.
 
 Resilience (all off by default; a zero-``retries`` client behaves
 exactly like the original single-attempt client):
@@ -63,7 +63,7 @@ class ServeClient:
     ``seed`` fixes the backoff jitter stream (default: derived from
     the client's identity, still deterministic per process).
 
-    Generation constraints (continual adaptation, schema 2):
+    Generation constraints (continual adaptation):
     ``min_generation`` stamps every inference request with "serve me
     only from model generation >= N" — use it after learning of a
     promotion to guarantee the retrained model answers.
@@ -182,8 +182,8 @@ class ServeClient:
                     break
                 self._sleep(attempt, retry_after_ms=exc.retry_after_ms)
             except BatchTimeoutError as exc:
-                # The watchdog abandoned the batch before anything was
-                # committed — retrying is always safe.
+                # The watchdog abandoned the execution and discards its
+                # result — retrying is always safe.
                 last = exc
                 if attempt >= self.retries:
                     if self.retries == 0:
@@ -318,11 +318,11 @@ class ServeClient:
 
     def decide(self, mode: str, window,
                budget_ms: float | None = None) -> dict:
-        """Gating decisions for one telemetry window in ``mode``."""
-        rows = np.asarray(window, dtype=np.float64)
+        """Gating decisions for one telemetry window (an array or a
+        list of counter rows) in ``mode``; ``probs`` comes back as a
+        float64 array."""
         request = DecideRequest(
-            mode=mode,
-            window=[[float(v) for v in row] for row in rows],
+            mode=mode, window=np.asarray(window, dtype=np.float64),
             tenant=self.tenant,
             budget_ms=None if budget_ms is None else float(budget_ms),
             min_generation=self.min_generation,

@@ -1,50 +1,63 @@
-"""Wire protocol for the adaptation-serving daemon.
+"""Wire protocol for the adaptation-serving daemon (schema 3).
 
-Frames are length-prefixed JSON: a 4-byte big-endian unsigned length
-followed by that many bytes of UTF-8 JSON. JSON keeps the protocol
-stdlib-only and debuggable (``socat`` + a hex length works); the
-length prefix makes framing explicit so a reader never has to guess
-where one message ends. Python's ``json`` emits shortest-round-trip
-``repr`` floats, so every float survives the wire bit-exactly — the
-foundation of the daemon's bit-identity guarantee against direct
-in-process :class:`~repro.core.adaptive_cpu.AdaptiveCPU` calls.
+A frame is::
 
-Request shapes (all dicts)::
+    >I body length | >I header length | JSON header | tensor section
+
+The compact UTF-8 JSON header holds every field except the
+:data:`TENSOR_FIELDS` — a ``decide`` request's ``window`` (rows x
+counter width) and its response's ``probs`` — which ride in the
+8-byte-aligned section as raw little-endian float64, indexed in the
+header as ``"tensors": [[name, shape, offset], ...]``.
+:func:`decode_frame` returns them as read-only float64 arrays viewing
+the received bytes. Raw float64 is exact (NaN payloads, signed zeros,
+subnormals and infinities included) and ``json`` emits
+shortest-round-trip header floats, so the daemon's answers stay
+bit-identical to direct in-process
+:class:`~repro.core.adaptive_cpu.AdaptiveCPU` calls.
+
+Request shapes (tensors shown inline)::
 
     {"op": "ping"}
     {"op": "stats"}
     {"op": "health"}
     {"op": "shutdown"}
     {"op": "adapt",  "trace_index": 3, "tenant": "t0", "key": "c1-7"}
-    {"op": "decide", "mode": "low_power", "window": [[...], ...],
+    {"op": "decide", "mode": "low_power", "window": <float64 (rows, C)>,
      "tenant": "t1"}
 
-``key`` is an optional client-chosen idempotency key for batched ops:
-the daemon deduplicates — a retried or hedged request whose original
-already executed (or is executing) returns the original's payload
-instead of running twice.
+``key`` is an optional client-chosen idempotency key for the
+inference ops: the daemon deduplicates — a retried or hedged request
+whose original already executed (or is executing) returns the
+original's payload instead of running twice.
 
 Responses carry ``{"ok": true, ...}`` or a typed error
 ``{"ok": false, "error": "<kind>", ...}`` — ``busy`` is the admission
 -control shed response and includes ``queue_depth`` plus a computed
-``retry_after_ms`` hint.
+``retry_after_ms`` hint. A body that does not decode (a schema-2
+frame, a header or tensor past the body) raises
+:class:`~repro.errors.ProtocolError`; the daemon answers it with a
+typed ``bad_request`` on a connection that stays open.
 
 Fault injection: :func:`send_frame` accepts an optional ``fault_key``
 naming the send site. When a :class:`~repro.exec.faults.FaultPlan` is
 active, the serve-site kinds fire there — ``conn_drop`` (abrupt
 close, no response), ``corrupt_frame`` (first body byte overwritten
-with an invalid UTF-8 byte, so the peer's decode deterministically
-fails), ``slow_peer`` (partial frame, stall, rest). Calls without a
-``fault_key`` (clients, tests) are never injected.
+with 0xFF, so the header length runs past the body and the peer's
+decode deterministically fails), ``slow_peer`` (partial frame, stall,
+rest). Calls without a ``fault_key`` (clients, tests) are never
+injected.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import socket
 import struct
 import time
+from collections.abc import Callable
 
 import numpy as np
 
@@ -54,28 +67,54 @@ from repro.exec import faults
 #: Known request operations, in dispatch order.
 OPS = ("ping", "stats", "health", "adapt", "decide", "shutdown")
 
-#: Operations the micro-batcher coalesces (the inference hot path);
-#: the rest are answered inline by the connection handler.
-BATCHED_OPS = ("adapt", "decide")
+#: Message fields carried in the tensor section as float64 arrays.
+TENSOR_FIELDS = ("window", "probs")
 
-#: Hard bound on one frame's payload. Large enough for a full mode
+#: Hard bound on one frame's body. Large enough for a full mode
 #: schedule response or a multi-thousand-row telemetry window, small
 #: enough that a corrupt length prefix cannot make the reader attempt
 #: a gigabyte allocation.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 _LEN = struct.Struct(">I")
+_F8 = np.dtype("<f8")
 
 
 def encode_frame(obj: dict) -> bytes:
-    """One wire frame for ``obj``: length prefix + compact JSON."""
-    body = json.dumps(obj, separators=(",", ":")).encode("utf-8")
-    if len(body) > MAX_FRAME_BYTES:
+    """One wire frame for ``obj``; :data:`TENSOR_FIELDS` values
+    (arrays or rows) ship as float64 tensors, and one that is not
+    rectangular and numeric raises :class:`ProtocolError`."""
+    header = dict(obj)
+    specs: list[list] = []
+    tensors: list[np.ndarray] = []
+    offset = 0
+    for name in TENSOR_FIELDS:
+        if name not in header:
+            continue
+        try:
+            array = np.ascontiguousarray(header.pop(name), dtype=_F8)
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError(
+                f"field {name!r} is not a rectangular float array: {exc}"
+            ) from exc
+        specs.append([name, list(array.shape), offset])
+        tensors.append(array)
+        offset += array.nbytes
+    if specs:
+        header["tensors"] = specs
+    text = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    if tensors:
+        # Pad with JSON whitespace so the tensor section starts 8-byte
+        # aligned in the frame.
+        text += b" " * (-len(text) % 8)
+    length = _LEN.size + len(text) + offset
+    if length > MAX_FRAME_BYTES:
         raise ProtocolError(
-            f"frame of {len(body)} bytes exceeds MAX_FRAME_BYTES "
+            f"frame of {length} bytes exceeds MAX_FRAME_BYTES "
             f"({MAX_FRAME_BYTES})"
         )
-    return _LEN.pack(len(body)) + body
+    return b"".join([_LEN.pack(length), _LEN.pack(len(text)), text,
+                     *tensors])
 
 
 def send_frame(sock: socket.socket, obj: dict,
@@ -99,9 +138,10 @@ def send_frame(sock: socket.socket, obj: dict,
             raise OSError(f"injected conn_drop at {fault_key}")
         if faults.should_inject("corrupt_frame",
                                 f"{fault_key}/corrupt_frame"):
-            # 0xFF is invalid UTF-8, so the peer's decode always fails
+            # 0xFF as the header length's high byte puts the header
+            # far past the body, so the peer's decode always fails
             # with a typed ProtocolError — never a silently-valid
-            # mutated JSON document.
+            # mutated message.
             frame = frame[:_LEN.size] + b"\xff" + frame[_LEN.size + 1:]
             sock.sendall(frame)
             return
@@ -116,12 +156,12 @@ def send_frame(sock: socket.socket, obj: dict,
     sock.sendall(frame)
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
+def _recv_exact(read: Callable[[int], bytes], n: int) -> bytes | None:
     """Read exactly ``n`` bytes; None on clean EOF at a frame start."""
     chunks: list[bytes] = []
     remaining = n
     while remaining > 0:
-        chunk = sock.recv(remaining)
+        chunk = read(remaining)
         if not chunk:
             if not chunks:
                 return None
@@ -134,36 +174,91 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
     return b"".join(chunks)
 
 
-def recv_frame(sock: socket.socket) -> dict | None:
-    """Read one frame; ``None`` when the peer closed cleanly."""
-    header = _recv_exact(sock, _LEN.size)
-    if header is None:
+def recv_body(read: Callable[[int], bytes]) -> bytes | None:
+    """One frame's undecoded body via ``read`` (a socket's ``recv`` or
+    a buffered file's ``read``); ``None`` on a clean close. A framing
+    :class:`ProtocolError` leaves the stream out of sync."""
+    prefix = _recv_exact(read, _LEN.size)
+    if prefix is None:
         return None
-    (length,) = _LEN.unpack(header)
+    (length,) = _LEN.unpack(prefix)
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame length {length} exceeds MAX_FRAME_BYTES "
             f"({MAX_FRAME_BYTES})"
         )
-    body = _recv_exact(sock, length)
+    body = _recv_exact(read, length)
     if body is None:
         raise ProtocolError("connection closed between header and body")
+    return body
+
+
+def _undecodable(detail: str) -> ProtocolError:
+    return ProtocolError(f"undecodable frame body: {detail}")
+
+
+def _tensor_spec(spec: object) -> tuple[str, tuple[int, ...], int]:
+    """Validated ``(name, shape, offset)`` of one header tensor entry."""
+    def count(v: object) -> bool:
+        return type(v) is int and v >= 0
+
+    if (not isinstance(spec, list) or len(spec) != 3
+            or spec[0] not in TENSOR_FIELDS
+            or not isinstance(spec[1], list)
+            or not all(count(d) for d in spec[1])
+            or not count(spec[2])):
+        raise _undecodable(
+            f"bad tensor spec {spec!r}; expected [name, shape, offset] "
+            f"with name in {list(TENSOR_FIELDS)}")
+    return spec[0], tuple(spec[1]), spec[2]
+
+
+def decode_frame(body: bytes) -> dict:
+    """The message in one frame body (see the module docstring)."""
+    if len(body) < _LEN.size:
+        raise _undecodable(f"{len(body)}-byte body has no header length")
+    (header_len,) = _LEN.unpack_from(body)
+    start = _LEN.size + header_len
+    if start > len(body):
+        hint = ("; a schema-2 JSON frame? this peer speaks schema 3"
+                if body[:1] == b"{" else "")
+        raise _undecodable(f"header length {header_len} runs past the "
+                           f"{len(body)}-byte body{hint}")
     try:
-        obj = json.loads(body.decode("utf-8"))
+        obj = json.loads(body[_LEN.size:start].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"undecodable frame body: {exc}") from exc
+        raise _undecodable(str(exc)) from exc
     if not isinstance(obj, dict):
         raise ProtocolError(
-            f"frame body must be a JSON object, got {type(obj).__name__}"
+            f"frame header must be a JSON object, got {type(obj).__name__}"
         )
+    specs = obj.pop("tensors", [])
+    if not isinstance(specs, list):
+        raise _undecodable(f"tensor index must be a list, got {specs!r}")
+    section = len(body) - start
+    for spec in specs:
+        name, shape, offset = _tensor_spec(spec)
+        n = math.prod(shape)
+        if offset + n * _F8.itemsize > section:
+            raise _undecodable(
+                f"tensor {name!r} of shape {list(shape)} at offset "
+                f"{offset} runs past the {section}-byte tensor section")
+        obj[name] = np.frombuffer(body, dtype=_F8, count=n,
+                                  offset=start + offset).reshape(shape)
     return obj
+
+
+def recv_frame(sock: socket.socket) -> dict | None:
+    """Read and decode one frame; ``None`` when the peer closed cleanly."""
+    body = recv_body(sock.recv)
+    return None if body is None else decode_frame(body)
 
 
 # ---------------------------------------------------------------------
 # Payload builders. The server and the bit-identity checks share these,
 # so "daemon response == direct AdaptiveCPU call" is a comparison of
 # two dicts produced by the same projection — any numeric divergence
-# between the batched daemon path and the direct path shows up.
+# between the daemon path and the direct path shows up.
 # ---------------------------------------------------------------------
 def _digest(*arrays: np.ndarray) -> str:
     """SHA-256 over the raw bytes of the given arrays, in order."""
@@ -174,7 +269,7 @@ def _digest(*arrays: np.ndarray) -> str:
 
 
 def adapt_payload(result) -> dict:
-    """JSON-safe projection of one ``AdaptiveRunResult``.
+    """Wire projection of one ``AdaptiveRunResult``.
 
     Scalars ride as exact round-trip floats, the mode schedule as an
     int list (the decision the firmware would apply), and every dense
@@ -201,10 +296,14 @@ def adapt_payload(result) -> dict:
 
 
 def decide_payload(probs: np.ndarray, threshold: float) -> dict:
-    """JSON-safe projection of one gating-probability window."""
+    """Wire projection of one gating-probability window.
+
+    ``probs`` stays a float64 array (it ships as a tensor); the
+    decisions are a JSON int list.
+    """
     probs = np.asarray(probs, dtype=np.float64)
     return {
-        "probs": [float(p) for p in probs],
-        "decisions": [int(p >= threshold) for p in probs],
+        "probs": probs,
+        "decisions": (probs >= threshold).astype(np.int64).tolist(),
         "digest": _digest(probs),
     }

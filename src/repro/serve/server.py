@@ -10,38 +10,26 @@ dual predictor stays trained and the SimCache stays open — and
 answers adaptation requests over a local socket for the life of the
 process.
 
-Request lifecycle::
+Request lifecycle (one thread per connection; nothing is handed to
+another thread on the way)::
 
-    accept ──▶ recv_frame ──▶ validate ──▶ micro-batch ──▶ execute
-      │           (protocol)    (inline:       (taken when    (one
-      │                         ping/stats/    the executor   run_many /
-      │                         shutdown)      is free)       predict)
-      └────────────────────────◀── send_frame ◀── payload ◀───┘
+    accept ─▶ recv_body ─▶ decode ─▶ validate ─▶ admit ─▶ wait ─▶ execute
+      │        (framing)   (JSON     (inline:    (per-op  (op's  (on this
+      │                    header +  ping/stats/ in-flight executor thread)
+      │                    float64   health/     bound)   slot)
+      │                    tensors)  shutdown)
+      └──────────────────◀── encode + send_frame ◀── payload ◀─────┘
 
-Batching is invisible to correctness: ``adapt`` batches execute as one
-:meth:`~repro.core.adaptive_cpu.AdaptiveCPU.run_many` call, which is
-bit-identical to per-trace :meth:`run` calls (the repo-wide batched-
-path invariant), and ``decide`` batches concatenate telemetry windows
-into one ``predict_proba`` per (mode, model) — row-wise inference, so
-slicing the stacked result back apart returns identical bits.
-
-Resilience (see the failure ladder in DESIGN.md):
-
-* a :class:`~repro.serve.supervisor.BatcherSupervisor` watchdog
-  abandons batches hung past ``REPRO_SERVE_BATCH_TIMEOUT``, failing
-  only the in-flight requests with a typed ``timeout`` response;
-* each batched op runs behind a
-  :class:`~repro.serve.supervisor.ServeCircuitBreaker` that degrades
-  ``batched → serial → shed`` on repeated failures and probes its way
-  back;
-* requests carrying an idempotency ``key`` are deduplicated, so a
-  client retrying (or hedging) after a dropped/corrupted response
-  frame observes the original execution's payload instead of running
-  twice;
-* with a checkpoint path configured, :func:`build_server` restores
-  warm state (corpus + trained predictor) from a
-  CRC-validated checkpoint and writes one after any cold build, so a
-  supervised restart reaches ready in a fraction of a cold start.
+Each stage's count and time are accumulated per op in the metrics
+registry (``serve.<op>.<stage>``) and reported by the ``stats`` op, so
+the daemon itself says where a request's time went. Running requests
+on their own threads is invisible to correctness: ``adapt`` executes
+one :meth:`~repro.core.adaptive_cpu.AdaptiveCPU.run_many` call over
+its trace, bit-identical to a direct :meth:`run`, and ``decide`` one
+row-wise ``predict_proba`` over its window. Admission, the watchdog
+and the breaker live in :mod:`repro.serve.supervisor`; requests with
+an idempotency ``key`` are deduplicated; :func:`build_server` restores
+and writes warm-state checkpoints. DESIGN.md draws the failure ladder.
 """
 
 from __future__ import annotations
@@ -62,6 +50,7 @@ from repro.core.predictor import DualModePredictor
 from repro.data.builders import dataset_from_traces
 from repro.errors import BatchTimeoutError, BusyError, CheckpointError
 from repro.errors import ProtocolError, ServeClosedError, ServeError
+from repro.errors import StaleGenerationError
 from repro.exec import faults
 from repro.exec.parallel import ParallelMap, close_pools
 from repro.exec.parallel import default_parallel_map
@@ -77,12 +66,13 @@ from repro.serve.admission import (TenantLedger, busy_response,
                                    retry_after_ms)
 from repro.serve.api import (AdaptRequest, AdaptResponse, DecideRequest,
                              DecideResponse, HealthStatus, parse_request)
-from repro.serve.batcher import MicroBatcher
 from repro.serve.checkpoint import (corpus_fingerprint, load_checkpoint,
                                     save_checkpoint)
-from repro.serve.protocol import BATCHED_OPS, OPS, adapt_payload
-from repro.serve.protocol import decide_payload, recv_frame, send_frame
-from repro.serve.supervisor import BatcherSupervisor, ServeCircuitBreaker
+from repro.serve.protocol import OPS, adapt_payload
+from repro.serve.protocol import decide_payload, decode_frame, recv_body
+from repro.serve.protocol import send_frame
+from repro.serve.supervisor import (Execution, ExecutionWatchdog,
+                                    InflightTable, ServeCircuitBreaker)
 from repro.uarch.modes import Mode
 from repro.workloads.generator import TraceSpec, generate_application
 
@@ -92,6 +82,9 @@ DAEMON_CRASH_EXIT = 86
 
 #: Completed idempotency-key entries retained for dedup lookups.
 DEDUP_CAPACITY = 4096
+
+#: Request stages timed per op (``wait``: for the op's executor slot).
+_STAGES = ("decode", "validate", "wait", "execute", "send")
 
 #: Workload families the deterministic serving corpus cycles through —
 #: the same coverage mix the perf benchmarks use.
@@ -151,7 +144,7 @@ def quick_forest_predictor(traces: list[TraceSpec],
     """Train a small dual random forest on a slice of the corpus.
 
     The realistic serving model: per-window inference walks every tree,
-    so batching amortises real per-call cost (unlike the const stub).
+    so a request costs real work (unlike the const stub).
     """
     counter_ids = np.arange(12)
     subset = traces[:max(2, n_train)]
@@ -164,25 +157,6 @@ def quick_forest_predictor(traces: list[TraceSpec],
     return DualModePredictor(name="serve_forest", models=models,
                              counter_ids=counter_ids,
                              granularity_factor=1)
-
-
-class _StaleGeneration:
-    """Per-item executor verdict: a generation constraint failed.
-
-    Returned in place of a typed response for items whose
-    ``pin_generation`` did not match the batch's generation snapshot.
-    Only the constrained item fails — its batch partners are served
-    normally — and the dispatcher turns this marker into a
-    ``stale_generation`` error frame.
-    """
-
-    __slots__ = ("requested", "current", "detail")
-
-    def __init__(self, requested: int, current: int,
-                 detail: str) -> None:
-        self.requested = requested
-        self.current = current
-        self.detail = detail
 
 
 class _DedupEntry:
@@ -202,19 +176,62 @@ class _DedupEntry:
         self.error: BaseException | None = None
 
 
+class _Conn:
+    """One client socket, its buffered reader and the send lock the
+    reader thread shares with the watchdog's ``timeout`` answer."""
+
+    __slots__ = ("sock", "send_lock", "rfile")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.send_lock = threading.Lock()
+        # One recv syscall (one GIL release) reads a whole small frame.
+        self.rfile = sock.makefile("rb")
+
+    def close(self) -> None:
+        # The descriptor is released once both are closed.
+        for handle in (self.rfile, self.sock):
+            try:
+                handle.close()
+            except OSError:
+                pass
+
+
+class _Abandoned(Exception):
+    """The watchdog abandoned this execution; its result is dropped."""
+
+
+def _error(request_id: object, kind: str, detail: object,
+           **extra) -> dict:
+    """A typed error response."""
+    return {"id": request_id, "ok": False, "error": kind,
+            "detail": str(detail), **extra}
+
+
+def _timeout_response(request_id: object, error: BaseException) -> dict:
+    """The typed, retryable answer to an abandoned execution."""
+    return _error(request_id, "timeout", error, retry=True)
+
+
+def _stale_response(request_id: object,
+                    error: StaleGenerationError) -> dict:
+    """The answer to a request whose generation constraint failed."""
+    return _error(request_id, "stale_generation", error,
+                  requested=error.requested, current=error.current)
+
+
 class AdaptationServer:
     """Persistent daemon serving adaptation requests over a socket.
 
     ``address`` is a filesystem path (AF_UNIX, the default transport)
     or a ``(host, port)`` tuple (AF_INET, for cross-host smoke tests);
     port 0 binds an ephemeral port published via :attr:`address`.
-    Batching/admission knobs default to the active
+    Admission/watchdog/breaker knobs default to the active
     :class:`~repro.config.ExecConfig` (``REPRO_SERVE_*``).
     """
 
     def __init__(self, cpu: AdaptiveCPU, traces: list[TraceSpec],
                  address: str | tuple[str, int],
-                 max_batch: int | None = None,
                  queue_bound: int | None = None,
                  batch_timeout_s: float | None = None,
                  breaker_threshold: int | None = None,
@@ -229,12 +246,10 @@ class AdaptationServer:
         config = active_exec_config()
         # Generation fence: the serving model lives behind the
         # registry; ``self.cpu`` is a property resolving the current
-        # entry, and executors snapshot an entry once per batch.
+        # entry, and executors snapshot an entry once per request.
         self.registry = ModelRegistry(cpu, generation=generation)
         self.traces = list(traces)
         self.address = address
-        self.max_batch = (max_batch if max_batch is not None
-                          else config.serve_batch_max)
         self.queue_bound = (queue_bound if queue_bound is not None
                             else config.serve_queue_bound)
         self.batch_timeout_s = (
@@ -243,11 +258,13 @@ class AdaptationServer:
         self.init_s = init_s
         self.checkpoint_info = checkpoint_info
         self._pmap = pmap if pmap is not None else default_parallel_map()
+        # The connection threads' one CPU; the pid spreads daemons.
+        cpus = sorted(getattr(os, "sched_getaffinity", lambda _: ())(0))
+        self._cpu = {cpus[os.getpid() % len(cpus)]} if cpus else None
         self.ledger = TenantLedger()
         self._listener: socket.socket | None = None
-        self._conns: set[socket.socket] = set()
+        self._conns: set[_Conn] = set()
         self._conn_lock = threading.Lock()
-        self._threads: list[threading.Thread] = []
         self._stop = threading.Event()
         self._stopped = threading.Event()
         self._shutdown_lock = threading.Lock()
@@ -256,11 +273,8 @@ class AdaptationServer:
         self._requests = 0
         self._executors = {"adapt": self._execute_adapt,
                            "decide": self._execute_decide}
-        self._batchers = {
-            op: MicroBatcher(executor, self.max_batch, self.queue_bound,
-                             ledger=self.ledger, name=op)
-            for op, executor in self._executors.items()
-        }
+        self._inflight = {op: InflightTable(self.queue_bound, name=op)
+                          for op in self._executors}
         threshold = (breaker_threshold if breaker_threshold is not None
                      else config.serve_breaker_threshold)
         cooldown = (breaker_cooldown_s
@@ -268,10 +282,10 @@ class AdaptationServer:
                     else config.serve_breaker_cooldown_s)
         self.breakers = {
             op: ServeCircuitBreaker(threshold, cooldown, name=op)
-            for op in self._batchers
+            for op in self._executors
         }
-        self.supervisor = BatcherSupervisor(
-            self._batchers, self.batch_timeout_s, breakers=self.breakers)
+        self.supervisor = ExecutionWatchdog(
+            self._inflight, self.batch_timeout_s, on_abandon=self._abandon)
         self._dedup: "collections.OrderedDict[str, _DedupEntry]" = \
             collections.OrderedDict()
         self._dedup_lock = threading.Lock()
@@ -301,10 +315,10 @@ class AdaptationServer:
 
         Kept as an attribute-compatible property so existing callers
         (stats, validation, tests doing ``daemon.cpu.run``) follow
-        promotions transparently. Executors do NOT use it per item —
-        they snapshot one :class:`~repro.online.registry.ModelEntry`
-        per batch, which is what keeps in-flight batches
-        digest-stable across a swap.
+        promotions transparently. Executors snapshot one
+        :class:`~repro.online.registry.ModelEntry` per request, which
+        is what keeps an in-flight request digest-stable across a
+        swap.
         """
         return self.registry.current().cpu
 
@@ -357,7 +371,6 @@ class AdaptationServer:
         accept = threading.Thread(target=self._accept_loop,
                                   name="repro-serve-accept", daemon=True)
         accept.start()
-        self._threads.append(accept)
         watcher = threading.Thread(target=self._watch_stop,
                                    name="repro-serve-watcher", daemon=True)
         watcher.start()
@@ -383,11 +396,12 @@ class AdaptationServer:
     def shutdown(self) -> None:
         """Release every resident resource; idempotent.
 
-        Closes the listener and live connections, drains the batchers,
-        unmaps the resident arena, tears down warm worker pools and
-        then verifies nothing leaked: any worker process still alive
-        after the grace period is terminated and reported as a
-        :class:`ServeError` — a daemon must not strand children.
+        Closes the listener and live connections, stops admitting
+        inference requests, unmaps the resident arena, tears down warm
+        worker pools and then verifies nothing leaked: any worker
+        process still alive after the grace period is terminated and
+        reported as a :class:`ServeError` — a daemon must not strand
+        children.
         """
         with self._shutdown_lock:
             if self._shutdown_done:
@@ -402,19 +416,16 @@ class AdaptationServer:
                 self._listener.close()
             except OSError:
                 pass
-        for batcher in self._batchers.values():
-            batcher.close()
+        for table in self._inflight.values():
+            table.close()
         with self._conn_lock:
             conns = list(self._conns)
         for conn in conns:
             try:
-                conn.shutdown(socket.SHUT_RDWR)
+                conn.sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-            try:
-                conn.close()
-            except OSError:
-                pass
+            conn.close()
         self.registry.close()
         close_pools()
         if (not isinstance(self.address, tuple)
@@ -450,57 +461,94 @@ class AdaptationServer:
     def _accept_loop(self) -> None:
         while not self._stop.is_set():
             try:
-                conn, _ = self._listener.accept()
+                sock, _ = self._listener.accept()
             except OSError:
                 return  # listener closed by shutdown
+            conn = _Conn(sock)
             with self._conn_lock:
                 self._conns.add(conn)
-            handler = threading.Thread(
-                target=self._handle_conn, args=(conn,),
-                name="repro-serve-conn", daemon=True)
-            handler.start()
-            self._threads.append(handler)
+            self._spawn_reader(conn)
 
-    def _handle_conn(self, conn: socket.socket) -> None:
+    def _spawn_reader(self, conn: _Conn) -> None:
+        threading.Thread(target=self._handle_conn, args=(conn,),
+                         name="repro-serve-conn", daemon=True).start()
+
+    def _close_conn(self, conn: _Conn) -> None:
+        with self._conn_lock:
+            self._conns.discard(conn)
+        conn.close()
+
+    def _handle_conn(self, conn: _Conn) -> None:
+        """Read, run and answer requests until the peer goes away, on
+        the daemon's one CPU: GIL hand-offs between threads on other
+        CPUs cost more than the threads overlap (DESIGN.md, serving)."""
+        if self._cpu is not None:
+            os.sched_setaffinity(0, self._cpu)
+        handed_off = False
         try:
             while not self._stop.is_set():
                 try:
-                    request = recv_frame(conn)
-                except (ProtocolError, OSError):
+                    body = recv_body(conn.rfile.read)
+                except (ProtocolError, OSError, ValueError):
+                    # ValueError: shutdown closed the reader under us.
                     return
-                if request is None:
+                if body is None:
                     return
-                response = self._dispatch(request)
+                start = time.perf_counter()
                 try:
-                    send_frame(conn, response,
-                               fault_key=f"serve.send/"
-                                         f"{request.get('op')}")
+                    request = decode_frame(body)
+                except ProtocolError as exc:
+                    # The length prefix kept the stream in sync, so
+                    # the connection survives an undecodable body.
+                    request, response = {}, _error(None, "bad_request",
+                                                   exc)
+                else:
+                    self._record_stage(request.get("op"), "decode",
+                                       time.perf_counter() - start)
+                    response = self._dispatch(request, conn)
+                if response is None:
+                    # Abandoned: the watchdog answered, and a
+                    # replacement reader owns the socket now.
+                    handed_off = True
+                    return
+                op = request.get("op")
+                start = time.perf_counter()
+                try:
+                    with conn.send_lock:
+                        send_frame(conn.sock, response,
+                                   fault_key=f"serve.send/{op}")
                 except OSError:
                     return
-                if request.get("op") == "shutdown":
+                self._record_stage(op, "send",
+                                   time.perf_counter() - start)
+                if op == "shutdown":
                     # Only now that the acknowledgement is on the wire:
                     # shutdown closes every connection, including this
                     # one.
                     self.request_stop()
                     return
         finally:
-            with self._conn_lock:
-                self._conns.discard(conn)
-            try:
-                conn.close()
-            except OSError:
-                pass
+            if not handed_off:
+                self._close_conn(conn)
 
-    def _dispatch(self, request: dict) -> dict:
-        """Route one validated request; always returns a response."""
+    @staticmethod
+    def _record_stage(op: object, stage: str, seconds: float) -> None:
+        """Accumulate one request's time in ``stage`` for its op."""
+        if op in OPS:
+            METRICS.add_time(f"serve.{op}.{stage}", seconds)
+
+    def _dispatch(self, request: dict,
+                  conn: _Conn | None = None) -> dict | None:
+        """Route one decoded request; returns its response, or ``None``
+        when the watchdog abandoned it and already answered on ``conn``
+        (without a connection, the ``timeout`` is returned instead)."""
         request_id = request.get("id")
         op = request.get("op")
         self._requests += 1
         METRICS.incr("serve.requests")
         if op not in OPS:
-            return {"id": request_id, "ok": False, "error": "bad_request",
-                    "detail": f"unknown op {op!r}; expected one of "
-                              f"{list(OPS)}"}
+            return _error(request_id, "bad_request",
+                          f"unknown op {op!r}; expected one of {list(OPS)}")
         if op == "ping":
             return {"id": request_id, "ok": True, "op": "ping"}
         if op == "stats":
@@ -513,70 +561,68 @@ class AdaptationServer:
             # The connection handler triggers the actual stop after the
             # acknowledgement frame has been written back.
             return {"id": request_id, "ok": True, "op": "shutdown"}
-        # Batched inference ops: the raw frame becomes a typed request
-        # at this edge; everything downstream (validation, batcher,
+        # Inference ops: the raw frame becomes a typed request at this
+        # edge; everything downstream (validation, admission,
         # executors, dedup) handles typed values.
+        start = time.perf_counter()
         try:
             typed = parse_request(request)
         except ProtocolError as exc:
-            return {"id": request_id, "ok": False, "error": "bad_request",
-                    "detail": str(exc)}
-        tenant = typed.tenant
+            return _error(request_id, "bad_request", exc)
         error = self._validate(op, typed)
+        self._record_stage(op, "validate", time.perf_counter() - start)
         if error is not None:
-            return {"id": request_id, "ok": False, "error": "bad_request",
-                    "detail": error}
-        if typed.min_generation is not None:
-            current = self.registry.generation
-            if current < typed.min_generation:
-                # Monotonic generations make this pre-check safe: the
-                # executor's snapshot can only be newer.
-                return {"id": request_id, "ok": False,
-                        "error": "stale_generation",
-                        "detail": f"daemon serves generation {current}; "
-                                  f"request requires >= "
-                                  f"{typed.min_generation}",
-                        "requested": typed.min_generation,
-                        "current": current}
+            return _error(request_id, "bad_request", error)
+        current = self.registry.generation
+        if typed.min_generation is not None \
+                and current < typed.min_generation:
+            # Monotonic generations make this pre-check safe: the
+            # executor's snapshot can only be newer.
+            return _stale_response(request_id, StaleGenerationError(
+                f"daemon serves generation {current}; request requires "
+                f">= {typed.min_generation}",
+                requested=typed.min_generation, current=current))
         if faults.should_inject("daemon_crash",
                                 f"serve.dispatch/{op}"):
             # The whole process dies mid-dispatch, exactly like a
             # segfaulting native extension: no response frame, every
             # connection drops, the supervising parent re-execs.
             os._exit(DAEMON_CRASH_EXIT)
+        key = typed.key if isinstance(typed.key, str) else None
+        execution = Execution(op, request_id, key, conn)
         breaker = self.breakers[op]
         level = breaker.route()
         try:
-            with tracer.span("serve.request", op=op, tenant=tenant,
+            with tracer.span("serve.request", op=op, tenant=typed.tenant,
                              level=level):
-                payload = self._execute_keyed(op, typed, tenant,
-                                              level)
+                payload = self._execute_keyed(execution, typed, level)
+        except _Abandoned:
+            if conn is not None:
+                return None
+            return _timeout_response(request_id, execution.error)
         except BusyError as exc:
-            # Load shed (queue full or breaker level 2): back-pressure
-            # working as designed, not an executor failure — the
-            # breaker does not record it either way.
+            # Load shed (in-flight bound or breaker level 2):
+            # back-pressure working as designed, not an executor
+            # failure — the breaker does not record it either way.
             return busy_response(request_id, exc.queue_depth,
                                  self.queue_bound,
                                  retry_after=exc.retry_after_ms)
         except ServeClosedError:
             return {"id": request_id, "ok": False, "error": "closed"}
         except BatchTimeoutError as exc:
+            # A dedup waiter whose original execution was abandoned.
             breaker.record_failure()
-            return {"id": request_id, "ok": False, "error": "timeout",
-                    "detail": str(exc), "retry": True}
+            return _timeout_response(request_id, exc)
+        except StaleGenerationError as exc:
+            # The executor's snapshot did not satisfy the request's
+            # pin; not an executor failure, so the breaker stays green.
+            breaker.record_success()
+            return _stale_response(request_id, exc)
         except Exception as exc:  # executor failure, typed for the peer
             breaker.record_failure()
-            return {"id": request_id, "ok": False, "error": "internal",
-                    "detail": f"{type(exc).__name__}: {exc}"}
+            return _error(request_id, "internal",
+                          f"{type(exc).__name__}: {exc}")
         breaker.record_success()
-        if isinstance(payload, _StaleGeneration):
-            # The executor's batch snapshot did not satisfy the item's
-            # pin; not an executor failure, so the breaker stays green.
-            return {"id": request_id, "ok": False,
-                    "error": "stale_generation",
-                    "detail": payload.detail,
-                    "requested": payload.requested,
-                    "current": payload.current}
         # Typed responses serialise here, at the wire edge; raw dicts
         # (test doubles, future pass-through ops) are sent as-is.
         wire = payload.to_wire() if hasattr(payload, "to_wire") \
@@ -584,45 +630,73 @@ class AdaptationServer:
         return {"id": request_id, "ok": True, "op": op, **wire}
 
     # ------------------------------------------------------------------
-    # Routing: breaker level + idempotency-key dedup.
+    # Execution: breaker level, admission, watchdog, dedup.
     # ------------------------------------------------------------------
-    def _execute_routed(self, op: str,
+    def _execute_routed(self, execution: Execution,
                         request: "AdaptRequest | DecideRequest",
-                        tenant: str, level: int):
-        """Run one request at the breaker-chosen execution level."""
-        batcher = self._batchers[op]
+                        level: int):
+        """Run one request on this thread at the breaker-chosen level;
+        :class:`_Abandoned` when the watchdog gave up on it first."""
+        op = execution.op
+        table = self._inflight[op]
         if level >= 2:
             METRICS.incr("serve.breaker_shed")
-            depth = batcher.depth()
+            depth = table.depth()
             raise BusyError(
                 f"op {op!r} shed by circuit breaker",
                 queue_depth=depth,
                 retry_after_ms=retry_after_ms(
-                    max(depth, 1), batcher.drain.rate_rps()),
+                    max(depth, 1), table.drain.rate_rps()),
             )
         if level == 1:
-            # Serial per-request on the handler thread: no batching
-            # amortisation, but one poisoned batch partner cannot take
-            # this request down with it.
             METRICS.incr("serve.serial_requests")
-            return self._executors[op]([request])[0]
-        return batcher.submit(request, tenant)
+        # Serial admits one request of the op at a time and sheds the
+        # rest instead of queueing them behind a failing executor.
+        table.admit(execution, bound=1 if level == 1 else None)
+        admitted = time.perf_counter()
+        if not table.enter(execution):
+            table.finish(execution)
+            raise _Abandoned()
+        start = time.perf_counter()
+        self._record_stage(op, "wait", start - admitted)
+        try:
+            plan = faults.active_plan()
+            if plan is not None and faults.should_inject(
+                    "batch_hang", f"serve.execute/{op}"):
+                # The executor "hangs": past the timeout, the watchdog
+                # abandons this execution while we sleep.
+                time.sleep(plan.hang_s)
+            result = self._executors[op](request)
+        finally:
+            if not table.finish(execution):
+                # Abandoned: drop the late result (or error) unseen.
+                METRICS.incr("serve.abandoned_results_discarded")
+                raise _Abandoned()
+        done = time.perf_counter()
+        self._record_stage(op, "execute", done - start)
+        # Every request is a batch of one; the keys stay for readers
+        # of the batch-size histogram.
+        METRICS.incr("serve.batches")
+        METRICS.observe("serve.batch_size", 1)
+        self.ledger.record(request.tenant, done - admitted,
+                           request.budget_ms)
+        return result
 
-    def _execute_keyed(self, op: str,
+    def _execute_keyed(self, execution: Execution,
                        request: "AdaptRequest | DecideRequest",
-                       tenant: str, level: int):
+                       level: int):
         """Dedup wrapper: one execution per idempotency key.
 
         The first request claiming a key executes; concurrent
         duplicates (a hedge, or a retry racing a slow original) wait
-        and receive the original's payload. A failed execution drops
-        the entry so a later retry runs fresh; a successful payload is
-        retained (bounded LRU) for retries arriving after the original
-        connection died mid-response.
+        and receive the original's payload. A failed or abandoned
+        execution drops the entry so a later retry runs fresh; a
+        successful payload is retained (bounded LRU) for retries
+        arriving after the original connection died mid-response.
         """
-        key = request.key
-        if key is None or not isinstance(key, str):
-            return self._execute_routed(op, request, tenant, level)
+        key = execution.key
+        if key is None:
+            return self._execute_routed(execution, request, level)
         with self._dedup_lock:
             entry = self._dedup.get(key)
             owner = entry is None
@@ -633,9 +707,8 @@ class AdaptationServer:
                 self._dedup.move_to_end(key)
         if not owner:
             METRICS.incr("serve.dedup_hits")
-            # Bounded wait: the original is subject to the batch
-            # timeout plus restart slack, so a vanished owner cannot
-            # park retries forever.
+            # Bounded wait: the original is subject to the watchdog
+            # timeout, so a vanished owner cannot park retries forever.
             entry.event.wait(timeout=max(self.batch_timeout_s * 4,
                                          60.0))
             if entry.payload is not None:
@@ -647,12 +720,9 @@ class AdaptationServer:
                 f"key {key!r}"
             )
         try:
-            payload = self._execute_routed(op, request, tenant, level)
+            payload = self._execute_routed(execution, request, level)
         except BaseException as exc:
-            with self._dedup_lock:
-                self._dedup.pop(key, None)
-            entry.error = exc
-            entry.event.set()
+            self._fail_dedup(key, entry, exc)
             raise
         entry.payload = payload
         entry.event.set()
@@ -664,8 +734,49 @@ class AdaptationServer:
                 del self._dedup[old_key]
         return payload
 
+    def _fail_dedup(self, key: str, entry: _DedupEntry | None,
+                    error: BaseException) -> None:
+        """Drop ``key``'s in-flight entry (``entry``, or whichever holds
+        the key) and wake its waiters with ``error``; an entry a retry
+        re-created under the key is never touched."""
+        with self._dedup_lock:
+            current = self._dedup.get(key)
+            if entry is None:
+                entry = current
+            if entry is None or entry.event.is_set():
+                return
+            if current is entry:
+                del self._dedup[key]
+        entry.error = error
+        entry.event.set()
+
+    def _abandon(self, execution: Execution,
+                 error: BatchTimeoutError) -> None:
+        """Watchdog hook: record the breaker failure, fail the dedup
+        entry, send the typed ``timeout`` and start a replacement
+        reader — the hung thread never touches the socket again."""
+        self.breakers[execution.op].record_failure()
+        if execution.key is not None:
+            self._fail_dedup(execution.key, None, error)
+        conn = execution.conn
+        if conn is None:
+            return
+        try:
+            with conn.send_lock:
+                send_frame(conn.sock,
+                           _timeout_response(execution.request_id, error))
+        except OSError:
+            self._close_conn(conn)
+            return
+        self._spawn_reader(conn)
+
     def _validate(self, op: str,
                   request: "AdaptRequest | DecideRequest") -> str | None:
+        budget = request.budget_ms
+        if budget is not None and (not isinstance(budget, (int, float))
+                                   or isinstance(budget, bool)
+                                   or not budget > 0):
+            return f"budget_ms must be a positive number, got {budget!r}"
         for field in ("min_generation", "pin_generation"):
             value = getattr(request, field)
             if value is not None and (not isinstance(value, int)
@@ -681,13 +792,14 @@ class AdaptationServer:
                         f"[0, {len(self.traces)}), got {index!r}")
             return None
         window = request.window
-        if not isinstance(window, list) or not window:
-            return "window must be a non-empty list of counter rows"
+        if (not isinstance(window, np.ndarray) or window.ndim != 2
+                or window.dtype != np.float64 or not window.shape[0]):
+            return ("window must be a non-empty 2-D float64 tensor of "
+                    "counter rows")
         width = len(self.cpu.predictor.counter_ids)
-        for row in window:
-            if not isinstance(row, list) or len(row) != width:
-                return (f"each window row must be a list of {width} "
-                        f"counter values")
+        if window.shape[1] != width:
+            return (f"window rows must hold {width} counter values, got "
+                    f"{window.shape[1]}")
         mode = request.mode
         if mode not in [m.value for m in Mode]:
             return (f"mode must be one of "
@@ -695,105 +807,61 @@ class AdaptationServer:
         return None
 
     # ------------------------------------------------------------------
-    # Batch executors (run on the batcher threads).
+    # Executors (run on the connection thread that decoded the request).
     # ------------------------------------------------------------------
-    def _stale(self, item, entry) -> "_StaleGeneration | None":
-        """Pin check against the batch's generation snapshot.
-
-        Authoritative (unlike the dispatch-time ``min_generation``
-        pre-check): it compares against the exact entry that computed
-        — or would have computed — this item's answer.
-        """
-        pin = item.pin_generation
-        if pin is None or pin == entry.generation:
-            return None
-        return _StaleGeneration(
-            requested=pin, current=entry.generation,
-            detail=f"request pinned to generation {pin}; batch served "
-                   f"by generation {entry.generation}")
-
-    def _execute_adapt(self, items: list) -> list:
-        """One ``run_many`` over the batch's traces.
-
-        ``run_many`` on the resident corpus is bit-identical to
-        per-trace ``run`` calls, so coalescing concurrent requests
-        changes latency only.
-
-        Generation fence: the registry entry is resolved ONCE here and
-        used for the whole batch — a promotion landing mid-batch
-        cannot change these items' model, so their digests stay
-        identical to direct calls on the generation stamped into the
-        response.
-        """
+    def _entry_for(self, request):
+        """The registry entry that serves ``request``, resolved ONCE (the
+        generation fence: a promotion mid-execution cannot change the
+        request's model) and checked against its ``pin_generation`` —
+        authoritative, unlike the dispatch-time ``min_generation``
+        pre-check."""
         entry = self.registry.current()
-        indices = [item.trace_index for item in items]
-        results = entry.cpu.run_many(
-            [self.traces[i] for i in indices], pmap=self._pmap)
-        out = []
-        for item, index, result in zip(items, indices, results):
-            stale = self._stale(item, entry)
-            if stale is not None:
-                out.append(stale)
-                continue
-            if self.ring is not None:
-                # Realized outcome sample for the continual loop: the
-                # labels come free with the interval-model run.
-                accuracy = float(np.count_nonzero(
-                    result.predictions == result.labels)
-                    / max(result.predictions.shape[0], 1))
-                if self.ring.record_adapt(index, entry.generation,
-                                          accuracy,
-                                          float(result.ppw_gain),
-                                          float(result.residency)):
-                    METRICS.incr("online.samples")
-            out.append(AdaptResponse(
-                result=adapt_payload(result),
-                model_generation=entry.generation))
-        return out
+        pin = request.pin_generation
+        if pin is not None and pin != entry.generation:
+            raise StaleGenerationError(
+                f"request pinned to generation {pin}; served by "
+                f"generation {entry.generation}",
+                requested=pin, current=entry.generation)
+        return entry
 
-    def _execute_decide(self, items: list) -> list:
-        """One ``predict_proba`` per mode over concatenated windows.
+    def _execute_adapt(self, request: AdaptRequest):
+        """One ``run_many`` over the request's resident trace: it reuses
+        the memoised prepared run and is bit-identical to a direct
+        ``run``."""
+        entry = self._entry_for(request)
+        index = request.trace_index
+        result = entry.cpu.run_many([self.traces[index]],
+                                    pmap=self._pmap)[0]
+        if self.ring is not None:
+            # Realized outcome sample for the continual loop: the
+            # labels come free with the interval-model run.
+            accuracy = float(np.count_nonzero(
+                result.predictions == result.labels)
+                / max(result.predictions.shape[0], 1))
+            if self.ring.record_adapt(index, entry.generation, accuracy,
+                                      float(result.ppw_gain),
+                                      float(result.residency)):
+                METRICS.incr("online.samples")
+        return AdaptResponse(result=adapt_payload(result),
+                             model_generation=entry.generation)
 
-        Inference is row-wise, so stacking the batch's windows per
-        mode and slicing the probabilities back out returns exactly
-        the bits of one call per request. The same per-batch
-        generation snapshot as ``_execute_adapt`` applies.
-        """
-        entry = self.registry.current()
+    def _execute_decide(self, request: DecideRequest):
+        """One ``predict_proba`` over the request's window."""
+        entry = self._entry_for(request)
         predictor = entry.cpu.predictor
-        by_mode: dict[Mode, list[int]] = {}
-        for i, item in enumerate(items):
-            by_mode.setdefault(Mode(item.mode), []).append(i)
-        out: list = [None] * len(items)
-        for mode, positions in by_mode.items():
-            windows = [np.asarray(items[i].window, dtype=np.float64)
-                       for i in positions]
-            stacked = np.concatenate(windows, axis=0)
-            probs = predictor.predict_proba(stacked, mode)
-            threshold = predictor.model_for(mode).decision_threshold
-            offset = 0
-            for i, window in zip(positions, windows):
-                rows = window.shape[0]
-                payload = decide_payload(probs[offset:offset + rows],
-                                         threshold)
-                offset += rows
-                stale = self._stale(items[i], entry)
-                if stale is not None:
-                    out[i] = stale
-                    continue
-                if self.ring is not None:
-                    decisions = payload["decisions"]
-                    if self.ring.record_decide(
-                            entry.generation,
-                            float(np.mean(decisions))
-                            if decisions else 0.0):
-                        METRICS.incr("online.samples")
-                out[i] = DecideResponse(
-                    mode=mode.value, probs=payload["probs"],
-                    decisions=payload["decisions"],
-                    digest=payload["digest"],
-                    model_generation=entry.generation)
-        return out
+        mode = Mode(request.mode)
+        payload = decide_payload(
+            predictor.predict_proba(request.window, mode),
+            predictor.model_for(mode).decision_threshold)
+        decisions = payload["decisions"]
+        if self.ring is not None and self.ring.record_decide(
+                entry.generation,
+                float(np.mean(decisions)) if decisions else 0.0):
+            METRICS.incr("online.samples")
+        return DecideResponse(mode=mode.value, probs=payload["probs"],
+                              decisions=decisions,
+                              digest=payload["digest"],
+                              model_generation=entry.generation)
 
     # ------------------------------------------------------------------
     def _stats(self) -> dict:
@@ -801,21 +869,30 @@ class AdaptationServer:
         counters = snapshot.get("counters", {})
         batch_hist = snapshot.get("histograms", {}).get(
             "serve.batch_size", {})
+        stages = snapshot.get("stages", {})
+        batches = counters.get("serve.batches", 0)
         return {
             "uptime_s": round(time.monotonic() - self._started, 3),
             "requests": self._requests,
             "corpus_traces": len(self.traces),
             "predictor": self.cpu.predictor.name,
             "n_counters": int(len(self.cpu.predictor.counter_ids)),
-            "max_batch": self.max_batch,
             "queue_bound": self.queue_bound,
-            "queue_depth": {op: b.depth()
-                            for op, b in self._batchers.items()},
-            "batches": counters.get("serve.batches", 0),
+            "queue_depth": {op: t.depth()
+                            for op, t in self._inflight.items()},
+            # Every request runs alone, at once: a batch of one taken
+            # without waiting, which is what ``flush_wait`` counted.
+            "batches": batches,
             "shed": counters.get("serve.shed", 0),
-            "flush_full": counters.get("serve.flush_full", 0),
-            "flush_wait": counters.get("serve.flush_wait", 0),
+            "flush_wait": batches,
             "batch_size": batch_hist,
+            "stages": {
+                op: {stage: {"count": st["calls"],
+                             "total_s": round(st["wall_s"], 6)}
+                     for stage in _STAGES
+                     if (st := stages.get(f"serve.{op}.{stage}"))}
+                for op in OPS
+            },
             "resident_arena": self.cpu._resident_arena is not None,
             "resident_memo": {
                 "entries": len(self.cpu._resident_memo),
@@ -850,10 +927,10 @@ class AdaptationServer:
             uptime_s=round(time.monotonic() - self._started, 3),
             init_s=round(self.init_s, 6),
             requests=self._requests,
-            queue_depth={op: b.depth()
-                         for op, b in self._batchers.items()},
-            drain_rps={op: round(b.drain.rate_rps(), 3)
-                       for op, b in self._batchers.items()},
+            queue_depth={op: t.depth()
+                         for op, t in self._inflight.items()},
+            drain_rps={op: round(t.drain.rate_rps(), 3)
+                       for op, t in self._inflight.items()},
             breakers={op: breaker.snapshot()
                       for op, breaker in self.breakers.items()},
             watchdog=self.supervisor.snapshot(),
@@ -951,7 +1028,6 @@ def build_server(address: str | tuple[str, int],
                             fingerprint=fingerprint, **kwargs)
 
 
-#: Ops the batcher coalesces — re-exported for introspection parity.
-__all__ = ["AdaptationServer", "ConstProbModel", "BATCHED_OPS",
-           "DAEMON_CRASH_EXIT", "build_server", "const_predictor",
-           "quick_forest_predictor", "serving_corpus"]
+__all__ = ["AdaptationServer", "ConstProbModel", "DAEMON_CRASH_EXIT",
+           "build_server", "const_predictor", "quick_forest_predictor",
+           "serving_corpus"]

@@ -1,21 +1,26 @@
-"""Serve-side failure containment: breaker, watchdog, re-exec loop.
+"""Serve-side failure containment: admission, breaker, watchdog,
+re-exec loop.
 
-Three independent layers, each bounding a different blast radius (the
-full ladder is drawn in DESIGN.md):
+Each ``adapt``/``decide`` runs on the connection thread that decoded
+it. Four independent layers bound what a misbehaving execution can
+cost (the full ladder is drawn in DESIGN.md):
 
+* :class:`InflightTable` — per-op admission (a typed
+  :class:`~repro.errors.BusyError` with a drain-rate
+  ``retry_after_ms`` past ``REPRO_SERVE_QUEUE_BOUND`` in flight), the
+  op's executor slot and its in-flight registry.
 * :class:`ServeCircuitBreaker` — per-op degradation ladder. Repeated
-  executor failures walk an op down ``batched → serial → shed``; after
+  executor failures walk an op down ``direct → serial → shed``; after
   a cooldown the breaker goes half-open and routes one probe at the
-  next level down, stepping back toward batched only on probe success.
-  A wedged executor therefore costs throughput (serial) and then
-  availability for *that op only* (shed with a ``retry_after_ms``
-  hint) — never the whole daemon.
-* :class:`BatcherSupervisor` — a watchdog thread that polls every
-  batcher's in-flight age and abandons batches older than
-  ``REPRO_SERVE_BATCH_TIMEOUT`` with a typed
-  :class:`~repro.errors.BatchTimeoutError`. Only the in-flight
-  requests fail; queued requests drain through the replacement
-  consumer thread the batcher spawns.
+  next level down, stepping back toward direct only on probe success.
+  A wedged executor therefore costs queueing (serial: one request of
+  the op in flight, the rest shed) and then availability for *that op
+  only* — never the whole daemon.
+* :class:`ExecutionWatchdog` — abandons requests in flight past
+  ``REPRO_SERVE_BATCH_TIMEOUT``. Python threads cannot be killed, so
+  the hung thread is left to finish and drop its result, while the
+  server's ``on_abandon`` hook answers the client and hands the socket
+  to a replacement reader.
 * :func:`run_supervised` — process-level supervision for
   ``repro serve --supervise``: the parent re-runs the daemon command
   when it dies uncleanly, within a bounded restart budget
@@ -26,34 +31,36 @@ full ladder is drawn in DESIGN.md):
 
 from __future__ import annotations
 
+import dataclasses
 import subprocess
 import sys
 import threading
 import time
+from collections.abc import Callable
 
 from repro.config import KNOB
-from repro.errors import BatchTimeoutError
+from repro.errors import BatchTimeoutError, BusyError, ServeClosedError
 from repro.obs.metrics import METRICS
-from repro.serve.batcher import MicroBatcher
+from repro.serve.admission import DrainTracker, retry_after_ms
 
 #: Execution level per breaker state (index == level).
-BREAKER_MODES = ("batched", "serial", "shed")
+BREAKER_MODES = ("direct", "serial", "shed")
 
 
 class ServeCircuitBreaker:
-    """Per-op breaker over the ``batched → serial → shed`` ladder.
+    """Per-op breaker over the ``direct → serial → shed`` ladder.
 
-    ``level`` is the current degradation (0 = closed/batched). Each
+    ``level`` is the current degradation (0 = closed/direct). Each
     run of ``threshold`` consecutive failures escalates one level and
     starts a ``cooldown_s`` clock. Once the cooldown elapses the
     breaker is *half-open*: :meth:`route` sends the next request to
     the level below as a probe — a probe success steps down (repeated
-    successes walk all the way back to batched), a probe failure
+    successes walk all the way back to direct), a probe failure
     re-opens the current level and restarts the cooldown.
 
     Load sheds (:class:`~repro.errors.BusyError`) are **not**
-    failures: a full queue is back-pressure working, not the executor
-    misbehaving. Thread-safe; ``clock`` is injectable for tests.
+    failures: a full in-flight table is back-pressure working, not
+    the executor misbehaving. Thread-safe; ``clock`` is injectable for tests.
     """
 
     def __init__(self, threshold: int, cooldown_s: float,
@@ -93,7 +100,8 @@ class ServeCircuitBreaker:
     def route(self) -> int:
         """Effective execution level for the next request.
 
-        0 = batched, 1 = serial per-request, 2 = shed. In half-open
+        0 = direct, 1 = serial (one request of the op in flight, the
+        rest shed), 2 = shed. In half-open
         state this returns one level below the tripped level and arms
         the probe: the outcome of that request decides whether the
         breaker steps down or re-opens.
@@ -119,7 +127,7 @@ class ServeCircuitBreaker:
                     self._opened_at = self._clock()
 
     def record_failure(self) -> None:
-        """A routed request failed (executor fault, batch timeout)."""
+        """A routed request failed (executor fault, watchdog timeout)."""
         with self._lock:
             if self._probing:
                 # The probe failed: stay at the current level and
@@ -149,39 +157,148 @@ class ServeCircuitBreaker:
             }
 
 
-class BatcherSupervisor:
-    """Watchdog thread over a set of micro-batchers.
+@dataclasses.dataclass(eq=False, slots=True)
+class Execution:
+    """One admitted ``adapt``/``decide``, tracked until it finishes or
+    the watchdog abandons it. ``conn`` is the server's connection
+    record (``None`` off the socket), opaque here."""
 
-    Polls each batcher's :meth:`~MicroBatcher.inflight_age` and, when
-    a batch has been executing longer than ``timeout_s``, abandons it:
-    the in-flight requests fail with a typed
-    :class:`~repro.errors.BatchTimeoutError`, a replacement consumer
-    thread takes over the untouched queue, and the op's breaker (when
-    attached) records the failure so repeated hangs degrade the op.
+    op: str
+    request_id: object = None
+    key: str | None = None
+    conn: object = None
+    started: float = 0.0
+    abandoned: bool = False
+    holds_slot: bool = False
+    error: BatchTimeoutError | None = None
+
+
+class InflightTable:
+    """Per-op admission bound, executor slot and in-flight registry.
+
+    One execution of an op runs at a time: under CPython's GIL,
+    concurrent Python-bound executions only contend (measured,
+    concurrent decides cost each other more CPU than they overlap).
+    Each abandon/finish race is decided under one lock, so exactly one
+    of the hung thread and the watchdog answers a request.
     """
 
-    def __init__(self, batchers: dict[str, MicroBatcher],
+    def __init__(self, bound: int, name: str = "op") -> None:
+        if bound < 1:
+            raise ValueError(f"bound must be >= 1, got {bound}")
+        self.bound = bound
+        self.name = name
+        self.drain = DrainTracker()
+        self.abandoned = 0
+        self._lock = threading.Lock()
+        # A plain Lock: the watchdog releases it for a hung holder.
+        self._slot = threading.Lock()
+        self._live: set[Execution] = set()
+        self._closed = False
+
+    def admit(self, execution: Execution,
+              bound: int | None = None) -> None:
+        """Register ``execution`` as in flight, or raise
+        :class:`BusyError` at ``bound`` (default: the table's) and
+        :class:`ServeClosedError` once the table is closed."""
+        bound = self.bound if bound is None else bound
+        with self._lock:
+            if self._closed:
+                raise ServeClosedError(f"op {self.name!r} is closed")
+            depth = len(self._live)
+            if depth >= bound:
+                METRICS.incr("serve.shed")
+                raise BusyError(
+                    f"op {self.name!r} at its in-flight bound "
+                    f"({depth}/{bound})",
+                    queue_depth=depth,
+                    retry_after_ms=retry_after_ms(
+                        depth, self.drain.rate_rps()),
+                )
+            execution.started = time.monotonic()
+            self._live.add(execution)
+
+    def enter(self, execution: Execution) -> bool:
+        """Wait for the executor slot; False when the watchdog
+        abandoned ``execution`` while it waited."""
+        self._slot.acquire()
+        with self._lock:
+            if not execution.abandoned:
+                execution.holds_slot = True
+                return True
+        self._slot.release()
+        return False
+
+    def _free_slot(self, execution: Execution) -> None:
+        if execution.holds_slot:
+            execution.holds_slot = False
+            self._slot.release()
+
+    def finish(self, execution: Execution) -> bool:
+        """Free the slot and retire ``execution``; False when the
+        watchdog abandoned it."""
+        with self._lock:
+            self._free_slot(execution)
+            if execution.abandoned:
+                return False
+            self._live.discard(execution)
+        self.drain.record(1)
+        return True
+
+    def overdue(self, timeout_s: float) -> list[Execution]:
+        """Abandon and return every request in flight (waiting or
+        running) past ``timeout_s``, freeing a hung holder's slot."""
+        now = time.monotonic()
+        with self._lock:
+            late = [e for e in self._live if now - e.started > timeout_s]
+            for execution in late:
+                execution.abandoned = True
+                self._live.discard(execution)
+                self._free_slot(execution)
+            self.abandoned += len(late)
+        return late
+
+    def depth(self) -> int:
+        """Requests in flight now (waiting for the slot or running)."""
+        with self._lock:
+            return len(self._live)
+
+    def close(self) -> None:
+        """Refuse new admissions (requests in flight finish)."""
+        with self._lock:
+            self._closed = True
+
+
+class ExecutionWatchdog:
+    """Watchdog thread over the per-op in-flight tables.
+
+    Each sweep abandons requests in flight longer than ``timeout_s``
+    (:meth:`InflightTable.overdue`), counts the trip and calls
+    ``on_abandon(execution, error)`` — the server's hook that records
+    the breaker failure, fails the request's dedup entry, sends the
+    typed ``timeout`` response and starts a replacement reader.
+    """
+
+    def __init__(self, tables: dict[str, InflightTable],
                  timeout_s: float,
-                 breakers: dict[str, ServeCircuitBreaker] | None = None,
+                 on_abandon: Callable[[Execution, BatchTimeoutError],
+                                      None] | None = None,
                  poll_s: float | None = None) -> None:
         if timeout_s <= 0:
             raise ValueError(f"timeout_s must be > 0, got {timeout_s}")
-        self.batchers = batchers
+        self.tables = tables
         self.timeout_s = timeout_s
-        self.breakers = breakers or {}
+        self.on_abandon = on_abandon
         # Poll fast enough to catch a hang well before ~2x timeout,
         # slow enough to stay invisible in profiles.
         self.poll_s = (poll_s if poll_s is not None
                        else min(0.25, max(0.01, timeout_s / 5.0)))
-        self.trips = 0
-        self.last_check: float | None = None
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
-    def start(self) -> "BatcherSupervisor":
+    def start(self) -> "ExecutionWatchdog":
         self._thread = threading.Thread(
-            target=self._loop, name="repro-serve-supervisor",
-            daemon=True)
+            target=self._loop, name="repro-serve-watchdog", daemon=True)
         self._thread.start()
         return self
 
@@ -190,30 +307,29 @@ class BatcherSupervisor:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
 
+    @property
+    def trips(self) -> int:
+        """Requests abandoned so far, over every op."""
+        return sum(table.abandoned for table in self.tables.values())
+
     def check_once(self) -> int:
-        """One watchdog sweep; returns requests failed (tests call
-        this directly for a deterministic single check)."""
-        failed = 0
-        for name, batcher in self.batchers.items():
-            age = batcher.inflight_age()
-            if age is None or age <= self.timeout_s:
-                continue
-            error = BatchTimeoutError(
-                f"batch on {name!r} exceeded "
-                f"{KNOB['serve_batch_timeout_s'].env} ({self.timeout_s}s); "
-                f"in flight {age:.3f}s — in-flight requests failed, "
-                f"queued requests re-served by the restarted batcher"
-            )
-            n = batcher.abandon_inflight(error)
-            if n:
-                failed += n
-                self.trips += 1
+        """One sweep; returns requests abandoned (tests call this
+        directly for a deterministic single check)."""
+        abandoned = 0
+        for name, table in self.tables.items():
+            for execution in table.overdue(self.timeout_s):
+                age = time.monotonic() - execution.started
+                execution.error = BatchTimeoutError(
+                    f"{name!r} request exceeded "
+                    f"{KNOB['serve_batch_timeout_s'].env} "
+                    f"({self.timeout_s}s); in flight {age:.3f}s — "
+                    f"abandoned, its late result will be discarded"
+                )
+                abandoned += 1
                 METRICS.incr("serve.watchdog_trips")
-                breaker = self.breakers.get(name)
-                if breaker is not None:
-                    breaker.record_failure()
-        self.last_check = time.monotonic()
-        return failed
+                if self.on_abandon is not None:
+                    self.on_abandon(execution, execution.error)
+        return abandoned
 
     def _loop(self) -> None:
         while not self._stop.wait(self.poll_s):
@@ -225,8 +341,8 @@ class BatcherSupervisor:
             "timeout_s": self.timeout_s,
             "poll_s": self.poll_s,
             "trips": self.trips,
-            "batcher_restarts": {name: b.restarts
-                                 for name, b in self.batchers.items()},
+            "abandoned": {name: t.abandoned
+                          for name, t in self.tables.items()},
         }
 
 
@@ -265,5 +381,5 @@ def run_supervised(cmd: list[str], restarts: int,
         )
 
 
-__all__ = ["BREAKER_MODES", "BatcherSupervisor", "ServeCircuitBreaker",
-           "run_supervised"]
+__all__ = ["BREAKER_MODES", "Execution", "ExecutionWatchdog",
+           "InflightTable", "ServeCircuitBreaker", "run_supervised"]

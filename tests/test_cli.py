@@ -61,7 +61,8 @@ class TestConfigurationErrors:
     @pytest.mark.parametrize("env,argv,names", [
         ({"REPRO_EXEC_RETRIES": "abc"}, ["evaluate"], "REPRO_EXEC_RETRIES"),
         ({}, ["evaluate", "--exec-workers", "0"], "--exec-workers"),
-        ({}, ["serve", "--serve-batch-max", "0"], "--serve-batch-max"),
+        ({}, ["serve", "--serve-batch-timeout", "0"],
+         "--serve-batch-timeout"),
         ({"REPRO_SCALE": "lots"}, ["evaluate"], "REPRO_SCALE"),
     ])
     def test_bad_value_exits_2_with_one_line(self, env, argv, names):

@@ -126,7 +126,6 @@ KNOB_SAMPLES = {
     "interval_lru": ("64", 64),
     "trace": ("out.json", "out.json"),
     "trace_sample": ("4", 4),
-    "serve_batch_max": ("16", 16),
     "serve_queue_bound": ("128", 128),
     "serve_batch_timeout_s": ("2.5", 2.5),
     "serve_breaker_threshold": ("5", 5),
@@ -256,20 +255,20 @@ class TestExecConfig:
     def test_serve_knobs_parse_from_env(self, monkeypatch):
         _clear_exec_env(monkeypatch)
         config = ExecConfig.from_env()
-        assert config.serve_batch_max == 8
         assert config.serve_queue_bound == 64
-        monkeypatch.setenv("REPRO_SERVE_BATCH_MAX", "16")
+        assert config.serve_batch_timeout_s == 30.0
         monkeypatch.setenv("REPRO_SERVE_QUEUE_BOUND", "128")
+        monkeypatch.setenv("REPRO_SERVE_BATCH_TIMEOUT", "2.5")
         config = ExecConfig.from_env()
-        assert config.serve_batch_max == 16
         assert config.serve_queue_bound == 128
+        assert config.serve_batch_timeout_s == 2.5
 
     def test_serve_knobs_invalid_rejected(self, monkeypatch):
         _clear_exec_env(monkeypatch)
-        monkeypatch.setenv("REPRO_SERVE_BATCH_MAX", "0")
+        monkeypatch.setenv("REPRO_SERVE_BATCH_TIMEOUT", "0")
         with pytest.raises(ValueError):
             ExecConfig.from_env()
-        monkeypatch.delenv("REPRO_SERVE_BATCH_MAX")
+        monkeypatch.delenv("REPRO_SERVE_BATCH_TIMEOUT")
         monkeypatch.setenv("REPRO_SERVE_QUEUE_BOUND", "soon")
         with pytest.raises(ValueError):
             ExecConfig.from_env()
@@ -282,8 +281,8 @@ class TestExecConfig:
                               fault_spec="seed=9,crash=0.01",
                               pool="fresh", interval_lru=32,
                               trace="1", shmres=False, shard=3,
-                              trace_sample=2, serve_batch_max=4,
-                              serve_queue_bound=32)
+                              trace_sample=2, serve_queue_bound=32,
+                              serve_batch_timeout_s=4.0)
         for var, value in original.to_env().items():
             if value is None:
                 monkeypatch.delenv(var, raising=False)
@@ -364,7 +363,7 @@ class TestExecConfig:
         {"retries": -1},
         {"timeout": -2.0},
         {"interval_lru": 0},
-        {"serve_batch_max": 0},
+        {"serve_breaker_threshold": 0},
         {"serve_queue_bound": 0},
         {"serve_batch_timeout_s": 0.0},
     ])
@@ -445,4 +444,4 @@ class TestKnobTable:
                           r"<!-- knob-table:end -->", readme, re.S)
         assert match is not None
         assert match.group(1) == render_knob_table()
-        assert len(KNOBS) == 31
+        assert len(KNOBS) == 30

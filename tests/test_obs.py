@@ -417,7 +417,8 @@ class TestRenderReport:
         m.observe("adaptive_infer.batch_rows", 512)
         m.incr("obs.worker_merges", 4)
         m.incr("serve.requests", 5)
-        m.incr("serve.flush_wait", 3)
+        m.incr("serve.batches", 3)
+        m.add_time("serve.decide.execute", 0.0003)
         m.incr("adaptive_prepare.resident_hit", 7)
         m.incr("adaptive_prepare.resident_miss", 2)
         m.gauge_set("adaptive_prepare.resident_entries", 2)
@@ -430,7 +431,9 @@ class TestRenderReport:
         assert "parallel.retries" in text
         assert "batch shapes" in text
         assert "worker metric deltas merged: 4" in text
-        assert "(flush: 0 full / 3 on free)" in text
+        assert "serving: 5 requests, 3 executed, 0 shed" in text
+        assert "decide stages (mean)" in text
+        assert "execute 300us" in text
         assert ("resident prepared-run memo: 7 hits / 2 misses, "
                 "2 entries") in text
 

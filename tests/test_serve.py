@@ -5,6 +5,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import socket
+import struct
 import threading
 import time
 
@@ -16,11 +17,13 @@ from repro.errors import BusyError, ProtocolError, ServeClosedError
 from repro.errors import ServeError
 from repro.exec.parallel import ParallelMap, close_pools
 from repro.obs import METRICS
-from repro.serve import MicroBatcher, ServeClient, TenantLedger
+from repro.serve import InflightTable, ServeClient, TenantLedger
 from repro.serve import adapt_payload, build_server, busy_response
-from repro.serve import decide_payload, encode_frame, recv_frame
-from repro.serve import send_frame, serving_corpus, wait_until_ready
+from repro.serve import decide_payload, decode_frame, encode_frame
+from repro.serve import recv_frame, send_frame, serving_corpus
+from repro.serve import OPS, wait_until_ready
 from repro.serve.server import const_predictor
+from repro.serve.supervisor import Execution
 from repro.uarch.modes import Mode
 
 
@@ -61,28 +64,29 @@ class TestProtocol:
         a.close(), b.close()
 
     def test_non_object_body_rejected(self):
-        import struct
         a, b = self._pair()
-        body = b"[1,2,3]"
+        body = _body(b"[1,2,3]")
         a.sendall(struct.pack(">I", len(body)) + body)
         with pytest.raises(ProtocolError, match="JSON object"):
             recv_frame(b)
         a.close(), b.close()
 
     def test_float_exactness_over_the_wire(self):
-        # json round-trips repr floats exactly — the foundation of the
-        # daemon's bit-identity guarantee.
+        # Header floats round-trip as repr text and tensors as raw
+        # float64 — the foundation of the daemon's bit-identity
+        # guarantee.
         a, b = self._pair()
         values = [0.1, 1 / 3, 1e-308, 123456.789e30]
-        send_frame(a, {"v": values})
-        received = recv_frame(b)["v"]
-        assert all(x == y for x, y in zip(values, received))
+        send_frame(a, {"v": values, "probs": values})
+        received = recv_frame(b)
+        assert all(x == y for x, y in zip(values, received["v"]))
+        assert received["probs"].tolist() == values
         a.close(), b.close()
 
     def test_decide_payload_threshold_boundary(self):
         payload = decide_payload(np.array([0.49, 0.5, 0.51]), 0.5)
         assert payload["decisions"] == [0, 1, 1]
-        assert payload["probs"] == [0.49, 0.5, 0.51]
+        assert payload["probs"].tolist() == [0.49, 0.5, 0.51]
 
     def test_digest_distinguishes_runs(self):
         a = decide_payload(np.array([0.1, 0.2]), 0.5)
@@ -91,201 +95,110 @@ class TestProtocol:
 
 
 # ---------------------------------------------------------------------
-# Micro-batcher.
+# Schema-3 codec: JSON header + raw float64 tensor section.
 # ---------------------------------------------------------------------
-class TestMicroBatcher:
+def _body(header: bytes, section: bytes = b"") -> bytes:
+    return struct.pack(">I", len(header)) + header + section
+
+
+class TestTensorCodec:
+    def test_window_and_probs_ride_as_float64_tensors(self):
+        window = np.random.default_rng(1).random((16, 12))
+        frame = encode_frame({"op": "decide", "window": window.tolist(),
+                              "probs": window[:, 0]})
+        # The tensor section is the raw bytes, 8-byte aligned.
+        assert frame.endswith(window.tobytes() + window[:, 0].tobytes())
+        (header_len,) = struct.unpack_from(">I", frame, 4)
+        assert (8 + header_len) % 8 == 0
+        decoded = decode_frame(frame[4:])
+        assert decoded["window"].dtype == np.float64
+        assert np.array_equal(decoded["window"], window)
+        assert np.array_equal(decoded["probs"], window[:, 0])
+        assert "tensors" not in decoded
+
+    def test_special_values_round_trip_bit_exactly(self):
+        bits = np.array([0x7FF8000000000001, 0xFFF0000000000ABC,
+                         0x8000000000000000, 0x0000000000000000,
+                         0x0000000000000001, 0x800FFFFFFFFFFFFF,
+                         0x7FF0000000000000, 0xFFF0000000000000],
+                        dtype=np.uint64)
+        values = bits.view(np.float64).reshape(2, 4)
+        decoded = decode_frame(encode_frame({"window": values})[4:])
+        assert decoded["window"].view(np.uint64).tobytes() == \
+            bits.tobytes()
+
+    def test_ragged_window_is_a_protocol_error(self):
+        with pytest.raises(ProtocolError, match="rectangular"):
+            encode_frame({"op": "decide", "window": [[1.0, 2.0], [3.0]]})
+
+    def test_schema_2_frame_is_a_protocol_error(self):
+        v2_body = b'{"op":"adapt","schema_version":2,"trace_index":0}'
+        with pytest.raises(ProtocolError, match="schema-2"):
+            decode_frame(v2_body)
+
+    def test_header_past_the_body_is_a_protocol_error(self):
+        with pytest.raises(ProtocolError, match="runs past"):
+            decode_frame(struct.pack(">I", 64) + b"{}")
+
+    def test_tensor_past_the_body_is_a_protocol_error(self):
+        header = b'{"tensors":[["window",[2,4],0]]}'
+        with pytest.raises(ProtocolError, match="runs past"):
+            decode_frame(_body(header, b"\x00" * 56))
+        with pytest.raises(ProtocolError, match="runs past"):
+            decode_frame(_body(b'{"tensors":[["window",[1],8]]}',
+                               b"\x00" * 8))
+
+    def test_malformed_tensor_specs_are_protocol_errors(self):
+        for specs in (b'"x"', b'[["window",[2],-8]]',
+                      b'[["weights",[1],0]]', b'[["window",[true],0]]',
+                      b'[["window",2,0]]'):
+            with pytest.raises(ProtocolError, match="undecodable"):
+                decode_frame(_body(b'{"tensors":' + specs + b'}',
+                                   b"\x00" * 16))
+
+
+# ---------------------------------------------------------------------
+# Per-op in-flight table (admission bound + watchdog registry).
+# ---------------------------------------------------------------------
+class TestInflight:
     def test_invalid_params(self):
-        for kwargs in ({"max_batch": 0}, {"queue_bound": 0}):
-            params = {"max_batch": 4, "queue_bound": 8, **kwargs}
-            with pytest.raises(ValueError):
-                MicroBatcher(lambda items: list(items), **params)
+        with pytest.raises(ValueError):
+            InflightTable(0)
 
-    def test_results_in_submission_order(self):
-        batcher = MicroBatcher(lambda items: [i * 10 for i in items],
-                               max_batch=4, queue_bound=64)
-        results = [None] * 12
-
-        def submit(i):
-            results[i] = batcher.submit(i)
-
-        threads = [threading.Thread(target=submit, args=(i,))
-                   for i in range(12)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        batcher.close()
-        assert results == [i * 10 for i in range(12)]
-
-    def test_lone_request_executes_without_waiting_for_a_partner(self):
-        entered = threading.Event()
-        release = threading.Event()
-        batches = []
-
-        def execute(items):
-            batches.append(list(items))
-            entered.set()
-            release.wait(5.0)
-            return list(items)
-
-        batcher = MicroBatcher(execute, max_batch=8, queue_bound=64)
-        before = METRICS.count("serve.flush_wait")
-        submitter = threading.Thread(target=batcher.submit, args=("a",))
-        submitter.start()
-        # Nothing else is ever submitted: the executor must start on
-        # the lone request rather than hold the batch open.
-        assert entered.wait(5.0)
-        assert batches == [["a"]]
-        assert METRICS.count("serve.flush_wait") == before + 1
-        release.set()
-        submitter.join()
-        batcher.close()
-
-    def test_coalesces_under_concurrency(self):
-        sizes = []
-        entered = threading.Event()
-        release = threading.Event()
-
-        def execute(items):
-            sizes.append(len(items))
-            entered.set()
-            release.wait(5.0)
-            return list(items)
-
-        batcher = MicroBatcher(execute, max_batch=8, queue_bound=64)
-        first = threading.Thread(target=batcher.submit, args=(0,))
-        first.start()
-        assert entered.wait(5.0)
-        # The executor is busy: these requests queue up behind it.
-        threads = [threading.Thread(target=batcher.submit, args=(i,))
-                   for i in range(1, 8)]
-        for t in threads:
-            t.start()
-        deadline = time.monotonic() + 5.0
-        while batcher.depth() < 7 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert batcher.depth() == 7
-        release.set()
-        for t in [first, *threads]:
-            t.join()
-        batcher.close()
-        # The requests that arrived while the executor was busy
-        # shared one batch.
-        assert sizes == [1, 7]
-
-    def test_sheds_at_queue_bound(self):
-        release = threading.Event()
-
-        def execute(items):
-            release.wait(10.0)
-            return list(items)
-
-        batcher = MicroBatcher(execute, max_batch=1, queue_bound=2)
-
-        def submit_quietly(i):
-            try:
-                batcher.submit(i)
-            except BusyError:
-                pass  # racing submissions may shed too
-
-        threads = [threading.Thread(target=submit_quietly, args=(i,))
-                   for i in range(4)]
-        for t in threads:
-            t.start()
-        deadline = time.monotonic() + 5.0
-        # 1 executing + 2 queued; further submissions must shed.
-        while batcher.depth() < 2 and time.monotonic() < deadline:
-            time.sleep(0.01)
+    def test_sheds_at_inflight_bound(self):
+        table = InflightTable(2, name="adapt")
+        running = [Execution("adapt"), Execution("adapt")]
+        for execution in running:
+            table.admit(execution)
         with pytest.raises(BusyError) as excinfo:
-            batcher.submit(99)
+            table.admit(Execution("adapt"))
         assert excinfo.value.queue_depth == 2
-        release.set()
-        for t in threads:
-            t.join()
-        batcher.close()
+        assert excinfo.value.retry_after_ms > 0
+        # A finished execution frees its slot.
+        assert table.finish(running[0])
+        table.admit(Execution("adapt"))
+        assert table.depth() == 2
 
-    def test_executor_error_delivered_to_all(self):
-        def execute(items):
-            raise RuntimeError("executor blew up")
+    def test_one_execution_of_an_op_at_a_time(self):
+        table = InflightTable(4)
+        first, second = Execution("decide"), Execution("decide")
+        table.admit(first), table.admit(second)
+        assert table.enter(first)
+        entered = threading.Event()
+        waiter = threading.Thread(
+            target=lambda: table.enter(second) and entered.set())
+        waiter.start()
+        assert not entered.wait(0.05)  # the slot is taken
+        assert table.finish(first)
+        waiter.join(timeout=5.0)
+        assert entered.is_set() and table.finish(second)
 
-        batcher = MicroBatcher(execute, max_batch=4, queue_bound=8)
-        errors = []
-
-        def submit(i):
-            try:
-                batcher.submit(i)
-            except RuntimeError as exc:
-                errors.append(str(exc))
-
-        threads = [threading.Thread(target=submit, args=(i,))
-                   for i in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        batcher.close()
-        assert errors == ["executor blew up"] * 3
-
-    def test_length_mismatch_is_an_error(self):
-        batcher = MicroBatcher(lambda items: [], max_batch=1,
-                               queue_bound=4)
-        with pytest.raises(ServeClosedError, match="0 results"):
-            batcher.submit("x")
-        batcher.close()
-
-    def test_closed_batcher_rejects(self):
-        batcher = MicroBatcher(lambda items: list(items), max_batch=1,
-                               queue_bound=4)
-        batcher.close()
-        batcher.close()  # idempotent
+    def test_closed_table_rejects(self):
+        table = InflightTable(4)
+        table.close()
+        table.close()  # idempotent
         with pytest.raises(ServeClosedError):
-            batcher.submit(1)
-
-    def test_pressured_tenant_drains_first(self):
-        ledger = TenantLedger(default_budget_ms=50.0, window=8)
-        # "hot" is far over budget, "cold" is comfortably under.
-        for _ in range(8):
-            ledger.record("hot", latency_s=1.0)
-            ledger.record("cold", latency_s=0.001)
-        order = []
-        lock = threading.Lock()
-        blocking = threading.Event()
-        release = threading.Event()
-
-        def execute(items):
-            if items == ["block"]:
-                # Pin the batcher thread so the real submissions all
-                # queue up before the next flush can sort them.
-                blocking.set()
-                release.wait(5.0)
-                return list(items)
-            with lock:
-                order.extend(items)
-            return list(items)
-
-        batcher = MicroBatcher(execute, max_batch=2, queue_bound=16,
-                               ledger=ledger)
-        blocker = threading.Thread(target=batcher.submit,
-                                   args=("block", "default"))
-        blocker.start()
-        assert blocking.wait(5.0)
-        threads = [
-            threading.Thread(target=batcher.submit,
-                             args=(name, name))
-            for name in ("cold", "cold", "hot", "hot")
-        ]
-        for t in threads:
-            t.start()
-        deadline = time.monotonic() + 5.0
-        while batcher.depth() < 4 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        release.set()
-        for t in threads:
-            t.join()
-        blocker.join()
-        batcher.close()
-        # The pressured tenant's requests lead the drain order.
-        assert order[:2] == ["hot", "hot"]
+            table.admit(Execution("adapt"))
 
 
 # ---------------------------------------------------------------------
@@ -345,7 +258,8 @@ class TestDaemon:
             stats = client.stats()
         assert stats["corpus_traces"] == 4
         assert stats["predictor"] == "serve_const"
-        assert stats["max_batch"] >= 1
+        assert stats["queue_bound"] >= 1
+        assert set(stats["stages"]) == set(OPS)
 
     def test_adapt_bit_identical_to_direct_run(self, daemon):
         with ServeClient(daemon.address) as client:
@@ -364,7 +278,7 @@ class TestDaemon:
                 threshold = daemon.cpu.predictor.model_for(
                     mode).decision_threshold
                 direct = decide_payload(probs, threshold)
-                assert served["probs"] == direct["probs"]
+                assert np.array_equal(served["probs"], direct["probs"])
                 assert served["decisions"] == direct["decisions"]
                 assert served["digest"] == direct["digest"]
 
@@ -406,27 +320,51 @@ class TestDaemon:
             with pytest.raises(ServeError,
                                match="bad_request.*schema_version"):
                 client.request({"op": "adapt", "trace_index": 0})
-            with pytest.raises(ServeError, match="trace_index"):
+            with pytest.raises(ServeError, match="schema_version 2"):
                 client.request({"op": "adapt", "schema_version": 2,
+                                "trace_index": 0})
+            with pytest.raises(ServeError, match="trace_index"):
+                client.request({"op": "adapt", "schema_version": 3,
                                 "trace_index": 99})
             with pytest.raises(ServeError, match="trace_index"):
-                client.request({"op": "adapt", "schema_version": 2,
+                client.request({"op": "adapt", "schema_version": 3,
                                 "trace_index": True})
-            with pytest.raises(ServeError, match="window"):
-                client.request({"op": "decide", "schema_version": 2,
-                                "mode": "low_power", "window": []})
+            with pytest.raises(ServeError, match="budget_ms"):
+                client.request({"op": "adapt", "schema_version": 3,
+                                "trace_index": 0, "budget_ms": "soon"})
+            for window in ([], [1.0, 2.0, 3.0, 4.0], [[0.0] * 5],
+                           np.zeros((2, 2, 4))):
+                # Empty, 1-D, wrong width, 3-D.
+                with pytest.raises(ServeError, match="bad_request.*window"):
+                    client.request({"op": "decide", "schema_version": 3,
+                                    "mode": "low_power", "window": window})
             with pytest.raises(ServeError, match="mode"):
-                client.request({"op": "decide", "schema_version": 2,
+                client.request({"op": "decide", "schema_version": 3,
                                 "mode": "warp",
                                 "window": [[0.0, 0.0, 0.0, 0.0]]})
             # The connection survives bad requests.
+            assert client.ping()
+
+    def test_undecodable_frames_get_bad_request(self, daemon):
+        # A schema-2 (JSON-only) frame and a tensor spec past the body:
+        # framing is intact, so each gets a typed answer on a live
+        # connection.
+        v2 = b'{"op":"adapt","schema_version":2,"trace_index":0}'
+        past = _body(b'{"op":"decide","tensors":[["window",[4,4],0]]}')
+        with ServeClient(daemon.address) as client:
+            for body in (v2, past):
+                client._sock.sendall(struct.pack(">I", len(body)) + body)
+                response = recv_frame(client._sock)
+                assert response["ok"] is False
+                assert response["error"] == "bad_request"
+                assert "undecodable" in response["detail"]
             assert client.ping()
 
     def test_queue_bound_sheds_with_busy(self, tmp_path):
         path = str(tmp_path / "busy.sock")
         server = build_server(path, predictor_kind="const", n_apps=2,
                               workloads_per_app=1, intervals=64,
-                              max_batch=1, queue_bound=1)
+                              queue_bound=1)
         server.start()
         try:
             wait_until_ready(path, timeout_s=60.0)
@@ -469,6 +407,98 @@ class TestDaemon:
         assert not os.path.exists(path)
         assert multiprocessing.active_children() == []
         server.shutdown()  # idempotent
+
+
+class TestConcurrentExecution:
+    """Requests of one op run at once on their connection threads."""
+
+    def test_concurrent_digests_equal_serial_in_process(self, tmp_path):
+        path = str(tmp_path / "forest.sock")
+        server = build_server(path, predictor_kind="forest", n_apps=4,
+                              workloads_per_app=1, intervals=64)
+        server.start()
+        n_threads, per_thread = 6, 12
+        rng = np.random.default_rng(9)
+        windows = rng.random((n_threads, per_thread, 8, 12))
+        served: dict[tuple[int, int], str] = {}
+        failures = []
+
+        def worker(cid):
+            try:
+                with ServeClient(path, tenant=f"t{cid}") as client:
+                    for i in range(per_thread):
+                        if (cid + i) % 3 == 0:
+                            response = client.adapt((cid + i) % 4)
+                            served[cid, i] = response["result"]["digest"]
+                        else:
+                            mode = list(Mode)[i % 2].value
+                            response = client.decide(mode,
+                                                     windows[cid, i])
+                            served[cid, i] = response["digest"]
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                failures.append(exc)
+
+        try:
+            wait_until_ready(path, timeout_s=60.0)
+            threads = [threading.Thread(target=worker, args=(c,))
+                       for c in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            server.request_stop()
+            server.serve_forever()
+        assert not failures
+        cpu = server.cpu
+        for (cid, i), digest in served.items():
+            if (cid + i) % 3 == 0:
+                trace = server.traces[(cid + i) % 4]
+                expected = adapt_payload(cpu.run(trace))["digest"]
+            else:
+                mode = list(Mode)[i % 2]
+                probs = cpu.predictor.predict_proba(windows[cid, i], mode)
+                expected = decide_payload(
+                    probs,
+                    cpu.predictor.model_for(mode).decision_threshold,
+                )["digest"]
+            assert digest == expected, (cid, i)
+        assert len(served) == n_threads * per_thread
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs CPU affinity and two CPUs")
+class TestCpuPinning:
+    def test_connection_threads_share_one_cpu(self, daemon):
+        before = os.sched_getaffinity(0)
+        with ServeClient(daemon.address) as client:
+            assert client.ping()
+            conn_threads = [t for t in threading.enumerate()
+                            if t.name == "repro-serve-conn"]
+            assert conn_threads
+            for thread in conn_threads:
+                assert os.sched_getaffinity(thread.native_id) == \
+                    daemon._cpu
+        # Only the daemon's own threads are pinned.
+        assert os.sched_getaffinity(0) == before
+
+    def test_pool_workers_forked_from_a_pinned_thread_get_cpus_back(self):
+        import concurrent.futures
+        from repro.exec.parallel import _pool_worker_init
+        cpus = os.sched_getaffinity(0)
+        seen = []
+
+        def pinned():
+            os.sched_setaffinity(0, {min(cpus)})
+            with concurrent.futures.ProcessPoolExecutor(
+                    1, initializer=_pool_worker_init) as pool:
+                seen.append(pool.submit(os.sched_getaffinity, 0).result())
+
+        thread = threading.Thread(target=pinned)
+        thread.start()
+        thread.join()
+        assert seen == [cpus]
 
 
 # ---------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Covers the chaos-hardening PR end to end at unit scope: protocol edge
 cases (split frames, the exact MAX_FRAME_BYTES bound, zero-length
 payloads), serve-site fault injection, the circuit breaker ladder,
-batch abandonment and the watchdog, drain-rate retry hints, warm-state
+execution abandonment and the watchdog, drain-rate retry hints, warm-state
 checkpoints, server-side idempotency dedup, client retry/hedging and
 the supervised re-exec loop. The end-to-end chaos suite (real daemon,
 real crashes) lives in ``benchmarks/bench_serve.py --chaos-smoke``.
@@ -27,16 +27,17 @@ from repro.errors import (BatchTimeoutError, BusyError, CheckpointError,
 from repro.exec import faults
 from repro.exec.faults import FaultPlan
 from repro.obs.metrics import METRICS
-from repro.serve import (MicroBatcher, ServeClient, adapt_payload,
+from repro.serve import (ServeClient, adapt_payload, build_server,
                          corpus_fingerprint, load_checkpoint,
                          recv_frame, save_checkpoint, send_frame,
-                         serving_corpus)
+                         serving_corpus, wait_until_ready)
 from repro.serve.admission import (DrainTracker, RETRY_AFTER_MAX_MS,
                                    RETRY_AFTER_MIN_MS, retry_after_ms)
 from repro.serve.protocol import MAX_FRAME_BYTES, encode_frame
 from repro.serve.server import AdaptationServer, const_predictor
-from repro.serve.supervisor import (BatcherSupervisor,
-                                    ServeCircuitBreaker, run_supervised)
+from repro.serve.supervisor import (Execution, ExecutionWatchdog,
+                                    InflightTable, ServeCircuitBreaker,
+                                    run_supervised)
 
 
 # ---------------------------------------------------------------------
@@ -50,7 +51,7 @@ class TestProtocolEdges:
         # A slow peer dribbling one byte at a time must still deliver
         # one intact frame: _recv_exact loops until the length is met.
         a, b = self._pair()
-        payload = {"op": "adapt", "schema_version": 2, "trace_index": 3,
+        payload = {"op": "adapt", "schema_version": 3, "trace_index": 3,
                    "tenant": "t0"}
         frame = encode_frame(payload)
 
@@ -67,9 +68,10 @@ class TestProtocolEdges:
         a.close(), b.close()
 
     def test_encode_accepts_exactly_max_frame_bytes(self):
-        # Body of exactly MAX_FRAME_BYTES encodes; one byte more is a
-        # typed rejection, not a giant allocation on the peer.
-        pad = MAX_FRAME_BYTES - len('{"p":""}')
+        # Body (header length + header) of exactly MAX_FRAME_BYTES
+        # encodes; one byte more is a typed rejection, not a giant
+        # allocation on the peer.
+        pad = MAX_FRAME_BYTES - 4 - len('{"p":""}')
         frame = encode_frame({"p": "a" * pad})
         assert len(frame) == 4 + MAX_FRAME_BYTES
         with pytest.raises(ProtocolError, match="MAX_FRAME_BYTES"):
@@ -94,8 +96,8 @@ class TestProtocolEdges:
         b.close()
 
     def test_zero_length_payload_is_typed_error(self):
-        # length 0 == empty body == not JSON: a ProtocolError, never a
-        # hang waiting for bytes that will not come.
+        # length 0 == empty body == no header: a ProtocolError, never
+        # a hang waiting for bytes that will not come.
         a, b = self._pair()
         a.sendall(struct.pack(">I", 0))
         with pytest.raises(ProtocolError, match="undecodable"):
@@ -244,110 +246,155 @@ class TestServeCircuitBreaker:
 
 
 # ---------------------------------------------------------------------
-# Batch abandonment and the watchdog.
+# Execution abandonment and the watchdog.
 # ---------------------------------------------------------------------
 class TestAbandonment:
-    def _hanging_batcher(self):
-        """Batcher whose first batch hangs until ``release`` is set."""
-        started = threading.Event()
+    def _started(self, table: InflightTable, age_s: float) -> Execution:
+        execution = Execution("adapt")
+        table.admit(execution)
+        execution.started -= age_s
+        return execution
+
+    def test_abandon_fails_inflight_only_and_drains_queue(self):
+        # Only the overdue execution is abandoned; the op's other
+        # executions keep running and finish normally.
+        table = InflightTable(8, name="adapt")
+        hung = self._started(table, age_s=10.0)
+        healthy = self._started(table, age_s=0.0)
+        assert table.overdue(1.0) == [hung]
+        assert hung.abandoned and table.abandoned == 1
+        assert table.depth() == 1
+        assert table.finish(healthy)
+        # The hung thread, returning late, learns it must drop its
+        # result; its slot was already freed for new admissions.
+        assert not table.finish(hung)
+        assert table.depth() == 0
+
+    def test_abandoning_a_hung_holder_frees_the_executor_slot(self):
+        table = InflightTable(8, name="adapt")
+        hung = self._started(table, age_s=10.0)
+        assert table.enter(hung)
+        waiting = self._started(table, age_s=0.0)
+        entered = threading.Event()
+        waiter = threading.Thread(
+            target=lambda: table.enter(waiting) and entered.set())
+        waiter.start()
+        assert not entered.wait(0.05)
+        assert table.overdue(1.0) == [hung]
+        waiter.join(timeout=5.0)
+        assert entered.is_set()  # the op keeps serving
+        # The hung thread's late finish must not free the slot its
+        # successor now holds.
+        assert not table.finish(hung)
+        assert waiting.holds_slot
+        assert table.finish(waiting)
+
+    def test_request_abandoned_while_waiting_never_runs(self):
+        table = InflightTable(8, name="adapt")
+        holder = self._started(table, age_s=0.0)
+        assert table.enter(holder)
+        stale = self._started(table, age_s=10.0)
+        outcome = []
+        waiter = threading.Thread(
+            target=lambda: outcome.append(table.enter(stale)))
+        waiter.start()
+        assert table.overdue(1.0) == [stale]
+        assert table.finish(holder)
+        waiter.join(timeout=5.0)
+        assert outcome == [False]
+        assert not stale.holds_slot
+        # The slot is free again for the next request.
+        assert table.enter(self._started(table, age_s=0.0))
+
+    def test_abandon_with_nothing_inflight_is_benign(self):
+        table = InflightTable(4)
+        assert table.overdue(0.0) == []
+        watchdog = ExecutionWatchdog({"adapt": table}, timeout_s=0.05)
+        assert watchdog.check_once() == 0
+        assert watchdog.trips == 0
+
+    def test_watchdog_trips_and_records_breaker_failure(self):
+        table = InflightTable(4, name="adapt")
+        abandoned = []
+        watchdog = ExecutionWatchdog(
+            {"adapt": table}, timeout_s=0.05,
+            on_abandon=lambda execution, error:
+                abandoned.append((execution, error)))
+        before = METRICS.count("serve.watchdog_trips")
+        hung = self._started(table, age_s=0.1)
+        assert watchdog.check_once() == 1
+        assert abandoned == [(hung, hung.error)]
+        assert isinstance(hung.error, BatchTimeoutError)
+        assert "REPRO_SERVE_BATCH_TIMEOUT" in str(hung.error)
+        assert watchdog.trips == 1
+        assert METRICS.count("serve.watchdog_trips") == before + 1
+        snap = watchdog.snapshot()
+        assert snap["trips"] == 1
+        assert snap["abandoned"]["adapt"] == 1
+        assert watchdog.check_once() == 0  # abandoned exactly once
+
+    def test_healthy_batcher_is_left_alone(self):
+        table = InflightTable(4)
+        watchdog = ExecutionWatchdog({"adapt": table}, timeout_s=5.0)
+        running = self._started(table, age_s=0.0)
+        assert watchdog.check_once() == 0
+        assert watchdog.trips == 0
+        assert table.finish(running)
+
+    def test_hung_execution_times_out_and_connection_keeps_serving(
+            self, tmp_path):
+        path = str(tmp_path / "hang.sock")
+        server = build_server(path, predictor_kind="const", n_apps=2,
+                              workloads_per_app=1, intervals=48,
+                              batch_timeout_s=0.2, breaker_threshold=1)
+        execute = server._executors["adapt"]
         release = threading.Event()
         calls = []
 
-        def execute(items):
-            calls.append(list(items))
+        def hang_first(request):
+            calls.append(request)
             if len(calls) == 1:
-                started.set()
                 release.wait(10.0)
-            return [f"done:{item}" for item in items]
+            return execute(request)
 
-        batcher = MicroBatcher(execute, max_batch=1, queue_bound=8)
-        return batcher, started, release, calls
-
-    def test_abandon_fails_inflight_only_and_drains_queue(self):
-        batcher, started, release, calls = self._hanging_batcher()
-        outcomes: dict[str, object] = {}
-
-        def submit(name):
-            try:
-                outcomes[name] = batcher.submit(name)
-            except BaseException as exc:  # noqa: BLE001 - asserted below
-                outcomes[name] = exc
-
-        first = threading.Thread(target=submit, args=("hung",))
-        first.start()
-        assert started.wait(5.0)
-        second = threading.Thread(target=submit, args=("queued",))
-        second.start()
-        deadline = time.monotonic() + 5.0
-        while batcher.depth() < 1 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        stale_thread = batcher._thread
-        error = BatchTimeoutError("abandoned by test")
-        assert batcher.abandon_inflight(error) == 1
-        first.join(timeout=5.0)
-        second.join(timeout=5.0)
-        # Only the in-flight request failed; the queued one was served
-        # by the replacement consumer thread.
-        assert outcomes["hung"] is error
-        assert outcomes["queued"] == "done:queued"
-        assert batcher.restarts == 1
-        # The stale thread wakes, observes its stale generation, and
-        # discards its work without touching any request.
-        before = METRICS.count("serve.stale_batches_discarded")
-        release.set()
-        stale_thread.join(timeout=5.0)
-        assert not stale_thread.is_alive()
-        assert METRICS.count("serve.stale_batches_discarded") > before
-        # The restarted batcher keeps serving.
-        assert batcher.submit("after") == "done:after"
-        batcher.close()
-
-    def test_abandon_with_nothing_inflight_is_benign(self):
-        batcher = MicroBatcher(lambda items: list(items), max_batch=1,
-                               queue_bound=4)
-        assert batcher.abandon_inflight(BatchTimeoutError("x")) == 0
-        assert batcher.restarts == 0
-        batcher.close()
-
-    def test_watchdog_trips_and_records_breaker_failure(self):
-        batcher, started, release, _calls = self._hanging_batcher()
-        breaker = ServeCircuitBreaker(1, 60.0)
-        supervisor = BatcherSupervisor({"adapt": batcher},
-                                       timeout_s=0.05,
-                                       breakers={"adapt": breaker})
-        failures = []
-
-        def submit():
-            try:
-                batcher.submit("hung")
-            except BatchTimeoutError as exc:
-                failures.append(exc)
-
-        thread = threading.Thread(target=submit)
-        thread.start()
-        assert started.wait(5.0)
-        time.sleep(0.1)  # in-flight age now exceeds the timeout
-        assert supervisor.check_once() == 1
-        thread.join(timeout=5.0)
-        assert len(failures) == 1
-        assert "REPRO_SERVE_BATCH_TIMEOUT" in str(failures[0])
-        assert supervisor.trips == 1
-        assert breaker.level == 1  # threshold-1 breaker tripped
-        snap = supervisor.snapshot()
-        assert snap["trips"] == 1
-        assert snap["batcher_restarts"]["adapt"] == 1
-        release.set()
-        batcher.close()
-
-    def test_healthy_batcher_is_left_alone(self):
-        batcher = MicroBatcher(lambda items: list(items), max_batch=1,
-                               queue_bound=4)
-        supervisor = BatcherSupervisor({"adapt": batcher},
-                                       timeout_s=0.05)
-        assert batcher.submit(1) == 1
-        assert supervisor.check_once() == 0
-        assert supervisor.trips == 0
-        batcher.close()
+        server._executors["adapt"] = hang_first
+        server.start()
+        request = {"op": "adapt", "schema_version": 3, "trace_index": 0,
+                   "key": "hung-1"}
+        try:
+            wait_until_ready(path, timeout_s=30.0)
+            before = METRICS.count("serve.abandoned_results_discarded")
+            with ServeClient(path) as client:
+                with pytest.raises(BatchTimeoutError,
+                                   match="REPRO_SERVE_BATCH_TIMEOUT"):
+                    client.request(request)
+                # The same connection keeps serving through the
+                # replacement reader while the executor is still hung.
+                assert client.ping()
+                release.set()
+                deadline = time.monotonic() + 5.0
+                while (METRICS.count("serve.abandoned_results_discarded")
+                       == before and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                # The late result was dropped, not sent: the next
+                # response on this connection answers the next request.
+                assert METRICS.count(
+                    "serve.abandoned_results_discarded") == before + 1
+                assert client.ping()
+                # The abandoned key did not poison dedup: a keyed retry
+                # runs fresh.
+                response = client.request(request)
+                assert response["ok"]
+                assert len(calls) == 2
+                assert response["result"] == adapt_payload(
+                    server.cpu.run(server.traces[0]))
+            assert server.supervisor.trips == 1
+            # The abandonment counted as a failure on the op's breaker.
+            assert server.breakers["adapt"].snapshot()["trips"] == 1
+        finally:
+            release.set()
+            server.request_stop()
+            server.serve_forever()
 
 
 # ---------------------------------------------------------------------
@@ -479,7 +526,7 @@ class TestCheckpoint:
 def bare_server(tmp_path):
     server = AdaptationServer(
         AdaptiveCPU(const_predictor()), serving_corpus(2, 1, 48),
-        str(tmp_path / "bare.sock"), max_batch=4, queue_bound=8)
+        str(tmp_path / "bare.sock"), queue_bound=8)
     yield server
     server.shutdown()
 
@@ -488,10 +535,10 @@ class TestDedup:
     def test_keyed_retry_returns_original_payload(self, bare_server):
         before = METRICS.count("serve.dedup_hits")
         first = bare_server._dispatch(
-            {"id": 1, "op": "adapt", "schema_version": 2,
+            {"id": 1, "op": "adapt", "schema_version": 3,
              "trace_index": 0, "key": "K1"})
         retry = bare_server._dispatch(
-            {"id": 2, "op": "adapt", "schema_version": 2,
+            {"id": 2, "op": "adapt", "schema_version": 3,
              "trace_index": 0, "key": "K1"})
         assert first["ok"] and retry["ok"]
         assert retry["result"] == first["result"]
@@ -501,14 +548,14 @@ class TestDedup:
             self, bare_server, monkeypatch):
         calls = []
 
-        def routed(op, request, tenant, level):
-            calls.append(op)
+        def routed(execution, request, level):
+            calls.append(execution.op)
             if len(calls) == 1:
                 raise RuntimeError("transient executor fault")
             return {"value": 42}
 
         monkeypatch.setattr(bare_server, "_execute_routed", routed)
-        request = {"id": 1, "op": "adapt", "schema_version": 2,
+        request = {"id": 1, "op": "adapt", "schema_version": 3,
                    "trace_index": 0, "key": "R"}
         failed = bare_server._dispatch(request)
         assert not failed["ok"] and failed["error"] == "internal"
@@ -527,9 +574,9 @@ class TestDedup:
         calls = []
         monkeypatch.setattr(
             bare_server, "_execute_routed",
-            lambda op, request, tenant, level:
-                (calls.append(op) or {"value": 1}))
-        request = {"id": 1, "op": "adapt", "schema_version": 2,
+            lambda execution, request, level:
+                (calls.append(execution.op) or {"value": 1}))
+        request = {"id": 1, "op": "adapt", "schema_version": 3,
                    "trace_index": 0, "key": 99}
         bare_server._dispatch(request)
         bare_server._dispatch(request)
@@ -540,7 +587,7 @@ class TestDedup:
         assert response["ok"]
         health = response["health"]
         assert health["ready"]
-        assert health["breakers"]["adapt"]["mode"] == "batched"
+        assert health["breakers"]["adapt"]["mode"] == "direct"
         assert health["breakers"]["decide"]["state"] == "closed"
         assert health["watchdog"]["timeout_s"] == \
             bare_server.batch_timeout_s
@@ -610,7 +657,7 @@ class _FakeDaemon:
                 elif kind == "timeout":
                     send_frame(conn, {
                         **base, "ok": False, "error": "timeout",
-                        "detail": "batch abandoned", "retry": True})
+                        "detail": "execution abandoned", "retry": True})
                 elif kind == "drop":
                     conn.close()
                     return
