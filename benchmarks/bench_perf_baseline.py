@@ -2,8 +2,9 @@
 
 Times the dataset-scale hot paths — trace generation, serial vs
 parallel ``evaluate_predictor``, cold- vs warm-cache runs, trace-arena
-dispatch, the SoA cycle scoreboard against its reference loop,
-simcache verification and tracing overhead — and writes a
+dispatch, the SoA cycle scoreboard against its reference loop, the
+rank-keyed CART fit against the float-sort fit, simcache verification
+and tracing overhead — and writes a
 machine-readable ``BENCH_perf.json`` at the repo root so future PRs
 have a perf trajectory to compare against.
 
@@ -12,7 +13,9 @@ Run standalone (no pytest session fixtures needed)::
     PYTHONPATH=src python benchmarks/bench_perf_baseline.py
 
 ``--quick`` is the CI perf smoke: on a small corpus it guards arena
-payload bytes, the SoA cycle kernel, simcache verification overhead
+payload bytes, the SoA cycle kernel, the rank-keyed tree fit (bit-
+identical to the float-sort reference and not slower), simcache
+verification overhead
 and tracing overhead, and exits non-zero on a regression. It also
 fails when any recorded ``BENCH_perf.json`` section's keys diverge
 from what the current benchmarks emit (a stale file that was never
@@ -51,6 +54,7 @@ from repro.eval.runner import evaluate_predictor
 from repro.exec import ParallelMap, SimCache, close_pools
 from repro.obs.metrics import METRICS
 from repro.ml.base import Estimator
+from repro.ml.tree import DecisionTreeClassifier
 from repro.telemetry.collector import TelemetryCollector
 from repro.uarch.core_model import ClusteredCoreModel
 from repro.uarch.isa import synthesize_uops
@@ -83,6 +87,9 @@ SECTION_KEYS: dict[str, frozenset] = {
         "repeats"}),
     "cycle_kernel": frozenset({
         "n_uops", "soa_s", "reference_s", "speedup"}),
+    "tree_fit": frozenset({
+        "n_rows", "n_features", "n_trees", "keyed_s", "reference_s",
+        "speedup"}),
     "resilience": frozenset({
         "verify_on_s", "verify_off_s", "overhead_ratio"}),
     "observability": frozenset({
@@ -187,6 +194,48 @@ def _bench_cycle_kernel(n_uops: int = 20000) -> dict:
     return {
         "n_uops": n_uops,
         "soa_s": round(soa_s, 4),
+        "reference_s": round(ref_s, 4),
+        "speedup": round(speedup, 3),
+    }
+
+
+def _bench_tree_fit(n_rows: int = 20000, n_features: int = 12,
+                    n_trees: int = 8) -> dict:
+    """Rank-keyed CART fit vs the float-sort reference fit.
+
+    Forest-shaped work: ``n_trees`` depth-8 trees with ``sqrt``
+    feature subsampling, each on its own bootstrap sample of a
+    counter-like matrix (quantised values, so ties are common). Every
+    tree's node arrays must equal the reference's bit for bit.
+    """
+    rng = np.random.default_rng(29)
+    x = np.round(rng.lognormal(size=(n_rows, n_features)), 3)
+    y = (x[:, 0] * x[:, 1] + rng.normal(size=n_rows) > 1.2).astype(int)
+    samples = [rng.integers(0, n_rows, size=n_rows)
+               for _ in range(n_trees)]
+
+    def fit_all(method: str) -> list[DecisionTreeClassifier]:
+        return [getattr(DecisionTreeClassifier(max_features="sqrt",
+                                               seed=t), method)(
+                    x[idx], y[idx])
+                for t, idx in enumerate(samples)]
+
+    keyed_s, keyed = _timed(lambda: fit_all("fit"))
+    ref_s, ref = _timed(lambda: fit_all("_fit_reference"))
+    for a, b in zip(keyed, ref):
+        for name in ("feature_", "threshold_", "left_", "right_",
+                     "value_"):
+            assert (getattr(a, name).tobytes()
+                    == getattr(b, name).tobytes()), \
+                "rank-keyed tree fit diverged from reference"
+    speedup = ref_s / keyed_s if keyed_s > 0 else float("inf")
+    print(f"tree fit ({n_trees} trees, {n_rows}x{n_features}): keyed "
+          f"{keyed_s:.3f}s, reference {ref_s:.3f}s ({speedup:.2f}x)")
+    return {
+        "n_rows": n_rows,
+        "n_features": n_features,
+        "n_trees": n_trees,
+        "keyed_s": round(keyed_s, 4),
         "reference_s": round(ref_s, 4),
         "speedup": round(speedup, 3),
     }
@@ -379,6 +428,7 @@ def run(workers: int = 4, n_apps: int = 8, workloads_per_app: int = 3,
 
     arena = _bench_arena(traces, workers=min(2, workers))
     kernel = _bench_cycle_kernel()
+    tree_fit = _bench_tree_fit()
     resilience = _bench_resilience(traces)
     obs = _bench_obs(traces)
 
@@ -413,6 +463,7 @@ def run(workers: int = 4, n_apps: int = 8, workloads_per_app: int = 3,
         },
         "arena": arena,
         "cycle_kernel": kernel,
+        "tree_fit": tree_fit,
         "resilience": resilience,
         "observability": obs,
         "exec_stats": METRICS.snapshot(),
@@ -684,14 +735,15 @@ def run_quick(n_apps: int = 3, workloads_per_app: int = 2,
               intervals: int = 100, output: Path | None = None) -> int:
     """CI perf smoke: the guarded mechanisms must still pay for themselves.
 
-    Runs the arena payload, cycle kernel, simcache-verification and
-    tracing-overhead guards on a small corpus; exits non-zero on a
+    Runs the arena payload, cycle kernel, tree fit,
+    simcache-verification and tracing-overhead guards on a small corpus; exits non-zero on a
     regression. A multi-core ``evaluate_predictor`` measurement is
     recorded only in an explicit ``output``.
     """
     traces = _generate_corpus(n_apps, workloads_per_app, intervals)
     arena = _bench_arena(traces, workers=2, repeats=2)
     kernel = _bench_cycle_kernel(n_uops=12000)
+    tree_fit = _bench_tree_fit(n_rows=8000, n_trees=4)
     resilience = _bench_resilience(traces)
     obs = _bench_obs(traces, span_iters=100_000)
     parallel_eval = _bench_parallel_quick(traces)
@@ -701,6 +753,7 @@ def run_quick(n_apps: int = 3, workloads_per_app: int = 2,
     computed = {
         "arena": arena,
         "cycle_kernel": kernel,
+        "tree_fit": tree_fit,
         "resilience": resilience,
         "observability": obs,
     }
@@ -731,6 +784,10 @@ def run_quick(n_apps: int = 3, workloads_per_app: int = 2,
         failures.append(
             f"cycle kernel: soa slower than reference "
             f"({kernel['speedup']:.2f}x)")
+    if tree_fit["speedup"] < 1.0:
+        failures.append(
+            f"tree fit: rank-keyed slower than reference "
+            f"({tree_fit['speedup']:.2f}x)")
     # A disabled span is one branch + a shared singleton; 2 µs/call is
     # ~10x its expected cost, so tripping this means the fast path grew
     # an allocation. The traced-run gate is relative AND absolute so

@@ -34,8 +34,12 @@ from repro.config import DEFAULT_SLA, SLAConfig, active_exec_config
 from repro.core.predictor import DualModePredictor
 from repro.data.builders import dataset_from_traces
 from repro.data.dataset import GatingDataset, RowNames
-from repro.errors import ArenaIntegrityError, ConfigurationError
-from repro.eval.metrics import effective_sla_window, pooled_rsv
+from repro.errors import (
+    ArenaIntegrityError,
+    ConfigurationError,
+    DatasetError,
+)
+from repro.eval.metrics import effective_sla_window
 from repro.exec.arena import TraceArena
 from repro.exec.parallel import ParallelMap, default_parallel_map
 from repro.obs.metrics import METRICS
@@ -84,27 +88,44 @@ def tune_threshold_for_rsv(model: Estimator, dataset: GatingDataset,
     if window is None:
         window = effective_sla_window(dataset.granularity)
     scores = model.predict_proba(dataset.x)
-    # Split the tuning set back into per-trace segments so violation
-    # windows never straddle traces.
-    segments: list[tuple[np.ndarray, np.ndarray]] = []
-    # Codes follow trace-name order, as np.unique(dataset.traces) did.
-    codes = dataset.names.codes
-    for code in np.unique(codes):
-        mask = codes == code
-        segments.append((dataset.y[mask], scores[mask]))
     candidates = np.unique(np.concatenate([
         np.linspace(0.3, 0.99, 24),
         np.quantile(scores, np.linspace(0.05, 0.95, 19)),
     ]))
-    chosen = 0.999
-    for threshold in np.sort(candidates):
-        pairs = [(y_seg, (s_seg >= threshold).astype(np.int64))
-                 for y_seg, s_seg in segments]
-        if pooled_rsv(pairs, window) <= max_rsv:
-            chosen = float(threshold)
-            break
+    rsv = _sweep_rsv(dataset.names.codes, dataset.y, scores, candidates,
+                     window)
+    within = np.flatnonzero(rsv <= max_rsv)
+    chosen = float(candidates[within[0]]) if within.size else 0.999
     model.decision_threshold = chosen
     return chosen
+
+
+def _sweep_rsv(codes: np.ndarray, y: np.ndarray, scores: np.ndarray,
+               thresholds: np.ndarray, window: int) -> np.ndarray:
+    """Pooled RSV at every threshold, in one array pass.
+
+    Equals ``pooled_rsv`` over the per-trace segments (rows grouped by
+    ``codes``, in row order) of the predictions ``scores >= t``, for
+    each ``t``: windows never straddle traces, a trace's partial tail
+    is dropped, and a window violates when more than half of its rows
+    are false positives. The per-window means and the pooled rate are
+    the same exact 0/1 means, so each rate is the same float.
+    """
+    if window <= 0:
+        raise DatasetError(f"window must be positive, got {window}")
+    order = np.argsort(codes, kind="stable")
+    grouped = codes.take(order)
+    starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    lengths = np.diff(starts, append=order.size)
+    within = np.arange(order.size) - np.repeat(starts, lengths)
+    rows = order[within < np.repeat(lengths // window * window, lengths)]
+    if rows.size == 0:
+        raise DatasetError("no trace fills a single window")
+    negative = (y.take(rows) == 0).reshape(-1, window)
+    windows = scores.take(rows).reshape(-1, window)
+    false_pos = ((windows >= thresholds[:, None, None]) & negative)
+    violations = (false_pos.mean(axis=2) > 0.5).sum(axis=1)
+    return violations / negative.shape[0]
 
 
 class SRCHEstimator(Estimator):
@@ -263,10 +284,10 @@ def _fit_candidate_grid(factory: Callable[[Mode], Estimator],
 
     Mirrors the hyperscreen/dataset-builder arena protocol: the shared
     training matrices are packaged once when dispatch will actually
-    cross a process boundary; unpicklable factories (the closure-based
-    standard-model factories) fall back to plain dispatch at build
-    time, and a corrupt segment falls back at attach time — results
-    are bit-identical on every path.
+    cross a process boundary; an unpicklable factory (a closure or
+    lambda) falls back to plain dispatch at build time, and a corrupt
+    segment falls back at attach time — results are bit-identical on
+    every path.
     """
     arena = None
     if (active_exec_config().arena and len(grid) > 1
@@ -362,6 +383,26 @@ def train_dual_predictor(name: str,
     )
 
 
+# The tuned standard models' factories are module-level functions
+# (bound with functools.partial), so they pickle by reference: the
+# (mode, candidate) grid ships them through the training arena to pool
+# workers instead of falling back to serial fits in the parent.
+def _best_rf_model(mode: Mode, *, seed: int) -> Estimator:
+    return RandomForestClassifier(
+        n_trees=8, max_depth=8,
+        seed=rng_mod.derive_seed(seed, "best-rf", mode.value),
+    )
+
+
+def _mlp_model(mode: Mode, *, hidden: tuple[int, ...], tag: str,
+               seed: int) -> Estimator:
+    return MLPClassifier(
+        hidden_layers=hidden,
+        epochs=60,
+        seed=rng_mod.derive_seed(seed, tag, mode.value),
+    )
+
+
 @dataclasses.dataclass
 class StandardModels:
     """The trained model zoo of Section 7 plus shared context."""
@@ -444,27 +485,16 @@ def build_standard_models(train_traces: list[TraceSpec], seed: int,
             train_traces, counter_sets[set_name], ds_sla, collector,
             factor)
 
-    def mlp_factory(hidden: tuple[int, ...], tag: str,
-                    ) -> Callable[[Mode], Estimator]:
-        def make(mode: Mode) -> Estimator:
-            return MLPClassifier(
-                hidden_layers=hidden,
-                epochs=60,
-                seed=rng_mod.derive_seed(seed, tag, mode.value),
-            )
-        return make
-
-    def rf_factory(mode: Mode) -> Estimator:
-        return RandomForestClassifier(
-            n_trees=8, max_depth=8,
-            seed=rng_mod.derive_seed(seed, "best-rf", mode.value),
-        )
-
     recipes: dict[str, tuple[Callable[[Mode], Estimator], str,
                              float | None]] = {
-        "best_rf": (rf_factory, "pf", rsv_budget),
-        "best_mlp": (mlp_factory((8, 8, 4), "best-mlp"), "pf", rsv_budget),
-        "charstar": (mlp_factory((10,), "charstar"), "charstar", None),
+        "best_rf": (functools.partial(_best_rf_model, seed=seed), "pf",
+                    rsv_budget),
+        "best_mlp": (functools.partial(_mlp_model, hidden=(8, 8, 4),
+                                       tag="best-mlp", seed=seed),
+                     "pf", rsv_budget),
+        "charstar": (functools.partial(_mlp_model, hidden=(10,),
+                                       tag="charstar", seed=seed),
+                     "charstar", None),
         "srch": (lambda mode: SRCHEstimator(), "srch", None),
         "srch_coarse": (lambda mode: SRCHEstimator(), "srch", None),
     }

@@ -26,32 +26,36 @@ from repro.exec.arena import TraceArena
 from repro.exec.parallel import default_parallel_map
 from repro.obs.metrics import METRICS
 from repro.ml.base import Estimator, check_xy
-from repro.ml.tree import DecisionTreeClassifier, cached_node_table
+from repro.ml.tree import (
+    DecisionTreeClassifier,
+    cached_node_table,
+    rank_keys,
+)
 
 
-def _fit_tree_task(task: tuple[np.ndarray, int], *, x: np.ndarray,
-                   y: np.ndarray, max_depth: int, min_samples_leaf: int,
-                   max_features) -> DecisionTreeClassifier:
-    """Grow one tree from pre-drawn bootstrap indices (parallel unit)."""
+def _fit_tree_task(task: tuple[np.ndarray, int], *, xt: np.ndarray,
+                   keys: np.ndarray, wide: np.ndarray, y: np.ndarray,
+                   params: dict) -> DecisionTreeClassifier:
+    """Grow one tree from pre-drawn bootstrap indices (parallel unit).
+
+    The tree gathers its bootstrap columns and their rank keys from
+    the forest's once-ranked matrix, so no tree re-sorts values.
+    """
     idx, tree_seed = task
-    tree = DecisionTreeClassifier(
-        max_depth=max_depth,
-        min_samples_leaf=min_samples_leaf,
-        max_features=max_features,
-        seed=tree_seed,
-    )
-    return tree.fit(x[idx], y[idx])
+    tree = DecisionTreeClassifier(seed=tree_seed, **params)
+    return tree._fit_columns(xt.take(idx, axis=1), keys.take(idx, axis=1),
+                             wide, y.take(idx))
 
 
 def _arena_fit_tree(handle: str, t: int) -> DecisionTreeClassifier:
-    """Worker-side tree fit: x/y/indices ride the arena, tasks are
-    tree numbers."""
+    """Worker-side tree fit: the matrix, keys and indices ride the
+    arena, tasks are tree numbers."""
     arena = TraceArena.attach(handle)
-    params = arena.object("params")
-    tree = DecisionTreeClassifier(
-        seed=int(arena.array("seeds")[t]), **params)
-    idx = arena.array("idx")[t]
-    return tree.fit(arena.array("x")[idx], arena.array("y")[idx])
+    return _fit_tree_task(
+        (arena.array("idx")[t], int(arena.array("seeds")[t])),
+        xt=arena.array("xt"), keys=arena.array("keys"),
+        wide=arena.array("wide"), y=arena.array("y"),
+        params=arena.object("params"))
 
 
 class RandomForestClassifier(Estimator):
@@ -79,8 +83,11 @@ class RandomForestClassifier(Estimator):
         ``forest-bootstrap`` stream as the original loop and each tree
         keeps its ``derive_seed(seed, "tree", t)`` seed, so the fitted
         forest is bit-identical regardless of backend, worker count or
-        chunking. Under a process/auto backend the training matrix,
-        index block and per-tree seeds ship once via a
+        chunking. The training matrix is ranked once per feature
+        (:func:`~repro.ml.tree.rank_keys`) and stored column-major;
+        each tree gathers its bootstrap columns and keys from it. Under
+        a process/auto backend the matrix, keys, index block and
+        per-tree seeds ship once via a
         :class:`~repro.exec.arena.TraceArena`; task payloads are tree
         numbers.
         """
@@ -94,20 +101,21 @@ class RandomForestClassifier(Estimator):
             idx_all = [np.arange(n) for _ in range(self.n_trees)]
         seeds = [rng_mod.derive_seed(self.seed, "tree", t)
                  for t in range(self.n_trees)]
+        xt = np.ascontiguousarray(x.T)
+        keys, wide = rank_keys(xt)
+        params = {"max_depth": self.max_depth,
+                  "min_samples_leaf": self.min_samples_leaf,
+                  "max_features": self.max_features}
         pmap = default_parallel_map()
         arena = None
         if (active_exec_config().arena and self.n_trees > 1
                 and pmap.uses_processes(self.n_trees, "forest_fit")):
             try:
                 arena = TraceArena.build(
-                    arrays={"x": x, "y": y,
+                    arrays={"xt": xt, "keys": keys, "wide": wide, "y": y,
                             "idx": np.stack(idx_all),
                             "seeds": np.asarray(seeds, dtype=np.int64)},
-                    objects={"params": {
-                        "max_depth": self.max_depth,
-                        "min_samples_leaf": self.min_samples_leaf,
-                        "max_features": self.max_features,
-                    }})
+                    objects={"params": params})
             except (pickle.PicklingError, AttributeError, TypeError):
                 METRICS.incr("arena.build_fallback")
         self.trees_ = None
@@ -124,10 +132,8 @@ class RandomForestClassifier(Estimator):
                 arena.close()
         if self.trees_ is None:
             self.trees_ = pmap.map(
-                functools.partial(_fit_tree_task, x=x, y=y,
-                                  max_depth=self.max_depth,
-                                  min_samples_leaf=self.min_samples_leaf,
-                                  max_features=self.max_features),
+                functools.partial(_fit_tree_task, xt=xt, keys=keys,
+                                  wide=wide, y=y, params=params),
                 list(zip(idx_all, seeds)), stage="forest_fit")
         return self
 

@@ -377,8 +377,14 @@ class AdaptationServer:
         return self
 
     def serve_forever(self) -> None:
-        """Block until :meth:`request_stop` (or a signal) fires."""
-        self._stopped.wait()
+        """Block until :meth:`request_stop` (or a signal) fires.
+
+        The wait wakes every half second: a signal delivered to another
+        thread runs its Python handler only when the main thread next
+        executes bytecode, which an untimed wait never does.
+        """
+        while not self._stopped.wait(0.5):
+            pass
 
     def request_stop(self) -> None:
         """Ask the watcher thread to run shutdown (signal-safe)."""

@@ -196,3 +196,43 @@ class TestArenaTrainFanOut:
                 serial.models[mode].predict_proba(x_test),
                 parallel.models[mode].predict_proba(x_test))
         close_pools()
+
+    def test_standard_factories_reach_the_pool(self, monkeypatch):
+        """The standard models' factories pickle, so their grid fans out
+        through the arena instead of falling back to serial fits."""
+        import functools
+
+        from repro.core.pipeline import _best_rf_model, _mlp_model
+        from repro.exec import ParallelMap, close_pools
+        from repro.obs.metrics import METRICS
+        monkeypatch.setenv("REPRO_EXEC_ARENA", "1")
+        datasets = {m: dataclasses.replace(_dataset(rows_per_app=30),
+                                           mode=m)
+                    for m in Mode}
+        x_test = np.random.default_rng(2).random((25, 3))
+        for factory in (functools.partial(_best_rf_model, seed=3),
+                        functools.partial(_mlp_model, hidden=(4,),
+                                          tag="t", seed=3)):
+            serial = train_dual_predictor(
+                "t", factory, datasets, 1, n_candidates=2, seed=5,
+                pmap=ParallelMap(backend="serial"))
+            counters = ("parallel.fallback_serial",
+                        "arena.build_fallback", "arena.builds")
+            before = {name: METRICS.count(name) for name in counters}
+            try:
+                pooled = train_dual_predictor(
+                    "t", factory, datasets, 1, n_candidates=2, seed=5,
+                    pmap=ParallelMap(backend="process", n_workers=2))
+            finally:
+                close_pools()
+            delta = {name: METRICS.count(name) - before[name]
+                     for name in counters}
+            assert delta == {"parallel.fallback_serial": 0,
+                             "arena.build_fallback": 0,
+                             "arena.builds": 1}
+            for mode in Mode:
+                assert np.array_equal(
+                    serial.models[mode].predict_proba(x_test),
+                    pooled.models[mode].predict_proba(x_test))
+                assert (serial.thresholds[mode]
+                        == pooled.thresholds[mode])

@@ -684,3 +684,49 @@ class TestResidentMemo:
                    + METRICS.count("adaptive_prepare.resident_miss")
                    - misses)
         assert lookups == 6 * runs_per_thread * 2
+
+
+# ---------------------------------------------------------------------
+# Signals.
+# ---------------------------------------------------------------------
+class TestSignals:
+    def test_sigterm_right_after_listen_exits_cleanly(self, tmp_path):
+        """The main thread must wake for a signal delivered elsewhere.
+
+        Python runs a signal handler on the main thread, and only when
+        that thread executes bytecode. A daemon whose main thread sits
+        in an untimed wait ignored a SIGTERM sent as soon as its socket
+        appeared and a client connected (most of 8 tries).
+        """
+        import signal
+        import subprocess
+        import sys
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = os.path.join(root, "src")
+        for attempt in range(8):
+            address = str(tmp_path / f"sig{attempt}.sock")
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--socket",
+                 address, "--predictor", "const", "--apps", "2",
+                 "--workloads-per-app", "1", "--intervals", "16"],
+                env=env, stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL)
+            try:
+                deadline = time.monotonic() + 60.0
+                while True:
+                    try:
+                        with socket.socket(socket.AF_UNIX) as conn:
+                            conn.connect(address)
+                        break
+                    except OSError:
+                        # Not bound, or bound but not yet listening.
+                        assert time.monotonic() < deadline
+                        time.sleep(0.002)
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=5.0) == 0, attempt
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
