@@ -82,9 +82,7 @@ SECTION_KEYS: dict[str, frozenset] = {
         "dataset_cold_s", "dataset_warm_s", "dataset_speedup"}),
     "arena": frozenset({
         "workers", "payload_pickled_bytes_per_task",
-        "payload_arena_bytes_per_task", "payload_reduction",
-        "pool_fresh_s", "pool_persistent_s", "pool_reuse_speedup",
-        "repeats"}),
+        "payload_arena_bytes_per_task", "payload_reduction"}),
     "cycle_kernel": frozenset({
         "n_uops", "soa_s", "reference_s", "speedup"}),
     "tree_fit": frozenset({
@@ -246,30 +244,29 @@ def _payload_counters(stage: str) -> tuple[int, int]:
             METRICS.count(f"{stage}.payload_tasks"))
 
 
-def _bench_arena(traces, workers: int = 2, repeats: int = 3) -> dict:
-    """Arena vs pickled dispatch, and warm-pool vs pool-per-call.
+def _bench_arena(traces, workers: int = 2) -> dict:
+    """Arena vs pickled dispatch.
 
-    Both comparisons run the same process-backend deployment; only the
-    arena kill-switch / pool persistence differ, and both variants are
-    asserted bit-identical before any number is reported. Payload
-    bytes per task come from the engine's own sampling counters
-    (``adaptive_prepare.payload_bytes`` / ``.payload_tasks``).
+    Both variants run the same process-backend deployment; only the
+    arena kill-switch differs, and they are asserted bit-identical
+    before any number is reported. Payload bytes per task come from the
+    engine's own sampling counters (``adaptive_prepare.payload_bytes``
+    / ``.payload_tasks``).
     """
     predictor = _predictor()
     stage = "adaptive_prepare"
 
-    def _deploy(arena_on: bool, persistent: bool):
+    def _deploy(arena_on: bool):
         with _env("REPRO_EXEC_ARENA", "1" if arena_on else "0"):
-            pmap = ParallelMap("process", n_workers=workers,
-                               persistent=persistent)
+            pmap = ParallelMap("process", n_workers=workers)
             return _timed(lambda: evaluate_predictor(
                 predictor, traces, collector=TelemetryCollector(),
                 pmap=pmap))
 
     bytes0, tasks0 = _payload_counters(stage)
-    _, pickled_suite = _deploy(False, True)
+    _, pickled_suite = _deploy(False)
     bytes1, tasks1 = _payload_counters(stage)
-    _, arena_suite = _deploy(True, True)
+    _, arena_suite = _deploy(True)
     bytes2, tasks2 = _payload_counters(stage)
     assert pickled_suite.mean_ppw_gain == arena_suite.mean_ppw_gain, \
         "arena-backed run diverged from pickled dispatch"
@@ -278,31 +275,11 @@ def _bench_arena(traces, workers: int = 2, repeats: int = 3) -> dict:
     ratio = pickled_bpt / arena_bpt if arena_bpt > 0 else float("inf")
     print(f"task payload: pickled {pickled_bpt:.0f} B/task, "
           f"arena {arena_bpt:.0f} B/task ({ratio:.1f}x smaller)")
-
-    def _repeated(persistent: bool) -> float:
-        close_pools()  # start both variants pool-cold
-        total = 0.0
-        for _ in range(repeats):
-            elapsed, _suite = _deploy(True, persistent)
-            total += elapsed
-        return total
-
-    fresh_s = _repeated(False)
-    warm_s = _repeated(True)
-    close_pools()
-    reuse_speedup = fresh_s / warm_s if warm_s > 0 else float("inf")
-    print(f"pool lifecycle ({repeats} deployments): fresh pools "
-          f"{fresh_s:.3f}s, persistent pool {warm_s:.3f}s "
-          f"({reuse_speedup:.2f}x)")
     return {
         "workers": workers,
         "payload_pickled_bytes_per_task": round(pickled_bpt, 1),
         "payload_arena_bytes_per_task": round(arena_bpt, 1),
         "payload_reduction": round(ratio, 2),
-        "pool_fresh_s": round(fresh_s, 4),
-        "pool_persistent_s": round(warm_s, 4),
-        "pool_reuse_speedup": round(reuse_speedup, 3),
-        "repeats": repeats,
     }
 
 
@@ -741,7 +718,7 @@ def run_quick(n_apps: int = 3, workloads_per_app: int = 2,
     recorded only in an explicit ``output``.
     """
     traces = _generate_corpus(n_apps, workloads_per_app, intervals)
-    arena = _bench_arena(traces, workers=2, repeats=2)
+    arena = _bench_arena(traces, workers=2)
     kernel = _bench_cycle_kernel(n_uops=12000)
     tree_fit = _bench_tree_fit(n_rows=8000, n_trees=4)
     resilience = _bench_resilience(traces)

@@ -413,16 +413,9 @@ def _run(args: argparse.Namespace) -> int:
         from repro.exec.faults import FaultPlan
         FaultPlan.parse(config.fault_spec)  # fail fast on a bad spec
     # Through the environment (not just install_exec_config) so
-    # process-pool workers inherit every knob too.
+    # process-pool workers inherit every knob too; the map a command
+    # gets from default_parallel_map() reads the same config.
     config.apply_env()
-    if (args.exec_backend is not None or args.exec_workers is not None
-            or args.exec_chunk is not None
-            or args.exec_retries is not None
-            or args.exec_timeout is not None):
-        from repro.exec import configure
-        configure(backend=config.backend, n_workers=config.workers,
-                  chunk_size=config.chunk, retries=config.retries,
-                  timeout=config.timeout)
     from repro import obs
     with obs.tracer.trace(f"repro.{args.command}"):
         status = args.func(args)

@@ -133,8 +133,6 @@ KNOBS: tuple[Knob, ...] = (
          "fan-out backend; 'auto' probes whether workers win"),
     Knob("workers", "REPRO_EXEC_WORKERS", "--exec-workers", _int, None,
          _at_least(1), "exec", "parallel worker count; unset: CPU count"),
-    Knob("pool", "REPRO_EXEC_POOL", None, str, "persistent",
-         _one_of("persistent", "fresh"), "exec", "fresh: a pool per map call"),
     Knob("arena", "REPRO_EXEC_ARENA", "--exec-arena", _switch, True, None,
          "exec", "ship traces to process workers in a zero-copy arena"),
     Knob("shmres", "REPRO_EXEC_SHMRES", "--exec-shmres", _switch, True,

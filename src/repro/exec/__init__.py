@@ -5,8 +5,8 @@ configurations or folds:
 
 * :class:`~repro.exec.parallel.ParallelMap` — serial/thread/process/
   ``auto`` backends behind one ordered, chunked, deterministic
-  ``map``, with persistent warm worker pools and adaptive chunk
-  sizing;
+  dispatch body (``map_chunks``; ``map`` applies a per-item function
+  through it), with warm worker pools and adaptive chunk sizing;
 * :class:`~repro.exec.arena.TraceArena` — a memory-mapped, zero-copy
   package of a trace corpus (plus shared objects and bulk arrays)
   that process-pool workers attach to by handle, shrinking task

@@ -2,11 +2,12 @@
 
 :class:`ParallelMap` is the one abstraction every dataset-scale path
 uses to iterate over traces, configurations or folds. It offers four
-backends — ``serial``, ``thread``, ``process`` and ``auto`` — behind a
-single ``map`` call that always returns results in input order, so a
-parallel run is bit-identical to a serial one for any workload whose
-items are independent and internally seeded (everything in this repo
-is; see :mod:`repro.rng`).
+backends — ``serial``, ``thread``, ``process`` and ``auto`` — behind
+one dispatch body, ``map_chunks``, that always returns results in input
+order, so a parallel run is bit-identical to a serial one for any
+workload whose items are independent and internally seeded (everything
+in this repo is; see :mod:`repro.rng`). ``map`` is ``map_chunks`` over
+a function that applies ``fn`` to each item of a chunk.
 
 Design points:
 
@@ -17,11 +18,10 @@ Design points:
   stage before, chunks are sized from the observed per-item cost to
   hit a target task duration; otherwise ~4 chunks per worker.
 * **Persistent pools** — worker pools are created lazily, keyed by
-  ``(backend, n_workers)``, and reused across ``map``/``map_chunks``
-  calls and across stages, so fork/spawn cost is paid once per
-  process instead of once per call. :func:`close_pools` (registered
-  ``atexit``) shuts them down; ``REPRO_EXEC_POOL=fresh`` restores the
-  pool-per-call behaviour for comparison.
+  ``(backend, n_workers)``, and reused across calls and across
+  stages, so fork/spawn cost is paid once per process instead of once
+  per call. :func:`close_pools` (registered ``atexit``) shuts them
+  down.
 * **Adaptive dispatch** — the ``auto`` backend measures a one-item
   probe (or reuses the stage's cost history) and only pays for a
   process pool when the remaining work would amortise it; tiny
@@ -32,10 +32,6 @@ Design points:
   validates (CRC/bounds, arena-style) and reconstructs zero-copy
   views, quarantining a corrupt segment back to pickled returns.
   ``REPRO_EXEC_SHMRES=0`` disables it.
-* **Worker-side RNG seeding** — when a ``seed`` is given, the global
-  NumPy RNG is re-seeded *per item* from ``derive_seed(seed, index)``
-  before the item runs, so any stray use of the global generator is
-  reproducible regardless of which worker executes which item.
 * **Fault tolerance** — failed chunks (worker crashes, broken pools,
   per-task timeouts) are retried with exponential backoff up to
   ``REPRO_EXEC_RETRIES`` times. A broken process pool is rebuilt once;
@@ -60,7 +56,6 @@ Defaults come from the environment so existing entry points pick up
 parallelism without signature changes: ``REPRO_EXEC_BACKEND`` selects
 the backend (default ``serial``), ``REPRO_EXEC_WORKERS`` the worker
 count (default: CPU count), ``REPRO_EXEC_CHUNK`` pins the chunk size,
-``REPRO_EXEC_POOL`` picks persistent vs fresh pools,
 ``REPRO_EXEC_RETRIES`` bounds chunk retries, ``REPRO_EXEC_TIMEOUT``
 sets the per-task timeout (pool backends only) and
 ``REPRO_EXEC_SHMRES`` toggles shared-memory result return.
@@ -70,15 +65,13 @@ from __future__ import annotations
 
 import atexit
 import concurrent.futures
+import functools
 import os
 import pickle
 import threading
 import time
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 
-import numpy as np
-
-from repro import rng as rng_mod
 from repro.config import KNOB, active_exec_config
 from repro.errors import (
     ConfigurationError,
@@ -293,12 +286,12 @@ def _merge_sidecar(sidecar: dict | None) -> None:
         tracer.absorb(sidecar["spans"])
 
 
-def _run_chunk(fn: Callable, indexed: Sequence[tuple[int, object]],
-               seed: int | None, stage: str | None = None,
-               attempt: int = 0, pooled: bool = False,
-               spool: str | None = None,
+def _run_batch(fn: Callable, first_index: int, items: list,
+               stage: str | None = None, attempt: int = 0,
+               pooled: bool = False, spool: str | None = None,
                ) -> tuple[list, float, dict | None]:
-    """Run one chunk of (index, item) pairs.
+    """Run one chunk: ``fn(items)``, where ``items[0]`` has index
+    ``first_index`` in the mapped sequence.
 
     Returns ``(results, busy_s, sidecar)``; the sidecar is ``None``
     except in process-pool workers, where it carries the metrics delta
@@ -309,40 +302,20 @@ def _run_chunk(fn: Callable, indexed: Sequence[tuple[int, object]],
     and the serial path share the parent's address space and skip
     encoding (``_IN_WORKER`` is False).
     """
-    if pooled and indexed:
-        _chunk_fault_point(stage, indexed[0][0], attempt)
-    marks = _sidecar_mark() if pooled else None
-    start = time.perf_counter()
-    out = []
-    with tracer.span("exec.chunk", stage=stage, items=len(indexed)):
-        for index, item in indexed:
-            if seed is not None:
-                np.random.seed(rng_mod.derive_seed(seed, "exec-item", index)
-                               % (2 ** 32))
-            out.append(fn(item))
-    if spool is not None and _IN_WORKER:
-        out = shmres.encode(out, spool)
-    return out, time.perf_counter() - start, _sidecar(marks)
-
-
-def _run_batch(fn: Callable, first_index: int, items: list,
-               seed: int | None, stage: str | None = None,
-               attempt: int = 0, pooled: bool = False,
-               spool: str | None = None,
-               ) -> tuple[list, float, dict | None]:
-    """Run one whole-chunk call of a batch function; see ``map_chunks``."""
     if pooled and items:
         _chunk_fault_point(stage, first_index, attempt)
     marks = _sidecar_mark() if pooled else None
     start = time.perf_counter()
     with tracer.span("exec.chunk", stage=stage, items=len(items)):
-        if seed is not None:
-            np.random.seed(rng_mod.derive_seed(seed, "exec-chunk",
-                                               first_index) % (2 ** 32))
         out = fn(items)
     if spool is not None and _IN_WORKER:
         out = shmres.encode(out, spool)
     return out, time.perf_counter() - start, _sidecar(marks)
+
+
+def _apply_each(fn: Callable, items: list) -> list:
+    """The chunk function behind ``map``: ``fn`` on each item."""
+    return [fn(item) for item in items]
 
 
 class ParallelMap:
@@ -351,8 +324,6 @@ class ParallelMap:
     def __init__(self, backend: str | None = None,
                  n_workers: int | None = None,
                  chunk_size: int | None = None,
-                 seed: int | None = None,
-                 persistent: bool | None = None,
                  retries: int | None = None,
                  timeout: float | None = None) -> None:
         config = active_exec_config()
@@ -363,8 +334,6 @@ class ParallelMap:
             config.backend if backend is None else backend)
         self.n_workers = KNOB["workers"].validate(n_workers, "n_workers")
         self.chunk_size = KNOB["chunk"].validate(chunk_size, "chunk_size")
-        self.seed = seed
-        self.persistent = persistent
         self.retries = KNOB["retries"].validate(retries)
         self.timeout = KNOB["timeout"].validate(timeout)
 
@@ -402,27 +371,6 @@ class ParallelMap:
         :class:`~repro.exec.arena.TraceArena` is worth it. ``probe``
         counts: the probe may escalate to a process pool."""
         return self._resolve_backend(n_items, stage) in ("process", "probe")
-
-    def _persistent(self) -> bool:
-        if self.persistent is not None:
-            return self.persistent
-        return active_exec_config().pool == "persistent"
-
-    def _acquire_pool(self, backend: str) -> concurrent.futures.Executor:
-        if self._persistent():
-            return _get_pool(backend, self.n_workers)
-        METRICS.gauge_add("parallel.pools_open", 1)
-        return _new_pool(backend, self.n_workers)
-
-    def _release_pool(self, backend: str,
-                      pool: concurrent.futures.Executor,
-                      broken: bool) -> None:
-        if not self._persistent():
-            pool.shutdown(wait=True, cancel_futures=broken)
-            METRICS.incr("parallel.pool_close")
-            METRICS.gauge_add("parallel.pools_open", -1)
-        elif broken:
-            _discard_pool(backend, self.n_workers, pool)
 
     @staticmethod
     def _sample_payload(stage: str, task: tuple, n_tasks: int) -> None:
@@ -474,11 +422,6 @@ class ParallelMap:
                 size = max(1, -(-len(indexed) // (self.n_workers * 4)))
         return [indexed[i:i + size] for i in range(0, len(indexed), size)]
 
-    def _map_serial(self, fn: Callable,
-                    indexed: list[tuple[int, object]]) -> list:
-        results, _, _ = _run_chunk(fn, indexed, self.seed)
-        return results
-
     def _pool_dispatch(self, backend: str, stage: str, chunks: list,
                        submit_args: Callable[[object, int, str | None],
                                              tuple],
@@ -494,12 +437,13 @@ class ParallelMap:
         or a broken pool): retry on the same pool with exponential
         backoff; if the *process* pool itself broke, rebuild it once,
         then degrade to a thread pool. Exhausting the retry budget
-        re-raises the last failure — for crashes that reaches ``map``'s
-        serial fallback, while per-task timeouts surface as a typed
-        :class:`~repro.errors.WorkerTimeoutError` because a hung task
-        would also hang the serial rung. Chunks completed on earlier
-        attempts are never resubmitted, so a genuine task error from a
-        later chunk still propagates unchanged.
+        re-raises the last failure — for crashes that reaches
+        ``map_chunks``'s serial fallback, while per-task timeouts
+        surface as a typed :class:`~repro.errors.WorkerTimeoutError`
+        because a hung task would also hang the serial rung. Chunks
+        completed on earlier attempts are never resubmitted, so a
+        genuine task error from a later chunk still propagates
+        unchanged.
 
         Shared-memory result return (``REPRO_EXEC_SHMRES``): on the
         process backend each dispatch opens a spool directory for the
@@ -526,7 +470,7 @@ class ParallelMap:
         sampled = False
         try:
             while True:
-                pool = self._acquire_pool(current)
+                pool = _get_pool(current, self.n_workers)
                 broken = False
                 failure: BaseException | None = None
                 futures: list = []
@@ -580,7 +524,8 @@ class ParallelMap:
                     if failure is not None:
                         for _, future in futures:
                             future.cancel()
-                    self._release_pool(current, pool, broken)
+                    if broken:
+                        _discard_pool(current, self.n_workers, pool)
                 pending = [ci for ci in pending if ci not in results]
                 if failure is None:
                     ordered = [results[ci] for ci in range(len(chunks))]
@@ -601,70 +546,17 @@ class ParallelMap:
         finally:
             shmres.close_call_spool(spool_dir)
 
-    def _map_pool(self, fn: Callable, indexed: list[tuple[int, object]],
-                  backend: str, stage: str) -> tuple[list, float, int]:
-        """Fan a chunked map over a pool; (results, busy_s, workers)."""
-        chunks = self._chunks(indexed, stage)
-        if backend == "process":
-            self._sample_payload(stage, (fn, chunks[0], self.seed),
-                                 len(chunks))
-
-        def submit_args(chunk, attempt, spool=None):
-            return (_run_chunk, fn, chunk, self.seed, stage, attempt,
-                    True, spool)
-
-        per_chunk, busy, workers = self._pool_dispatch(
-            backend, stage, chunks, submit_args)
-        results: list = []
-        for chunk_results in per_chunk:
-            results.extend(chunk_results)
-        return results, busy, workers
-
     def map(self, fn: Callable, items: Iterable,
             stage: str = "parallel_map") -> list:
         """Apply ``fn`` to every item; results are in input order.
 
         ``stage`` names the entry under which wall/busy time is
-        recorded in :data:`~repro.obs.metrics.METRICS`.
+        recorded in :data:`~repro.obs.metrics.METRICS`. This is
+        :meth:`map_chunks` over :func:`_apply_each`, so both share one
+        dispatch body: chunking, fault sites, fallbacks and metrics.
         """
-        indexed = list(enumerate(items))
-        start = time.perf_counter()
-        effective_workers = 1
-        backend = self._resolve_backend(len(indexed), stage)
-        results: list = []
-        busy = 0.0
-        with tracer.span("exec.map", stage=stage,
-                         items=len(indexed)) as sp:
-            if backend == "probe":
-                probe_results, probe_busy, _ = _run_chunk(
-                    fn, indexed[:1], self.seed)
-                results.extend(probe_results)
-                busy += probe_busy
-                indexed = indexed[1:]
-                backend = self._decide_from_probe(probe_busy, len(indexed))
-                METRICS.incr("parallel.auto_probe")
-            if (backend == "serial" or self.n_workers <= 1
-                    or len(indexed) <= 1):
-                rest, rest_busy, _ = _run_chunk(fn, indexed, self.seed)
-                results.extend(rest)
-                busy += rest_busy
-            else:
-                try:
-                    rest, rest_busy, effective_workers = self._map_pool(
-                        fn, indexed, backend, stage)
-                    results.extend(rest)
-                    busy += rest_busy
-                except _FALLBACK_ERRORS:
-                    METRICS.incr("parallel.fallback_serial")
-                    serial_start = time.perf_counter()
-                    rest, _, _ = _run_chunk(fn, indexed, self.seed)
-                    results.extend(rest)
-                    busy += time.perf_counter() - serial_start
-            sp.set(backend=backend, workers=effective_workers)
-        METRICS.add_time(stage, time.perf_counter() - start, busy,
-                            workers=effective_workers)
-        METRICS.incr(f"{stage}.items", len(results))
-        return results
+        return self.map_chunks(functools.partial(_apply_each, fn), items,
+                               stage)
 
     def map_chunks(self, fn: Callable[[list], list], items: Iterable,
                    stage: str = "parallel_map_chunks") -> list:
@@ -691,8 +583,7 @@ class ParallelMap:
         with tracer.span("exec.map_chunks", stage=stage,
                          items=n_items) as sp:
             if backend == "probe":
-                probe_results, probe_busy, _ = _run_batch(
-                    fn, 0, items[:1], self.seed)
+                probe_results, probe_busy, _ = _run_batch(fn, 0, items[:1])
                 results.extend(probe_results)
                 busy += probe_busy
                 items = items[1:]
@@ -703,8 +594,7 @@ class ParallelMap:
                 pass
             elif (backend == "serial" or self.n_workers <= 1
                     or len(items) <= 1):
-                rest, rest_busy, _ = _run_batch(
-                    fn, first_index, items, self.seed)
+                rest, rest_busy, _ = _run_batch(fn, first_index, items)
                 results.extend(rest)
                 busy += rest_busy
             else:
@@ -713,14 +603,14 @@ class ParallelMap:
                 try:
                     rest, rest_busy, effective_workers = (
                         self._map_chunk_pool(
-                            fn, self._chunks(indexed, stage), stage))
+                            fn, self._chunks(indexed, stage), backend,
+                            stage))
                     results.extend(rest)
                     busy += rest_busy
                 except _FALLBACK_ERRORS:
                     METRICS.incr("parallel.fallback_serial")
                     serial_start = time.perf_counter()
-                    rest, _, _ = _run_batch(
-                        fn, first_index, items, self.seed)
+                    rest, _, _ = _run_batch(fn, first_index, items)
                     results.extend(rest)
                     busy += time.perf_counter() - serial_start
             sp.set(backend=backend, workers=effective_workers)
@@ -736,20 +626,19 @@ class ParallelMap:
 
     def _map_chunk_pool(self, fn: Callable[[list], list],
                         chunks: list[list[tuple[int, object]]],
-                        stage: str) -> tuple[list, float, int]:
+                        backend: str, stage: str,
+                        ) -> tuple[list, float, int]:
         """Fan whole chunks out to a pool; (results, busy_s, workers)."""
-        backend = "thread" if self.backend == "thread" else "process"
         if backend == "process":
             self._sample_payload(
                 stage,
-                (fn, chunks[0][0][0],
-                 [item for _, item in chunks[0]], self.seed),
+                (fn, chunks[0][0][0], [item for _, item in chunks[0]]),
                 len(chunks))
 
         def submit_args(chunk, attempt, spool=None):
             return (_run_batch, fn, chunk[0][0],
-                    [item for _, item in chunk], self.seed,
-                    stage, attempt, True, spool)
+                    [item for _, item in chunk], stage, attempt, True,
+                    spool)
 
         per_chunk, busy, workers = self._pool_dispatch(
             backend, stage, chunks, submit_args)
@@ -765,8 +654,6 @@ _DEFAULT: ParallelMap | None = None
 
 def configure(backend: str | None = None, n_workers: int | None = None,
               chunk_size: int | None = None,
-              seed: int | None = None,
-              persistent: bool | None = None,
               retries: int | None = None,
               timeout: float | None = None) -> ParallelMap:
     """Install the process-wide default :class:`ParallelMap`.
@@ -778,8 +665,7 @@ def configure(backend: str | None = None, n_workers: int | None = None,
     """
     global _DEFAULT
     _DEFAULT = ParallelMap(backend=backend, n_workers=n_workers,
-                           chunk_size=chunk_size, seed=seed,
-                           persistent=persistent, retries=retries,
+                           chunk_size=chunk_size, retries=retries,
                            timeout=timeout)
     return _DEFAULT
 

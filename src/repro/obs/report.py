@@ -91,7 +91,9 @@ def render_report(metrics: Metrics | None = None) -> str:
 
     requests = snap["counters"].get("serve.requests", 0)
     if requests:
-        executed = snap["counters"].get("serve.batches", 0)
+        executed = sum(snap["stages"].get(f"serve.{op}.execute",
+                                          {}).get("calls", 0)
+                       for op in ("adapt", "decide"))
         shed = snap["counters"].get("serve.shed", 0)
         lines.append(
             f"serving: {requests} requests, {executed} executed, "

@@ -31,7 +31,7 @@ Trace-file schema (``schema`` = :data:`OBS_SCHEMA_VERSION`)::
       "sampled_spans": 0,
       "sample_rate": 8,
       "spans": [
-        {"name": "exec.map", "id": "1234:7", "parent": "1234:1",
+        {"name": "exec.map_chunks", "id": "1234:7", "parent": "1234:1",
          "pid": 1234, "tid": 140.., "start_s": 0.002, "dur_s": 0.4,
          "attrs": {"stage": "evaluate", "items": 40}},
         ...

@@ -3,10 +3,14 @@
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.config import EXEC_ENV_VARS
+from repro.exec import default_parallel_map, reset_default
 
 
 class TestParser:
@@ -53,6 +57,36 @@ class TestCommands:
         assert main(["demo", "--seed", "5"]) == 0
         out = capsys.readouterr().out
         assert "ppw_gain" in out
+
+
+class TestExecFlags:
+    def test_flags_reach_the_default_map(self, monkeypatch):
+        """``--exec-*`` flags reach the map a command gets from
+        ``default_parallel_map()``, through the environment alone."""
+        for var in EXEC_ENV_VARS:  # main() writes them; restored after
+            monkeypatch.delenv(var, raising=False)
+        seen = {}
+
+        def probe(args):
+            pmap = default_parallel_map()
+            seen["pmap"] = pmap
+            seen["chunks"] = pmap.map_chunks(
+                lambda xs: [len(xs)] * len(xs), range(7),
+                stage="unit_cli_chunks")
+            seen["threads"] = pmap.map(
+                lambda _: threading.current_thread().name, range(7),
+                stage="unit_cli_threads")
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_budget", probe)
+        reset_default()
+        assert main(["budget", "--exec-backend", "thread",
+                     "--exec-workers", "2", "--exec-chunk", "3"]) == 0
+        pmap = seen["pmap"]
+        assert (pmap.backend, pmap.n_workers) == ("thread", 2)
+        assert seen["chunks"] == [3, 3, 3, 3, 3, 3, 1]
+        assert all(name != threading.current_thread().name
+                   for name in seen["threads"])
 
 
 class TestConfigurationErrors:

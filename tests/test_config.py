@@ -113,7 +113,6 @@ def _clear_exec_env(monkeypatch):
 KNOB_SAMPLES = {
     "backend": ("auto", "auto"),
     "workers": ("3", 3),
-    "pool": ("fresh", "fresh"),
     "arena": ("0", False),
     "shmres": ("0", False),
     "shard": ("5000", 5000),
@@ -159,7 +158,6 @@ class TestExecConfig:
         assert config == ExecConfig()
         assert config.backend == "serial"
         assert config.workers is None
-        assert config.pool == "persistent"
         assert config.arena is True
         assert config.chunk is None
         assert config.retries == 2
@@ -174,7 +172,6 @@ class TestExecConfig:
         _clear_exec_env(monkeypatch)
         monkeypatch.setenv("REPRO_EXEC_BACKEND", "auto")
         monkeypatch.setenv("REPRO_EXEC_WORKERS", "3")
-        monkeypatch.setenv("REPRO_EXEC_POOL", "fresh")
         monkeypatch.setenv("REPRO_EXEC_ARENA", "0")
         monkeypatch.setenv("REPRO_EXEC_CHUNK", "16")
         monkeypatch.setenv("REPRO_EXEC_RETRIES", "5")
@@ -189,7 +186,7 @@ class TestExecConfig:
         monkeypatch.setenv("REPRO_TRACE_SAMPLE", "4")
         config = ExecConfig.from_env()
         assert config == ExecConfig(
-            backend="auto", workers=3, pool="fresh", arena=False,
+            backend="auto", workers=3, arena=False,
             chunk=16, retries=5, timeout=2.5, simcache_dir="/tmp/sc",
             simcache_verify=False, fault_spec="seed=1,crash=0.1",
             interval_lru=64,
@@ -279,7 +276,7 @@ class TestExecConfig:
         original = ExecConfig(backend="process", workers=2, arena=False,
                               chunk=7, retries=1, timeout=0.5,
                               fault_spec="seed=9,crash=0.01",
-                              pool="fresh", interval_lru=32,
+                              interval_lru=32,
                               trace="1", shmres=False, shard=3,
                               trace_sample=2, serve_queue_bound=32,
                               serve_batch_timeout_s=4.0)
@@ -339,12 +336,11 @@ class TestExecConfig:
         _clear_exec_env(monkeypatch)
         cfg = ExecConfig(simcache_dir="/tmp/x",
                          fault_spec="seed=2,crash=0.5",
-                         pool="fresh", interval_lru=17,
+                         interval_lru=17,
                          trace="t.json")
         with cfg.override():
             assert active_exec_config().simcache_dir == "/tmp/x"
             assert active_exec_config().fault_spec == "seed=2,crash=0.5"
-            assert active_exec_config().pool == "fresh"
             assert active_exec_config().interval_lru == 17
             assert active_exec_config().trace == "t.json"
 
@@ -357,7 +353,6 @@ class TestExecConfig:
             ExecConfig.from_env()
 
     @pytest.mark.parametrize("kwargs", [
-        {"pool": "sometimes"},
         {"trace_sample": 0},
         {"chunk": 0},
         {"retries": -1},
@@ -444,4 +439,4 @@ class TestKnobTable:
                           r"<!-- knob-table:end -->", readme, re.S)
         assert match is not None
         assert match.group(1) == render_knob_table()
-        assert len(KNOBS) == 30
+        assert len(KNOBS) == 29

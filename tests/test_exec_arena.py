@@ -206,8 +206,7 @@ class TestArenaDispatch:
     def test_pool_reuse_deterministic(self, traces, predictor):
         """Two back-to-back run_many calls on a reused warm pool."""
         cpu = AdaptiveCPU(predictor, collector=TelemetryCollector())
-        pmap = ParallelMap(backend="process", n_workers=2,
-                           persistent=True)
+        pmap = ParallelMap(backend="process", n_workers=2)
         first = cpu.run_many(traces, pmap=pmap)
         reuse = METRICS.count("parallel.pool_reuse")
         second = cpu.run_many(traces, pmap=pmap)

@@ -49,6 +49,11 @@ def _square(i):
     return i * i
 
 
+def _squares(items):
+    """``_square`` as a chunk function, for ``map_chunks``."""
+    return [_square(i) for i in items]
+
+
 def _block(i):
     """A result big enough to be hoisted into a shm segment."""
     return np.full((40, 8), float(i))
@@ -157,9 +162,9 @@ class TestParallelMap:
             "def inner(i):\n"
             "    return i * i\n"
             "def outer(i):\n"
-            "    pmap = ParallelMap('thread', n_workers=2, persistent=True)\n"
+            "    pmap = ParallelMap('thread', n_workers=2)\n"
             "    return sum(pmap.map(inner, range(i, i + 4)))\n"
-            "pmap = ParallelMap('thread', n_workers=2, persistent=True)\n"
+            "pmap = ParallelMap('thread', n_workers=2)\n"
             "print(pmap.map(outer, range(6)))\n"
             "close_pools()\n"
         )
@@ -175,6 +180,46 @@ class TestParallelMap:
         assert done.returncode == 0, done.stderr
         expected = [sum(j * j for j in range(i, i + 4)) for i in range(6)]
         assert done.stdout.strip() == str(expected)
+
+
+class TestOneDispatchBody:
+    """``map`` is ``map_chunks`` over a per-item function: the same
+    results, item counts and fallbacks on every backend."""
+
+    @pytest.mark.parametrize("chunk_size", [1, 3, None])
+    @pytest.mark.parametrize("n_items", [0, 1, 7])
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_map_equals_loop_and_map_chunks(self, backend, n_items,
+                                            chunk_size):
+        pmap = ParallelMap(backend=backend, n_workers=2,
+                           chunk_size=chunk_size)
+        stage = f"unit_onebody_{backend}_{n_items}_{chunk_size}"
+        items = list(range(n_items))
+        expected = [_square(i) for i in items]
+        before = METRICS.count(f"{stage}.items")
+        assert pmap.map(_square, items, stage=stage) == expected
+        assert METRICS.count(f"{stage}.items") == before + n_items
+        assert pmap.map_chunks(_squares, items, stage=stage) == expected
+        assert METRICS.count(f"{stage}.items") == before + 2 * n_items
+
+    @pytest.mark.parametrize("method", ["map", "map_chunks"])
+    def test_crash_plan_ends_in_serial_results(self, method):
+        stage = f"unit_onebody_crash_{method}"
+        with inject(FaultPlan(seed=0, crash=1.0)):
+            pmap = ParallelMap(backend="thread", n_workers=2,
+                               chunk_size=3, retries=1)
+            fallbacks = METRICS.count("parallel.fallback_serial")
+            crashes = METRICS.count("faults.injected.crash")
+            if method == "map":
+                out = pmap.map(_square, range(7), stage=stage)
+            else:
+                out = pmap.map_chunks(_squares, range(7), stage=stage)
+        assert out == [_square(i) for i in range(7)]
+        assert (METRICS.count("parallel.fallback_serial")
+                == fallbacks + 1)
+        # One crash per attempt at least: attempt 0 and the retry.
+        assert METRICS.count("faults.injected.crash") >= crashes + 2
+        assert METRICS.count(f"{stage}.items") == 7
 
 
 class TestParallelEquivalence:
@@ -195,8 +240,7 @@ class TestParallelEquivalence:
         # second call reuses the warm persistent pool.
         monkeypatch.setenv("REPRO_EXEC_ARENA", "1")
         cpu = AdaptiveCPU(predictor, collector=TelemetryCollector())
-        arena_pmap = ParallelMap(backend="process", n_workers=2,
-                                 persistent=True)
+        arena_pmap = ParallelMap(backend="process", n_workers=2)
         results["arena"] = cpu.run_many(traces, pmap=arena_pmap)
         reuse_before = METRICS.count("parallel.pool_reuse")
         results["arena_warm"] = cpu.run_many(traces, pmap=arena_pmap)

@@ -417,8 +417,8 @@ class TestRenderReport:
         m.observe("adaptive_infer.batch_rows", 512)
         m.incr("obs.worker_merges", 4)
         m.incr("serve.requests", 5)
-        m.incr("serve.batches", 3)
-        m.add_time("serve.decide.execute", 0.0003)
+        for _ in range(3):
+            m.add_time("serve.decide.execute", 0.0003)
         m.incr("adaptive_prepare.resident_hit", 7)
         m.incr("adaptive_prepare.resident_miss", 2)
         m.gauge_set("adaptive_prepare.resident_entries", 2)
