@@ -413,16 +413,30 @@ def concurrency_failures(section: dict) -> list[str]:
 # Bit-identity: the daemon's answers vs direct in-process calls.
 # ---------------------------------------------------------------------
 def check_bit_identity(server: AdaptationServer) -> None:
-    """Daemon responses must equal the direct-call projections exactly."""
+    """Daemon responses must equal the direct-call projections exactly.
+
+    Every adapt is sent twice: the second must be answered from the
+    generation's adapt memo (one ``adapt_memo`` hit, no miss) and
+    equal the direct run as well.
+    """
     window = _decide_window(server, rows=9, seed=29)
     with ServeClient(server.address) as client:
         for index in range(min(4, len(server.traces))):
-            served = client.adapt(index)["result"]
-            direct = adapt_payload(server.cpu.run(server.traces[index]))
-            assert served == direct, (
-                f"adapt response diverged from direct run for trace "
-                f"{index}: {served} != {direct}"
+            first = client.adapt(index)["result"]
+            before = client.stats()["adapt_memo"]
+            repeat = client.adapt(index)["result"]
+            after = client.stats()["adapt_memo"]
+            assert (after["hits"] - before["hits"],
+                    after["misses"] - before["misses"]) == (1, 0), (
+                f"repeat adapt of trace {index} was not a memo hit: "
+                f"{before} -> {after}"
             )
+            direct = adapt_payload(server.cpu.run(server.traces[index]))
+            for served in (first, repeat):
+                assert served == direct, (
+                    f"adapt response diverged from direct run for trace "
+                    f"{index}: {served} != {direct}"
+                )
         for mode in Mode:
             served = client.decide(mode.value, window)
             probs = server.cpu.predictor.predict_proba(
@@ -434,7 +448,8 @@ def check_bit_identity(server: AdaptationServer) -> None:
                 assert np.array_equal(served[key], direct[key]), (
                     f"decide {key} diverged in mode {mode.value}"
                 )
-    print("bit-identity: daemon == direct AdaptiveCPU (ok)")
+    print("bit-identity: daemon == direct AdaptiveCPU, repeat adapts "
+          "from the memo (ok)")
 
 
 # ---------------------------------------------------------------------

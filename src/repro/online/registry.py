@@ -52,11 +52,21 @@ class ModelEntry:
     Executors hold an entry for the lifetime of a request; the frozen
     dataclass makes "the model a request started with" a value, not a
     mutable reference.
+
+    ``adapts`` memoises this generation's ``adapt`` outcomes by
+    resident trace index: a gated run is a pure function of (model,
+    trace), so the first adapt of a trace computes it and every later
+    one is a lookup. :meth:`ModelRegistry.swap` installs a new entry,
+    which retires the memo with its generation; a request still running
+    on the old entry writes only into the old memo. Two concurrent
+    misses of one trace compute equal outcomes, so either store wins.
     """
 
     generation: int
     cpu: AdaptiveCPU
     tag: str
+    adapts: dict = dataclasses.field(default_factory=dict, compare=False,
+                                     repr=False)
 
 
 class ModelRegistry:

@@ -23,10 +23,12 @@ another thread on the way)::
 Each stage's count and time are accumulated per op in the metrics
 registry (``serve.<op>.<stage>``) and reported by the ``stats`` op, so
 the daemon itself says where a request's time went. Running requests
-on their own threads is invisible to correctness: ``adapt`` executes
-one :meth:`~repro.core.adaptive_cpu.AdaptiveCPU.run_many` call over
-its trace, bit-identical to a direct :meth:`run`, and ``decide`` one
-row-wise ``predict_proba`` over its window. Admission, the watchdog
+on their own threads is invisible to correctness: the first ``adapt``
+of a trace under a model generation executes one
+:meth:`~repro.core.adaptive_cpu.AdaptiveCPU.run_many` call over it,
+bit-identical to a direct :meth:`run`, and every later one answers
+from that generation's memo; ``decide`` runs one row-wise
+``predict_proba`` over its window. Admission, the watchdog
 and the breaker live in :mod:`repro.serve.supervisor`; requests with
 an idempotency ``key`` are deduplicated; :func:`build_server` restores
 and writes warm-state checkpoints. DESIGN.md draws the failure ladder.
@@ -827,24 +829,34 @@ class AdaptationServer:
         return entry
 
     def _execute_adapt(self, request: AdaptRequest):
-        """One ``run_many`` over the request's resident trace: it reuses
-        the memoised prepared run and is bit-identical to a direct
-        ``run``."""
+        """The entry's memoised outcome for the request's resident trace.
+
+        A miss runs one ``run_many`` over the trace (reusing the
+        memoised prepared run, bit-identical to a direct ``run``) and
+        stores its payload in the generation's memo; nothing else in
+        the request changes the answer."""
         entry = self._entry_for(request)
         index = request.trace_index
-        result = entry.cpu.run_many([self.traces[index]],
-                                    pmap=self._pmap)[0]
-        if self.ring is not None:
-            # Realized outcome sample for the continual loop: the
+        outcome = entry.adapts.get(index)
+        if outcome is None:
+            METRICS.incr("serve.adapt_memo_miss")
+            result = entry.cpu.run_many([self.traces[index]],
+                                        pmap=self._pmap)[0]
+            # Realized gating accuracy for the continual loop: the
             # labels come free with the interval-model run.
             accuracy = float(np.count_nonzero(
                 result.predictions == result.labels)
                 / max(result.predictions.shape[0], 1))
-            if self.ring.record_adapt(index, entry.generation, accuracy,
-                                      float(result.ppw_gain),
-                                      float(result.residency)):
-                METRICS.incr("online.samples")
-        return AdaptResponse(result=adapt_payload(result),
+            outcome = entry.adapts[index] = (adapt_payload(result),
+                                             accuracy)
+        else:
+            METRICS.incr("serve.adapt_memo_hit")
+        payload, accuracy = outcome
+        if self.ring is not None and self.ring.record_adapt(
+                index, entry.generation, accuracy, payload["ppw_gain"],
+                payload["residency"]):
+            METRICS.incr("online.samples")
+        return AdaptResponse(result=payload,
                              model_generation=entry.generation)
 
     def _execute_decide(self, request: DecideRequest):
@@ -867,6 +879,7 @@ class AdaptationServer:
 
     # ------------------------------------------------------------------
     def _stats(self) -> dict:
+        entry = self.registry.current()
         snapshot = METRICS.snapshot()
         counters = snapshot.get("counters", {})
         stages = snapshot.get("stages", {})
@@ -892,12 +905,18 @@ class AdaptationServer:
                      if (st := stages.get(f"serve.{op}.{stage}"))}
                 for op in OPS
             },
-            "resident_arena": self.cpu._resident_arena is not None,
+            "resident_arena": entry.cpu._resident_arena is not None,
             "resident_memo": {
-                "entries": len(self.cpu._resident_memo),
+                "entries": len(entry.cpu._resident_memo),
                 "hits": counters.get("adaptive_prepare.resident_hit", 0),
                 "misses": counters.get("adaptive_prepare.resident_miss",
                                        0),
+            },
+            "adapt_memo": {
+                "generation": entry.generation,
+                "entries": len(entry.adapts),
+                "hits": counters.get("serve.adapt_memo_hit", 0),
+                "misses": counters.get("serve.adapt_memo_miss", 0),
             },
             "tenants": self.ledger.snapshot(),
         }

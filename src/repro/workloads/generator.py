@@ -18,6 +18,7 @@ All sampling is deterministic given the spec seeds (see
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 from collections.abc import Mapping, Sequence
 
@@ -141,23 +142,37 @@ class WorkloadSpec:
             )
         trans, initial = self._input_transitions()
         rng = rng_mod.stream(self.app.seed, "trace", self.input_id, trace_id)
-        seq = np.empty(n_intervals, dtype=np.int64)
         state = int(rng.choice(self.app.n_phases, p=initial))
-        cdf = np.cumsum(trans, axis=1)
-        draws = rng.random(n_intervals)
-        for t in range(n_intervals):
-            seq[t] = state
-            state = int(np.searchsorted(cdf[state], draws[t]))
-            state = min(state, self.app.n_phases - 1)
         return TraceSpec(
             workload=self,
             trace_id=trace_id,
-            phase_seq=seq,
+            phase_seq=phase_chain(np.cumsum(trans, axis=1), state,
+                                  rng.random(n_intervals)),
             interval_instructions=interval_instructions,
             seed=rng_mod.derive_seed(
                 self.app.seed, "trace-noise", self.input_id, trace_id
             ),
         )
+
+
+def phase_chain(cdf: np.ndarray, state: int,
+                draws: np.ndarray) -> np.ndarray:
+    """Walk a Markov phase chain: one phase index per draw.
+
+    ``cdf`` holds each state's cumulative transition row. Interval t is
+    spent in the current state; the next one is the first index whose
+    cumulative probability reaches ``draws[t]`` (``searchsorted``'s
+    left side), clamped to the last phase for a row that sums to just
+    under 1.0. The walk runs over Python lists with :func:`bisect`:
+    a scalar numpy call per interval costs more than the lookup.
+    """
+    rows = cdf.tolist()
+    last = len(rows) - 1
+    seq = []
+    for draw in draws.tolist():
+        seq.append(state)
+        state = min(bisect.bisect_left(rows[state], draw), last)
+    return np.array(seq, dtype=np.int64)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import rng as rng_mod
+from repro.data.builders import hdtr_traces
 from repro.errors import ConfigurationError
 from repro.workloads.generator import (
     PHYSICS_FIELDS,
     PhaseSequence,
     generate_application,
     generate_trace,
+    phase_chain,
     physics_matrix,
 )
+from repro.workloads.spec2017 import spec2017_traces
 
 
 def make_app(seed=1, **kwargs):
@@ -142,3 +146,80 @@ class TestPhaseSequence:
         trace = app.workload(seed % 3).trace(n, seed % 4)
         seq = PhaseSequence.from_trace(trace)
         assert int(seq.lengths.sum()) == n
+
+
+def _searchsorted_chain(cdf, state, draws):
+    """The chain walk as it was first written: one scalar
+    ``np.searchsorted`` per interval (the oracle for ``phase_chain``)."""
+    seq = np.empty(len(draws), dtype=np.int64)
+    for t in range(len(draws)):
+        seq[t] = state
+        state = int(np.searchsorted(cdf[state], draws[t]))
+        state = min(state, cdf.shape[0] - 1)
+    return seq
+
+
+def _reference_phase_seq(trace):
+    """Re-draw ``trace``'s phase sequence through the oracle walk,
+    consuming its RNG stream in the same order as ``WorkloadSpec.trace``."""
+    workload = trace.workload
+    trans, initial = workload._input_transitions()
+    rng = rng_mod.stream(workload.app.seed, "trace", workload.input_id,
+                         trace.trace_id)
+    state = int(rng.choice(workload.app.n_phases, p=initial))
+    return _searchsorted_chain(np.cumsum(trans, axis=1), state,
+                               rng.random(trace.n_intervals))
+
+
+class TestPhaseChain:
+    @pytest.mark.parametrize("corpus", ["hdtr", "spec2017"])
+    def test_corpus_matches_searchsorted_walk(self, corpus):
+        traces = (hdtr_traces(7) if corpus == "hdtr"
+                  else spec2017_traces(7))
+        assert len(traces) > 100
+        for trace in traces:
+            workload = trace.workload
+            assert trace.phase_seq.dtype == np.int64
+            assert np.array_equal(trace.phase_seq,
+                                  _reference_phase_seq(trace)), trace.name
+            assert trace.seed == rng_mod.derive_seed(
+                workload.app.seed, "trace-noise", workload.input_id,
+                trace.trace_id)
+
+    def test_draw_on_a_cdf_value_takes_the_left_index(self):
+        cdf = np.cumsum(np.array([[0.25, 0.25, 0.5],
+                                  [0.5, 0.0, 0.5],
+                                  [0.0, 0.5, 0.5]]), axis=1)
+        # Every draw equals a cumulative value of some row, including
+        # the repeated 0.5 of row 1 and the exact 1.0 row ends.
+        draws = np.array([0.25, 0.5, 0.5, 1.0, 0.0, 0.5, 1.0, 0.25,
+                          0.0, 1.0])
+        for state in range(3):
+            walked = phase_chain(cdf, state, draws)
+            assert np.array_equal(walked,
+                                  _searchsorted_chain(cdf, state, draws))
+        assert phase_chain(cdf, 1, np.array([0.5, 0.0]))[1] == 0
+
+    def test_row_below_one_clamps_to_the_last_phase(self):
+        cdf = np.cumsum(np.array([[0.3, 0.3, 0.3999999],
+                                  [0.1, 0.2, 0.6999999],
+                                  [0.5, 0.25, 0.2499999]]), axis=1)
+        assert cdf[:, -1].max() < 1.0
+        draws = np.array([0.9999999999, 0.99999995, 0.3, 0.99999999,
+                          1.0 - 1e-12, 0.6])
+        for state in range(3):
+            walked = phase_chain(cdf, state, draws)
+            assert walked.max() == 2
+            assert np.array_equal(walked,
+                                  _searchsorted_chain(cdf, state, draws))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 300))
+    def test_random_rows_match_searchsorted_walk(self, seed, n):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 8))
+        cdf = np.cumsum(rng.dirichlet(np.ones(k), size=k), axis=1)
+        draws = rng.random(n)
+        state = int(rng.integers(0, k))
+        assert np.array_equal(phase_chain(cdf, state, draws),
+                              _searchsorted_chain(cdf, state, draws))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import socket
@@ -13,16 +14,20 @@ import numpy as np
 import pytest
 
 from repro.core.adaptive_cpu import AdaptiveCPU
-from repro.errors import BusyError, ProtocolError, ServeClosedError
-from repro.errors import ServeError
+from repro.core.predictor import DualModePredictor
+from repro.errors import BatchTimeoutError, BusyError, ProtocolError
+from repro.errors import ServeClosedError, ServeError, StaleGenerationError
+from repro.exec import faults
+from repro.exec.faults import FaultPlan
 from repro.exec.parallel import ParallelMap, close_pools
 from repro.obs import METRICS
+from repro.online.ringbuf import OP_ADAPT
 from repro.serve import InflightTable, ServeClient, TenantLedger
 from repro.serve import adapt_payload, build_server, busy_response
 from repro.serve import decide_payload, decode_frame, encode_frame
 from repro.serve import recv_frame, send_frame, serving_corpus
 from repro.serve import OPS, wait_until_ready
-from repro.serve.server import const_predictor
+from repro.serve.server import ConstProbModel, const_predictor
 from repro.serve.supervisor import Execution
 from repro.uarch.modes import Mode
 
@@ -631,16 +636,39 @@ class TestResidentMemo:
         assert promoted._resident_memo == {}
 
     def test_daemon_stats_report_memo_hits(self, daemon):
-        with ServeClient(daemon.address) as client:
-            client.adapt(2)
-            before = client.stats()["resident_memo"]
-            served = client.adapt(2)
-            after = client.stats()["resident_memo"]
-        assert after["hits"] == before["hits"] + 1
-        assert after["misses"] == before["misses"]
-        assert 1 <= after["entries"] <= len(daemon.traces)
-        assert served["result"] == adapt_payload(
+        expected = adapt_payload(
             AdaptiveCPU(const_predictor()).run(daemon.traces[2]))
+        with ServeClient(daemon.address) as client:
+            first = client.adapt(2)
+            before = client.stats()
+            served = client.adapt(2)
+            after = client.stats()
+            # A repeat is answered from the generation's adapt memo and
+            # never reaches the prepared-run memo below it.
+            assert after["adapt_memo"]["hits"] == \
+                before["adapt_memo"]["hits"] + 1
+            assert after["adapt_memo"]["misses"] == \
+                before["adapt_memo"]["misses"]
+            assert after["resident_memo"] == before["resident_memo"]
+            assert 1 <= after["adapt_memo"]["entries"] <= len(daemon.traces)
+            assert first["result"] == served["result"] == expected
+            # A promotion retires the adapt memo but keeps the prepared
+            # runs: the first adapt after it recomputes from a hit there.
+            daemon.registry.swap(const_predictor())
+            swapped = client.adapt(2)
+            final = client.stats()
+        assert final["adapt_memo"]["generation"] == \
+            after["adapt_memo"]["generation"] + 1
+        assert final["adapt_memo"]["entries"] == 1
+        assert final["adapt_memo"]["hits"] == after["adapt_memo"]["hits"]
+        assert final["adapt_memo"]["misses"] == \
+            after["adapt_memo"]["misses"] + 1
+        assert final["resident_memo"]["hits"] == \
+            after["resident_memo"]["hits"] + 1
+        assert final["resident_memo"]["misses"] == \
+            after["resident_memo"]["misses"]
+        assert swapped["model_generation"] == final["adapt_memo"]["generation"]
+        assert swapped["result"] == expected
 
     def test_concurrent_runs_share_the_memo_safely(self):
         import sys
@@ -684,6 +712,174 @@ class TestResidentMemo:
                    + METRICS.count("adaptive_prepare.resident_miss")
                    - misses)
         assert lookups == 6 * runs_per_thread * 2
+
+
+# ---------------------------------------------------------------------
+# Per-generation adapt memo.
+# ---------------------------------------------------------------------
+@contextlib.contextmanager
+def _const_daemon(tmp_path, **kwargs):
+    path = str(tmp_path / "memo.sock")
+    server = build_server(path, predictor_kind="const", n_apps=3,
+                          workloads_per_app=1, intervals=48, **kwargs)
+    server.start()
+    try:
+        wait_until_ready(path, timeout_s=60.0)
+        yield server
+    finally:
+        server.request_stop()
+        server.serve_forever()
+
+
+def _flipped_predictor() -> DualModePredictor:
+    """A swap-compatible predictor whose gating differs from the const
+    stub's."""
+    return DualModePredictor(
+        name="serve_flipped",
+        models={Mode.HIGH_PERF: ConstProbModel(0.2),
+                Mode.LOW_POWER: ConstProbModel(0.9)},
+        counter_ids=np.array([0, 1, 2, 3]), granularity_factor=1)
+
+
+def _direct(predictor, trace) -> dict:
+    return adapt_payload(AdaptiveCPU(predictor).run(trace))
+
+
+class TestAdaptMemo:
+    def test_repeat_adapt_never_reaches_run_many(self, tmp_path):
+        with _const_daemon(tmp_path) as server:
+            with ServeClient(server.address) as client:
+                first = client.adapt(1)
+
+                def refuse(*args, **kwargs):
+                    raise AssertionError("a repeat adapt ran its trace")
+
+                server.cpu.run_many = refuse
+                hits = METRICS.count("serve.adapt_memo_hit")
+                again = [client.adapt(1), client.adapt(1, budget_ms=5.0)]
+            with ServeClient(server.address, tenant="other") as client:
+                again.append(client.adapt(1))
+            assert METRICS.count("serve.adapt_memo_hit") == hits + 3
+        expected = _direct(const_predictor(), server.traces[1])
+        assert first["result"] == expected
+        for response in again:
+            assert response["result"] == expected
+            assert response["model_generation"] == 0
+
+    def test_swap_recomputes_under_the_new_generation(self, tmp_path):
+        with _const_daemon(tmp_path) as server:
+            with ServeClient(server.address) as client:
+                old = client.adapt(0)
+                old_entry = server.registry.current()
+                server.registry.swap(_flipped_predictor())
+                assert server.registry.current().adapts == {}
+                misses = METRICS.count("serve.adapt_memo_miss")
+                new = client.adapt(0)
+                assert METRICS.count("serve.adapt_memo_miss") == misses + 1
+                assert client.adapt(0)["result"] == new["result"]
+                memo = client.stats()["adapt_memo"]
+        trace = server.traces[0]
+        assert old["model_generation"] == 0
+        assert old["result"] == _direct(const_predictor(), trace)
+        assert new["model_generation"] == 1
+        assert new["result"] == _direct(_flipped_predictor(), trace)
+        assert new["result"]["digest"] != old["result"]["digest"]
+        # The retired generation's memo kept only its own outcome.
+        assert list(old_entry.adapts) == [0]
+        assert old_entry.adapts[0][0] == old["result"]
+        assert memo["generation"] == 1 and memo["entries"] == 1
+
+    def test_pin_mismatch_on_a_memoised_trace_is_stale(self, tmp_path):
+        with _const_daemon(tmp_path) as server:
+            with ServeClient(server.address) as client:
+                client.adapt(2)
+            with ServeClient(server.address, pin_generation=1) as pinned:
+                with pytest.raises(StaleGenerationError) as info:
+                    pinned.adapt(2)
+            assert (info.value.requested, info.value.current) == (1, 0)
+            with ServeClient(server.address, pin_generation=0) as pinned:
+                assert pinned.adapt(2)["result"] == _direct(
+                    const_predictor(), server.traces[2])
+
+    def test_online_ring_records_hits_too(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_ONLINE", "1")
+        monkeypatch.setenv("REPRO_ONLINE_RING", "64")
+        monkeypatch.setenv("REPRO_ONLINE_SAMPLE", "1")
+        monkeypatch.setenv("REPRO_ONLINE_INTERVAL_S", "3600")
+        order = [0, 1, 0, 0, 1, 2, 2]
+        with _const_daemon(tmp_path) as server:
+            assert server.ring is not None
+            seen = server.ring.seen
+            hits = METRICS.count("serve.adapt_memo_hit")
+            with ServeClient(server.address) as client:
+                for index in order:
+                    client.adapt(index)
+            assert METRICS.count("serve.adapt_memo_hit") == hits + 4
+            assert server.ring.seen == seen + len(order)
+            rows = server.ring.window(len(order), op=OP_ADAPT)
+        assert rows["trace_index"].tolist() == order
+        for row in rows:
+            run = AdaptiveCPU(const_predictor()).run(
+                server.traces[int(row["trace_index"])])
+            accuracy = (np.count_nonzero(run.predictions == run.labels)
+                        / run.predictions.shape[0])
+            assert row["generation"] == 0
+            # The ring stores float32 samples.
+            assert row["accuracy"] == np.float32(accuracy)
+            assert row["ppw_gain"] == np.float32(run.ppw_gain)
+            assert row["residency"] == np.float32(run.residency)
+
+    def test_batch_hang_still_fires_on_a_memo_hit(self, tmp_path):
+        with _const_daemon(tmp_path, batch_timeout_s=0.2,
+                           breaker_threshold=100) as server:
+            with ServeClient(server.address) as client:
+                expected = client.adapt(0)["result"]
+                hits = METRICS.count("serve.adapt_memo_hit")
+                discarded = METRICS.count(
+                    "serve.abandoned_results_discarded")
+                plan = FaultPlan(seed=0, batch_hang=1.0, hang_s=0.6)
+                with faults.inject(plan):
+                    with pytest.raises(BatchTimeoutError):
+                        client.adapt(0)
+                    deadline = time.monotonic() + 10.0
+                    while (METRICS.count("serve.abandoned_results_discarded")
+                           == discarded and time.monotonic() < deadline):
+                        time.sleep(0.01)
+                # The hung execution woke, hit the memo, and its late
+                # answer was dropped.
+                assert METRICS.count(
+                    "serve.abandoned_results_discarded") == discarded + 1
+                assert METRICS.count("serve.adapt_memo_hit") == hits + 1
+                assert server.supervisor.trips == 1
+                assert client.adapt(0)["result"] == expected
+
+    def test_memo_holds_at_most_one_outcome_per_trace(self, tmp_path):
+        failures = []
+        with _const_daemon(tmp_path) as server:
+            n = len(server.traces)
+
+            def worker(seed):
+                order = np.random.default_rng(seed).permutation(3 * n) % n
+                try:
+                    with ServeClient(server.address) as client:
+                        for index in order:
+                            client.adapt(int(index))
+                            assert len(server.registry.current().adapts) \
+                                <= n
+                except Exception as exc:  # noqa: BLE001 - asserted below
+                    failures.append(exc)
+
+            threads = [threading.Thread(target=worker, args=(s,))
+                       for s in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            with ServeClient(server.address) as client:
+                memo = client.stats()["adapt_memo"]
+        assert not failures
+        assert sorted(server.registry.current().adapts) == list(range(n))
+        assert memo["entries"] == n
 
 
 # ---------------------------------------------------------------------
